@@ -124,7 +124,12 @@ def _feature_config(cfg: dict) -> FeatureConfig:
     kwargs = {}
     for key, cast in _FEATURE_KEYS.items():
         if key in cfg:
-            kwargs[key] = cast(cfg[key])
+            try:
+                kwargs[key] = cast(cfg[key])
+            except ValueError as exc:
+                raise BadConfigError(
+                    f"{key} must be {cast.__name__}, got {cfg[key]!r}"
+                ) from exc
     return FeatureConfig(**kwargs)
 
 
@@ -399,7 +404,6 @@ def _cmd_forward(args, cfg: dict) -> int:
         model_cfg = ModelConfig(
             n_ipa_symbols=len(ids_map), n_speakers=args.n_speakers
         )
-    weights = init_weights(model_cfg, args.seed)
 
     if args.alignment is not None:
         record = parse_alignment(args.alignment)
@@ -413,6 +417,7 @@ def _cmd_forward(args, cfg: dict) -> int:
     else:
         mode = Inference()
 
+    weights = init_weights(model_cfg, args.seed)
     out = model_forward(weights, ids, ps.lengths, args.speaker, mode)
     out_dir = _out_dir(args, cfg)
     name = Path(args.phonemes).stem

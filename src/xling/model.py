@@ -30,6 +30,13 @@ ATTN_HEADS = 2
 LAYERNORM_EPS = 1e-5
 PREDICTOR_KERNEL = 3
 INIT_LOW, INIT_HIGH = -0.1, 0.1
+MAX_FRAMES_PER_PHONEME = 100
+"""Upper bound on an inferred duration: 1 s of 10 ms frames per phoneme.
+
+Inference durations are ``round(exp(log-frames))``; an untrained or
+diverged duration predictor can ask for far more frames than any speech
+holds, and the decoder's attention grows with the square of the total.
+"""
 
 
 @dataclass(frozen=True)
@@ -153,7 +160,9 @@ def init_weights(cfg: ModelConfig, seed: int) -> Weights:
 
     A master xorshift64* stream hands one sub-seed to each tensor (in
     :func:`parameter_shapes` order); the tensor is then filled by the
-    counter-based SplitMix64 stream, which vectorizes.
+    counter-based SplitMix64 stream in cache-sized blocks, in place (see
+    :mod:`xling.prng`).  Nothing is cached: every call generates all
+    parameters again, and the bits do not depend on the block size.
     """
     master = Xorshift64Star(seed)
     tensors = {}
@@ -224,14 +233,15 @@ def _conv1d(x, weight, bias):
 def _attention(x, p, prefix):
     T, H = x.shape
     head = H // ATTN_HEADS
+    # per-head views: q and v are (heads, T, d), k is transposed to (heads, d, T)
     q = (x @ p[f"{prefix}.wq"] + p[f"{prefix}.bq"]).reshape(T, ATTN_HEADS, head)
     k = (x @ p[f"{prefix}.wk"] + p[f"{prefix}.bk"]).reshape(T, ATTN_HEADS, head)
     v = (x @ p[f"{prefix}.wv"] + p[f"{prefix}.bv"]).reshape(T, ATTN_HEADS, head)
-    scores = np.einsum("thd,shd->hts", q, k) / np.sqrt(head)
+    scores = (q.transpose(1, 0, 2) @ k.transpose(1, 2, 0)) / np.sqrt(head)
     scores -= scores.max(axis=-1, keepdims=True)
     weights = np.exp(scores)
     weights /= weights.sum(axis=-1, keepdims=True)
-    mixed = np.einsum("hts,shd->thd", weights, v).reshape(T, H)
+    mixed = (weights @ v.transpose(1, 0, 2)).transpose(1, 0, 2).reshape(T, H)
     return mixed @ p[f"{prefix}.wo"] + p[f"{prefix}.bo"]
 
 
@@ -325,9 +335,12 @@ def forward(weights: Weights, ipa_ids, phoneme_lengths, speaker: int, mode) -> F
         durations = np.asarray(mode.durations, dtype=np.int64)
     else:
         pitch_values = predictions["pitch"]
-        durations = np.maximum(np.round(np.exp(predictions["duration"])), 0.0).astype(
-            np.int64
-        )
+        log_frames = predictions["duration"]
+        if not np.all(np.isfinite(log_frames)):
+            raise ShapeMismatchError("duration predictor produced non-finite values")
+        with np.errstate(over="ignore"):
+            frames = np.round(np.exp(log_frames))
+        durations = np.clip(frames, 0, MAX_FRAMES_PER_PHONEME).astype(np.int64)
     pitch_embedding = _conv1d(
         pitch_values[:, None], p["pitch_embed.weight"], p["pitch_embed.bias"]
     )

@@ -208,6 +208,25 @@ class TestStatsAndForward:
         ]
         assert mel.shape == (sum(durations), 80)
 
+    def test_forward_label_mismatch_fails_before_weights(
+        self, tmp_path, minicorpus, monkeypatch, capsys
+    ):
+        import xling.cli as cli_module
+
+        def no_weights(*args, **kwargs):
+            raise AssertionError("weights generated before the inputs were checked")
+
+        monkeypatch.setattr(cli_module, "init_weights", no_weights)
+        run("g2p", "--text", "你好 world", "--out", tmp_path)
+        align = sorted((minicorpus / "d2_enm").glob("*.align"))[0]
+        assert run(
+            "forward", "--phonemes", tmp_path / "text.phn", "--alignment", align,
+            "--out", tmp_path,
+        ) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR LENGTH_MISMATCH: ")
+        assert len(err.splitlines()) == 1
+
 
 class TestManifestCommand:
     def test_outputs_and_determinism(self, tmp_path, minicorpus):
@@ -244,6 +263,16 @@ class TestParser:
         with pytest.raises(SystemExit) as exc_info:
             build_parser().parse_args(["g2p", "--bogus"])
         assert exc_info.value.code != 0
+
+    def test_bad_feature_value_in_config(self, tmp_path, capsys):
+        config = tmp_path / "pipeline.cfg"
+        config.write_text("fmin=abc\n", encoding="utf-8")
+        wav = tmp_path / "missing.wav"
+        assert run("features", "--config", config, "--wav", wav,
+                   "--out", tmp_path) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR BAD_CONFIG: ") and "fmin" in err
+        assert len(err.splitlines()) == 1
 
     def test_bad_log_level_env(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("XLING_LOG", "verbose")

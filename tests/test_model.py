@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -9,9 +11,14 @@ from xling.errors import (
     UnknownSpeakerError,
 )
 from xling.model import (
+    ATTN_HEADS,
+    MAX_FRAMES_PER_PHONEME,
     Inference,
     ModelConfig,
     TeacherForced,
+    Weights,
+    _attention,
+    _fft_block,
     forward,
     init_weights,
     load_weights,
@@ -78,6 +85,17 @@ class TestInitWeights:
         assert set(a.tensors) == set(b.tensors)
         for name in a.tensors:
             assert np.array_equal(a.tensors[name], b.tensors[name])
+
+    def test_paper_config_bits_are_pinned(self):
+        cfg = ModelConfig(n_ipa_symbols=54, n_speakers=8)
+        weights = init_weights(cfg, seed=5)
+        digest = hashlib.sha256()
+        for name, _ in parameter_shapes(cfg):
+            digest.update(name.encode("utf-8"))
+            digest.update(weights.tensors[name].tobytes())
+        assert digest.hexdigest() == (
+            "ac48bf6b751bc76b22785035b000b0e6ba7e9a94e22153d028f6a45829bbfe11"
+        )
 
     def test_seed_changes_parameters(self):
         a = init_weights(SMALL, seed=7)
@@ -153,6 +171,29 @@ class TestForward:
         assert out.durations_used == tuple(expected)
         assert out.mel_pred.shape[0] == sum(out.durations_used)
 
+    def _with_duration_bias(self, weights, bias):
+        tensors = dict(weights.tensors)
+        tensors["duration_predictor.proj.bias"] = np.array([bias])
+        return Weights(weights.config, tensors, None)
+
+    def test_inference_durations_clamped(self, small_weights):
+        for bias in (12.0, 800.0):
+            weights = self._with_duration_bias(small_weights, bias)
+            out = forward(weights, [0, 1, 2], [2, 1], 0, Inference())
+            assert out.durations_used == (MAX_FRAMES_PER_PHONEME,) * 2
+            assert out.mel_pred.shape == (2 * MAX_FRAMES_PER_PHONEME, SMALL.n_mels)
+
+    def test_inference_durations_underflow_to_zero(self, small_weights):
+        weights = self._with_duration_bias(small_weights, -800.0)
+        out = forward(weights, [0, 1, 2], [2, 1], 0, Inference())
+        assert out.durations_used == (0, 0)
+
+    @pytest.mark.parametrize("bias", [np.nan, np.inf])
+    def test_inference_non_finite_durations_rejected(self, small_weights, bias):
+        weights = self._with_duration_bias(small_weights, bias)
+        with pytest.raises(ShapeMismatchError, match="non-finite"):
+            forward(weights, [0, 1, 2], [2, 1], 0, Inference())
+
     def test_speakers_change_values_not_shapes(self, small_weights):
         rng = np.random.default_rng(3)
         ids, lengths = random_input(rng, SMALL, 5)
@@ -199,6 +240,36 @@ class TestForward:
         mode = TeacherForced((1, 1), (0.0, 0.0), (0.0, 0.0))
         with pytest.raises(ShapeMismatchError):
             forward(small_weights, [0, 1, 2], [1, 1, 1], 0, mode)
+
+
+def einsum_attention(x, p, prefix):
+    """The attention as first written with einsum: the equivalence reference."""
+    T, H = x.shape
+    head = H // ATTN_HEADS
+    q = (x @ p[f"{prefix}.wq"] + p[f"{prefix}.bq"]).reshape(T, ATTN_HEADS, head)
+    k = (x @ p[f"{prefix}.wk"] + p[f"{prefix}.bk"]).reshape(T, ATTN_HEADS, head)
+    v = (x @ p[f"{prefix}.wv"] + p[f"{prefix}.bv"]).reshape(T, ATTN_HEADS, head)
+    scores = np.einsum("thd,shd->hts", q, k) / np.sqrt(head)
+    scores -= scores.max(axis=-1, keepdims=True)
+    weights = np.exp(scores)
+    weights /= weights.sum(axis=-1, keepdims=True)
+    mixed = np.einsum("hts,shd->thd", weights, v).reshape(T, H)
+    return mixed @ p[f"{prefix}.wo"] + p[f"{prefix}.bo"]
+
+
+class TestAttention:
+    @pytest.mark.parametrize("T", [1, 7, 300])
+    def test_matches_einsum_reference(self, small_weights, T):
+        x = np.random.default_rng(T).standard_normal((T, SMALL.hidden))
+        got = _attention(x, small_weights.tensors, "encoder.0.attn")
+        expected = einsum_attention(x, small_weights.tensors, "encoder.0.attn")
+        assert got.shape == (T, SMALL.hidden)
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+
+    def test_empty_sequence_skips_block(self, small_weights):
+        x = np.zeros((0, SMALL.hidden))
+        out = _fft_block(x, small_weights.tensors, "decoder.0")
+        assert out.shape == (0, SMALL.hidden)
 
 
 class TestLosses:

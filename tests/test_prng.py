@@ -1,6 +1,6 @@
 import numpy as np
 
-from xling.prng import Xorshift64Star, splitmix64_fill, uniform
+from xling.prng import BLOCK, Xorshift64Star, splitmix64_fill, uniform
 
 MASK = (1 << 64) - 1
 
@@ -35,6 +35,17 @@ class TestSplitmixFill:
             got = splitmix64_fill(seed, 40)
             assert [int(v) for v in got] == reference_splitmix64(seed, 40)
 
+    def test_block_edges_match_reference(self):
+        for n in (0, 1, BLOCK - 1, BLOCK, BLOCK + 1):
+            got = splitmix64_fill(11, n)
+            assert got.shape == (n,) and got.dtype == np.uint64
+            assert [int(v) for v in got] == reference_splitmix64(11, n)
+
+    def test_state_wraps_past_two_to_the_64(self):
+        for seed in (MASK, MASK - 5):
+            got = splitmix64_fill(seed, BLOCK + 3)
+            assert [int(v) for v in got] == reference_splitmix64(seed, BLOCK + 3)
+
     def test_counter_form_is_stateless(self):
         a = splitmix64_fill(7, 10)
         b = splitmix64_fill(7, 20)
@@ -67,6 +78,12 @@ class TestUniform:
 
     def test_deterministic(self):
         assert np.array_equal(uniform(9, (50,), 0.0, 1.0), uniform(9, (50,), 0.0, 1.0))
+
+    def test_matches_unblocked_formula_across_blocks(self):
+        bits = np.array(reference_splitmix64(21, BLOCK + 5), dtype=np.uint64)
+        expected = -0.1 + 0.2 * ((bits >> np.uint64(11)).astype(np.float64) * 2.0**-53)
+        got = uniform(21, (BLOCK + 5,), -0.1, 0.1)
+        assert np.array_equal(got, expected)
 
     def test_matches_bit_reference(self):
         bits = reference_splitmix64(3, 6)
