@@ -67,10 +67,12 @@ from .model import (
     Inference,
     ModelConfig,
     TeacherForced,
+    check_inputs,
     forward as model_forward,
     init_weights,
     save_weights,
 )
+from .textio import atomic_path, cast, records
 
 log = logging.getLogger("xling")
 
@@ -103,33 +105,24 @@ def _setup_logging() -> None:
 
 def load_pipeline_config(path) -> dict:
     """Flat key=value config; every referenced path must already exist."""
-    values = {}
-    for line_no, raw in enumerate(
-        Path(path).read_text(encoding="utf-8").splitlines(), start=1
-    ):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ParseError("expected key=value", path=path, line=line_no)
-        key, value = (part.strip() for part in line.split("=", 1))
-        values[key] = value
+    values = dict(fields for _, fields in records(path, "=", 1, n_fields=2))
     for key in _PATH_KEYS:
         if key in values and not Path(values[key]).is_file():
             raise BadConfigError(f"{key} points to missing file {values[key]!r}")
     return values
 
 
+def _config_value(cfg: dict, key: str, kind, default=None):
+    value = cfg.get(key, default)
+    try:
+        return kind(value)
+    except ValueError as exc:
+        raise BadConfigError(f"{key} must be {kind.__name__}, got {value!r}") from exc
+
+
 def _feature_config(cfg: dict) -> FeatureConfig:
-    kwargs = {}
-    for key, cast in _FEATURE_KEYS.items():
-        if key in cfg:
-            try:
-                kwargs[key] = cast(cfg[key])
-            except ValueError as exc:
-                raise BadConfigError(
-                    f"{key} must be {cast.__name__}, got {cfg[key]!r}"
-                ) from exc
+    kwargs = {key: _config_value(cfg, key, kind)
+              for key, kind in _FEATURE_KEYS.items() if key in cfg}
     return FeatureConfig(**kwargs)
 
 
@@ -152,15 +145,21 @@ def _out_dir(args, cfg: dict) -> Path:
 
 
 def _write_atomic_tensor(path: Path, values) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tensorio.write_tensor(tmp, values)
-    os.replace(tmp, path)
+    with atomic_path(path) as tmp:
+        tensorio.write_tensor(tmp, values)
 
 
 def _write_atomic_text(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+    with atomic_path(path) as tmp:
+        tmp.write_text(text, encoding="utf-8")
+
+
+def _map(fn, tasks: list, jobs: int) -> list:
+    """``fn`` over ``tasks`` in order; a process pool runs them when jobs > 1."""
+    if jobs > 1 and len(tasks) > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(fn, tasks))
+    return [fn(task) for task in tasks]
 
 
 def _parse_int_list(value: str | None, file_value: str | None, what: str) -> list:
@@ -189,9 +188,8 @@ def _cmd_g2p(args, cfg: dict) -> int:
         name = args.name or Path(args.text_file).stem
     ps = text_to_phoneme_sequence(text, lexicon)
     out = _out_dir(args, cfg) / f"{name}.phn"
-    tmp = out.with_name(out.name + ".tmp")
-    dump_phoneme_sequence(ps, tmp)
-    os.replace(tmp, out)
+    with atomic_path(out) as tmp:
+        dump_phoneme_sequence(ps, tmp)
     log.info("wrote %s (%d phonemes, %d IPA symbols)", out, len(ps.ldp), len(ps.ipa))
     return 0
 
@@ -276,13 +274,13 @@ def _extract_one(task: FeatureTask) -> str:
 
 
 def _read_stats(path) -> dict:
-    stats = {}
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, value = line.split("=", 1)
-        stats[key] = float(value)
+    stats = {
+        key: cast(float, value, path, line_no)
+        for line_no, (key, value) in records(path, "=", 1, n_fields=2)
+    }
+    missing = [key for key in ("energy_min", "energy_max") if key not in stats]
+    if missing:
+        raise ParseError(f"stats file lacks {missing}", path=path)
     return stats
 
 
@@ -294,7 +292,7 @@ def _quantizer_from(args, cfg: dict) -> QuantizerConfig | None:
     return QuantizerConfig(
         v_min=stats["energy_min"],
         v_max=stats["energy_max"],
-        n_bins=int(cfg.get("quantizer_bins", 256)),
+        n_bins=_config_value(cfg, "quantizer_bins", int, 256),
         scale=cfg.get("quantizer_scale", LOG),
     )
 
@@ -318,15 +316,8 @@ def _cmd_features(args, cfg: dict) -> int:
         )
     else:
         raise BadConfigError("provide --wav or --manifest")
-    jobs = max(1, args.jobs)
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for utt_id in pool.map(_extract_one, tasks):
-                log.info("extracted %s", utt_id)
-    else:
-        for task in tasks:
-            _extract_one(task)
-            log.info("extracted %s", task.utt_id)
+    for utt_id in _map(_extract_one, tasks, args.jobs):
+        log.info("extracted %s", utt_id)
     return 0
 
 
@@ -357,12 +348,7 @@ def _cmd_stats(args, cfg: dict) -> int:
         FeatureTask(e.utt_id, e.audio_path, None, ".", feature_cfg, None)
         for e in entries
     ]
-    jobs = max(1, args.jobs)
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_stat_one, tasks))
-    else:
-        results = [_stat_one(t) for t in tasks]
+    results = _map(_stat_one, tasks, args.jobs)
     energy_min = min(r[0] for r in results)
     energy_max = max(r[1] for r in results)
     pitch_min = min(r[2] for r in results)
@@ -417,6 +403,7 @@ def _cmd_forward(args, cfg: dict) -> int:
     else:
         mode = Inference()
 
+    check_inputs(model_cfg, ids, ps.lengths, args.speaker, mode)
     weights = init_weights(model_cfg, args.seed)
     out = model_forward(weights, ids, ps.lengths, args.speaker, mode)
     out_dir = _out_dir(args, cfg)
@@ -429,9 +416,8 @@ def _cmd_forward(args, cfg: dict) -> int:
     lines.append("durations_used\t" + " ".join(str(d) for d in out.durations_used))
     _write_atomic_text(out_dir / f"{name}.trace.txt", "\n".join(lines) + "\n")
     if args.dump_weights:
-        tmp = Path(args.dump_weights + ".tmp")
-        save_weights(tmp, weights)
-        os.replace(tmp, args.dump_weights)
+        with atomic_path(args.dump_weights) as tmp:
+            save_weights(tmp, weights)
     log.info("forward %s: mel %s", name, out.mel_pred.shape)
     return 0
 
@@ -456,10 +442,8 @@ def _cmd_manifest(args, cfg: dict) -> int:
     spec = DatasetSpec.load(spec_path)
     entries = build_manifest(spec, args.roots, jobs=max(1, args.jobs))
     out_dir = _out_dir(args, cfg)
-    manifest_path = out_dir / "manifest.txt"
-    tmp = manifest_path.with_name(manifest_path.name + ".tmp")
-    write_manifest(entries, tmp)
-    os.replace(tmp, manifest_path)
+    with atomic_path(out_dir / "manifest.txt") as tmp:
+        write_manifest(entries, tmp)
     report = balance_report(entries)
     _write_atomic_text(out_dir / "balance.txt", report.render())
     log.info(

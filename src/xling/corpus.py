@@ -1,6 +1,6 @@
 """Dataset manifests, alignment files, and balance reporting.
 
-File formats (all UTF-8, ``#`` comments):
+File formats (line rules in :mod:`xling.textio`):
 
 * alignment: one phoneme per line, ``LABEL<TAB>frames`` with frames in
   10 ms units; the frame total must sit within +-2 frames of the audio
@@ -29,6 +29,7 @@ from .errors import (
     MissingSpeakerError,
     ParseError,
 )
+from .textio import cast, records
 
 FRAMES_PER_SECOND = 100  # 10 ms alignment frames
 DURATION_TOLERANCE_FRAMES = 2
@@ -86,22 +87,14 @@ class DatasetSpec:
     def load(cls, path) -> "DatasetSpec":
         name = None
         members = []
-        for line_no, raw in enumerate(
-            Path(path).read_text(encoding="utf-8").splitlines(), start=1
-        ):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
+        for line_no, parts in records(path, "\t"):
             if parts[0] == "name":
                 if len(parts) != 2:
                     raise ParseError("expected name<TAB>value", path=path, line=line_no)
                 name = parts[1]
             elif len(parts) == 4:
-                try:
-                    members.append(SpeakerSpec(parts[0], parts[1], parts[2], float(parts[3])))
-                except ValueError as exc:
-                    raise ParseError(str(exc), path=path, line=line_no) from exc
+                max_hours = cast(float, parts[3], path, line_no)
+                members.append(SpeakerSpec(parts[0], parts[1], parts[2], max_hours))
             else:
                 raise ParseError(
                     "expected speaker<TAB>language<TAB>gender<TAB>max_hours",
@@ -125,20 +118,8 @@ def parse_alignment(path, utt_id: str | None = None) -> AlignmentRecord:
     if utt_id is None:
         utt_id = Path(path).stem
     labels, durations = [], []
-    text = Path(path).read_text(encoding="utf-8")
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "\t" not in line:
-            raise ParseError("expected LABEL<TAB>frames", path=path, line=line_no)
-        label, frames = line.split("\t", 1)
-        if not label:
-            raise ParseError("empty phoneme label", path=path, line=line_no)
-        try:
-            n = int(frames)
-        except ValueError as exc:
-            raise ParseError(f"bad frame count {frames!r}", path=path, line=line_no) from exc
+    for line_no, (label, frames) in records(path, "\t", 1, n_fields=2):
+        n = cast(int, frames, path, line_no)
         if n < 0:
             raise ParseError("negative frame count", path=path, line=line_no)
         labels.append(label)
@@ -233,8 +214,9 @@ def write_manifest(entries, path) -> None:
             e.alignment_path,
         ]
         for value in fields:
-            if "|" in value:
-                raise ParseError(f"manifest field may not contain '|': {value!r}")
+            # read_manifest splits lines on \n and \r and strips each field
+            if "|" in value or "\n" in value or "\r" in value or value != value.strip():
+                raise ParseError(f"manifest field would not read back: {value!r}")
         lines.append("|".join(fields))
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
 
@@ -242,26 +224,12 @@ def write_manifest(entries, path) -> None:
 def read_manifest(path) -> list:
     entries = []
     seen = set()
-    for line_no, raw in enumerate(
-        Path(path).read_text(encoding="utf-8").splitlines(), start=1
-    ):
-        line = raw.rstrip("\n")
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split("|")
-        if len(parts) != 8:
-            raise ParseError(f"expected 8 fields, got {len(parts)}", path=path, line=line_no)
-        try:
-            duration = float(parts[6])
-        except ValueError as exc:
-            raise ParseError(str(exc), path=path, line=line_no) from exc
+    for line_no, parts in records(path, "|", n_fields=8):
+        duration = cast(float, parts[6], path, line_no)
         if parts[0] in seen:
             raise ParseError(f"duplicate utt_id {parts[0]!r}", path=path, line=line_no)
         seen.add(parts[0])
-        entries.append(
-            ManifestEntry(parts[0], parts[1], parts[2], parts[3], parts[4], parts[5],
-                          duration, parts[7])
-        )
+        entries.append(ManifestEntry(*parts[:6], duration, parts[7]))
     return entries
 
 

@@ -83,7 +83,7 @@ class ParseError(XlingError):
         self.line = line
         prefix = ""
         if path is not None:
-            prefix = f"{path}:" if line is None else f"{path}:{line}: "
+            prefix = f"{path}: " if line is None else f"{path}:{line}: "
         super().__init__(f"{prefix}{message}")
 
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import get_window
 
 from .audio import AudioBuffer
 from .errors import (
@@ -52,6 +51,8 @@ class FeatureConfig:
             raise BadConfigError("sample_rate must be positive")
         if (self.win_ms * self.sample_rate) % 1000 or (self.hop_ms * self.sample_rate) % 1000:
             raise BadConfigError("window and hop must be whole numbers of samples")
+        if self.win_length < 1 or self.hop_length < 1:
+            raise BadConfigError("window and hop must be at least one sample")
         if self.fft_size < self.win_length:
             raise BadConfigError("fft_size must cover the analysis window")
         if not (0 <= self.fmin < self.fmax <= self.sample_rate / 2):
@@ -111,11 +112,18 @@ def _frame_signal(samples: np.ndarray, cfg: FeatureConfig, mode="reflect") -> np
     return padded[idx]
 
 
+def _hann(n: int) -> np.ndarray:
+    """Periodic Hann window, bit-identical to scipy's ``get_window("hann", n)``."""
+    if n <= 1:
+        return np.ones(n)
+    return 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, n + 1)[:-1])
+
+
 def stft_magnitude(audio: AudioBuffer, cfg: FeatureConfig) -> np.ndarray:
     """Magnitude spectrogram, T_f x (fft_size/2 + 1), Hann window."""
     samples = _check_audio(audio, cfg)
     frames = _frame_signal(samples, cfg)
-    window = get_window("hann", cfg.win_length, fftbins=True)
+    window = _hann(cfg.win_length)
     return np.abs(np.fft.rfft(frames * window, n=cfg.fft_size, axis=1))
 
 

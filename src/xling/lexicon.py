@@ -7,8 +7,8 @@ into IPA symbols.  The number of IPA symbols a phoneme decomposes into is
 its phoneme length; downstream aggregation relies on these lengths, so
 out-of-vocabulary input is a hard error rather than a silent fallback.
 
-Lexicon files are plain UTF-8 text, one ``KEY<TAB>SYM1 SYM2 ...`` entry
-per line, ``#`` comments allowed.  The IPA mapping file keys entries as
+Lexicon files hold one ``KEY<TAB>SYM1 SYM2 ...`` entry per line (line
+rules in :mod:`xling.textio`).  The IPA mapping file keys entries as
 ``EN:K`` / ``CN:hao`` so one file covers both languages.  Stress digits
 (EN) and tone digits (CN) live in ``LDPSymbol.meta``, never in the label,
 and the IPA mapping ignores them.
@@ -21,6 +21,7 @@ from importlib import resources
 from pathlib import Path
 
 from .errors import OOVError, ParseError, UnmappedLDPError
+from .textio import cast, records
 
 HAN = "Han"
 LATIN = "Latin"
@@ -89,22 +90,10 @@ def _strip_digits(symbol: str) -> tuple[str, int | None]:
     return label, (int("".join(digits)) if digits else None)
 
 
-def _parse_dict_file(path) -> list:
-    """Yield (key, symbols, line_no) triples from a lexicon file."""
-    entries = []
-    text = Path(path).read_text(encoding="utf-8")
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "\t" not in line:
-            raise ParseError("expected KEY<TAB>SYMBOLS", path=path, line=line_no)
-        key, rhs = line.split("\t", 1)
-        symbols = rhs.split()
-        if not key or not symbols:
-            raise ParseError("empty key or symbol list", path=path, line=line_no)
-        entries.append((key, symbols, line_no))
-    return entries
+def _parse_dict_file(path):
+    """Yield (key, symbols, line_no); both sides of the tab hold text."""
+    for line_no, (key, rhs) in records(path, "\t", 1, n_fields=2):
+        yield key, rhs.split(), line_no
 
 
 @dataclass(frozen=True)
@@ -119,9 +108,7 @@ class Lexicon:
     @classmethod
     def load(cls, en_path, cn_path, ipa_path, inventory_path) -> "Lexicon":
         inventory = frozenset(
-            line.strip()
-            for line in Path(inventory_path).read_text(encoding="utf-8").splitlines()
-            if line.strip() and not line.startswith("#")
+            symbol for _, (symbol,) in records(inventory_path, n_fields=1)
         )
 
         en_entries = {}
@@ -252,22 +239,10 @@ def dump_phoneme_sequence(ps: PhonemeSequence, path) -> None:
 
 def load_phoneme_sequence(path) -> PhonemeSequence:
     ldp, ipa, lengths = [], [], []
-    for line_no, raw in enumerate(
-        Path(path).read_text(encoding="utf-8").splitlines(), start=1
-    ):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 5:
-            raise ParseError("expected 5 tab-separated fields", path=path, line=line_no)
-        label, language, meta, length, symbols = parts
+    for line_no, (label, language, meta, length, symbols) in records(path, "\t", n_fields=5):
         if language not in (EN, CN):
             raise ParseError(f"unknown language {language!r}", path=path, line=line_no)
-        try:
-            n = int(length)
-        except ValueError as exc:
-            raise ParseError(str(exc), path=path, line=line_no) from exc
+        n = cast(int, length, path, line_no)
         symbol_list = symbols.split()
         if n != len(symbol_list):
             raise ParseError(
@@ -275,7 +250,8 @@ def load_phoneme_sequence(path) -> PhonemeSequence:
                 path=path,
                 line=line_no,
             )
-        ldp.append(LDPSymbol(label, language, None if meta == "-" else int(meta)))
+        meta = None if meta == "-" else cast(int, meta, path, line_no)
+        ldp.append(LDPSymbol(label, language, meta))
         ipa.extend(symbol_list)
         lengths.append(n)
     return PhonemeSequence(tuple(ldp), tuple(ipa), tuple(lengths))

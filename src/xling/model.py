@@ -25,6 +25,7 @@ import numpy as np
 from . import regulator, tensorio
 from .errors import BadConfigError, ParseError, ShapeMismatchError, UnknownSpeakerError
 from .prng import Xorshift64Star, uniform
+from .textio import cast, records
 
 ATTN_HEADS = 2
 LAYERNORM_EPS = 1e-5
@@ -68,21 +69,10 @@ class ModelConfig:
     def from_file(cls, path) -> "ModelConfig":
         values = {}
         names = {f.name for f in fields(cls)}
-        for line_no, raw in enumerate(
-            Path(path).read_text(encoding="utf-8").splitlines(), start=1
-        ):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ParseError("expected key=value", path=path, line=line_no)
-            key, value = (part.strip() for part in line.split("=", 1))
+        for line_no, (key, value) in records(path, "=", 1, n_fields=2):
             if key not in names:
                 raise ParseError(f"unknown key {key!r}", path=path, line=line_no)
-            try:
-                values[key] = int(value)
-            except ValueError as exc:
-                raise ParseError(str(exc), path=path, line=line_no) from exc
+            values[key] = cast(int, value, path, line_no)
         try:
             return cls(**values)
         except TypeError as exc:
@@ -276,10 +266,11 @@ def positional_encoding(length: int, dim: int) -> np.ndarray:
     return encoding
 
 
-def forward(weights: Weights, ipa_ids, phoneme_lengths, speaker: int, mode) -> ForwardOutput:
-    """Run the full dataflow; see the module docstring for the wiring."""
-    cfg = weights.config
-    p = weights.tensors
+def check_inputs(cfg: ModelConfig, ipa_ids, phoneme_lengths, speaker: int, mode) -> tuple:
+    """Check :func:`forward`'s inputs against ``cfg`` alone (no weights needed).
+
+    Returns the ids and phoneme lengths as int64 arrays.
+    """
     ids = np.asarray(ipa_ids, dtype=np.int64).reshape(-1)
     lengths = np.asarray(phoneme_lengths, dtype=np.int64).reshape(-1)
     if ids.size and (ids.min() < 0 or ids.max() >= cfg.n_ipa_symbols):
@@ -307,6 +298,14 @@ def forward(weights: Weights, ipa_ids, phoneme_lengths, speaker: int, mode) -> F
                 )
     elif not isinstance(mode, Inference):
         raise BadConfigError(f"unknown forward mode {mode!r}")
+    return ids, lengths
+
+
+def forward(weights: Weights, ipa_ids, phoneme_lengths, speaker: int, mode) -> ForwardOutput:
+    """Run the full dataflow; see the module docstring for the wiring."""
+    cfg = weights.config
+    p = weights.tensors
+    ids, lengths = check_inputs(cfg, ipa_ids, phoneme_lengths, speaker, mode)
 
     trace = []
 

@@ -1,0 +1,58 @@
+"""Line-record text files and atomic output paths.
+
+Every text format of this package (lexicons, IPA inventory, ``.phn``,
+alignment, manifest, dataset spec, model and pipeline configs, stats)
+shares these line rules, applied by :func:`records` and nowhere else:
+files are UTF-8; ``\\n``, ``\\r\\n`` and ``\\r`` end a line, numbered from 1;
+each line is stripped, and blank lines and ``#`` comment lines are skipped;
+the rest splits on ``sep`` (whitespace runs when ``None``) at most
+``maxsplit`` times into stripped fields; a malformed line raises
+:class:`ParseError` at ``path:line``.
+"""
+
+import os
+import secrets
+from contextlib import contextmanager
+from pathlib import Path
+
+from .errors import ParseError
+
+
+def records(path, sep=None, maxsplit=-1, n_fields=None):
+    """Yield ``(line_no, fields)`` for each record line of ``path``."""
+    text = Path(path).read_text(encoding="utf-8")
+    for line_no, raw in enumerate(text.split("\n"), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = [field.strip() for field in line.split(sep, maxsplit)]
+        if n_fields is not None and len(fields) != n_fields:
+            raise ParseError(f"expected {n_fields} fields split by {sep!r}, "
+                             f"got {len(fields)}", path=path, line=line_no)
+        yield line_no, fields
+
+
+def cast(kind, value: str, path, line_no):
+    """``kind(value)``, reporting a bad value as a ParseError at ``path:line``."""
+    try:
+        return kind(value)
+    except ValueError as exc:
+        raise ParseError(f"expected {kind.__name__}, got {value!r}",
+                         path=path, line=line_no) from exc
+
+
+@contextmanager
+def atomic_path(path):
+    """Yield a temp path beside ``path``, moved over ``path`` on success.
+
+    The temp name is unique per process and per call, so concurrent writers
+    never share it; on any failure it is removed and ``path`` is untouched.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{secrets.token_hex(8)}.tmp")
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

@@ -278,3 +278,81 @@ class TestParser:
         monkeypatch.setenv("XLING_LOG", "verbose")
         assert run("g2p", "--text", "好", "--out", tmp_path) == 1
         assert capsys.readouterr().err.startswith("ERROR BAD_CONFIG: ")
+
+
+class TestMalformedInput:
+    """Each bad input is one ``ERROR PARSE`` line naming path:line, exit 1."""
+
+    def one_error_line(self, capsys, code):
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1, err
+        assert err.startswith(f"ERROR {code}: ")
+        return err.strip()
+
+    @pytest.mark.parametrize("content, where, detail", [
+        ("energy_min\nenergy_max=2.0\n", ":1: ", "expected 2 fields"),
+        ("energy_max=2.0\n", ": ", "lacks ['energy_min']"),
+        ("# ranges\nenergy_min=abc\nenergy_max=2.0\n", ":2: ", "expected float, got 'abc'"),
+    ])
+    def test_bad_stats_file(self, tmp_path, capsys, content, where, detail):
+        stats = tmp_path / "stats.txt"
+        stats.write_text(content, encoding="utf-8")
+        assert run("features", "--wav", tmp_path / "missing.wav", "--stats", stats,
+                   "--out", tmp_path) == 1
+        err = self.one_error_line(capsys, "PARSE")
+        assert f"{stats}{where}" in err and detail in err
+
+    def test_bad_meta_in_phoneme_file(self, tmp_path, capsys):
+        assert run("g2p", "--text", "你好", "--out", tmp_path) == 0
+        phn = tmp_path / "text.phn"
+        lines = phn.read_text(encoding="utf-8").splitlines()
+        fields = lines[2].split("\t")
+        fields[2] = "x"
+        lines[2] = "\t".join(fields)
+        phn.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert run("forward", "--phonemes", phn, "--out", tmp_path) == 1
+        err = self.one_error_line(capsys, "PARSE")
+        assert f"{phn}:3: " in err and "'x'" in err
+
+    def test_bad_quantizer_bins_in_config(self, tmp_path, capsys):
+        stats = tmp_path / "stats.txt"
+        stats.write_text("energy_min=1.0\nenergy_max=2.0\n", encoding="utf-8")
+        config = tmp_path / "pipeline.cfg"
+        config.write_text("quantizer_bins=abc\n", encoding="utf-8")
+        assert run("features", "--config", config, "--wav", tmp_path / "missing.wav",
+                   "--stats", stats, "--out", tmp_path) == 1
+        assert "quantizer_bins" in self.one_error_line(capsys, "BAD_CONFIG")
+
+    def test_zero_length_window_in_config(self, tmp_path, capsys):
+        config = tmp_path / "pipeline.cfg"
+        config.write_text("win_ms=0\n", encoding="utf-8")
+        assert run("features", "--config", config, "--wav", tmp_path / "missing.wav",
+                   "--out", tmp_path) == 1
+        self.one_error_line(capsys, "BAD_CONFIG")
+
+
+class TestForwardChecksBeforeWeights:
+    @pytest.fixture(autouse=True)
+    def no_weights(self, monkeypatch):
+        import xling.cli as cli_module
+
+        def fail(*args, **kwargs):
+            raise AssertionError("weights generated before the inputs were checked")
+
+        monkeypatch.setattr(cli_module, "init_weights", fail)
+
+    def test_unknown_speaker(self, tmp_path, capsys):
+        run("g2p", "--text", "你好 world", "--out", tmp_path)
+        assert run("forward", "--phonemes", tmp_path / "text.phn", "--speaker", 99,
+                   "--out", tmp_path) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR UNKNOWN_SPEAKER: ") and len(err.splitlines()) == 1
+
+    def test_ipa_id_beyond_model_config(self, tmp_path, capsys):
+        run("g2p", "--text", "你好 world", "--out", tmp_path)
+        cfg = tmp_path / "model.cfg"
+        cfg.write_text("n_ipa_symbols=2\nn_speakers=1\nhidden=16\n", encoding="utf-8")
+        assert run("forward", "--phonemes", tmp_path / "text.phn",
+                   "--model-config", cfg, "--out", tmp_path) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR SHAPE_MISMATCH: ") and len(err.splitlines()) == 1

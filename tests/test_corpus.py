@@ -219,3 +219,13 @@ class TestBalanceReport:
         entries = build_manifest(spec, [minicorpus])
         assert balance_report(entries).render() == balance_report(entries).render()
         assert isinstance(balance_report(entries), BalanceReport)
+
+
+class TestManifestFields:
+    @pytest.mark.parametrize("text", ["one\ntwo", "one\rtwo", " padded "])
+    def test_field_that_would_not_read_back_is_rejected(self, tmp_path, text):
+        entry = ManifestEntry("u1", "a.wav", text, "s", "EN", "F", 1.0, "a.align")
+        path = tmp_path / "manifest.txt"
+        with pytest.raises(ParseError):
+            write_manifest([entry], path)
+        assert not path.exists()

@@ -231,3 +231,19 @@ class TestQuantizer:
             QuantizerConfig(v_min=0.0, v_max=1.0, n_bins=0)
         with pytest.raises(BadConfigError):
             dequantize([5], QuantizerConfig(v_min=0.0, v_max=1.0, n_bins=4))
+
+
+class TestWindow:
+    @pytest.mark.parametrize("n", [1, 2, 3, 640, 641, 1024])
+    def test_hann_matches_scipy_bit_for_bit(self, n):
+        from scipy.signal import get_window
+
+        from xling.features import _hann
+
+        assert _hann(n).tobytes() == get_window("hann", n, fftbins=True).tobytes()
+
+    def test_zero_length_window_rejected(self):
+        with pytest.raises(BadConfigError):
+            FeatureConfig(win_ms=0)
+        with pytest.raises(BadConfigError):
+            FeatureConfig(hop_ms=0)

@@ -1,0 +1,115 @@
+import os
+import re
+import stat
+import sys
+import threading
+
+import pytest
+
+from xling.errors import ParseError
+from xling.textio import atomic_path, cast, records
+
+
+class TestRecords:
+    def test_skips_blank_and_comment_lines_and_strips_fields(self, tmp_path):
+        path = tmp_path / "r.txt"
+        path.write_text("# header\n\n  a \t b c \n   # indented comment\nd\te\n",
+                        encoding="utf-8")
+        assert list(records(path, "\t")) == [(3, ["a", "b c"]), (5, ["d", "e"])]
+
+    def test_crlf_and_cr_line_ends(self, tmp_path):
+        path = tmp_path / "r.txt"
+        path.write_bytes(b"a=1\r\nb=2\rc=3\n")
+        assert list(records(path, "=", 1, n_fields=2)) == [
+            (1, ["a", "1"]), (2, ["b", "2"]), (3, ["c", "3"])
+        ]
+
+    def test_whitespace_split_and_maxsplit(self, tmp_path):
+        path = tmp_path / "r.txt"
+        path.write_text("k  x y\tz\nk=v=w\n", encoding="utf-8")
+        assert next(records(path)) == (1, ["k", "x", "y", "z"])
+        assert list(records(path, "=", 1))[1] == (2, ["k", "v=w"])
+
+    def test_wrong_field_count_names_path_and_line(self, tmp_path):
+        path = tmp_path / "r.txt"
+        path.write_text("a=1\n# c\nno equals sign\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=rf"^{re.escape(str(path))}:3: expected 2 fields"):
+            list(records(path, "=", 1, n_fields=2))
+
+
+class TestCast:
+    def test_converts(self):
+        assert cast(int, "12", "p", 1) == 12
+        assert cast(float, "0.5", "p", 1) == 0.5
+
+    def test_bad_value_names_path_and_line(self):
+        with pytest.raises(ParseError, match=r"^f\.txt:7: expected float, got 'abc'$"):
+            cast(float, "abc", "f.txt", 7)
+
+
+class TestAtomicPath:
+    def test_replaces_target_and_leaves_no_temp(self, tmp_path):
+        target = tmp_path / "out.txt"
+        target.write_text("old", encoding="utf-8")
+        with atomic_path(target) as tmp:
+            assert tmp.parent == tmp_path and tmp != target
+            tmp.write_text("new", encoding="utf-8")
+        assert target.read_text(encoding="utf-8") == "new"
+        assert os.listdir(tmp_path) == ["out.txt"]
+
+    def test_failure_keeps_old_bytes_and_removes_temp(self, tmp_path):
+        target = tmp_path / "out.txt"
+        target.write_bytes(b"old bytes")
+        with pytest.raises(RuntimeError):
+            with atomic_path(target) as tmp:
+                tmp.write_bytes(b"partial")
+                raise RuntimeError("writer failed")
+        assert target.read_bytes() == b"old bytes"
+        assert os.listdir(tmp_path) == ["out.txt"]
+
+    def test_temp_names_are_unique_per_call(self, tmp_path):
+        with atomic_path(tmp_path / "x") as a, atomic_path(tmp_path / "x") as b:
+            assert a != b
+            a.write_text("a", encoding="utf-8")
+            b.write_text("b", encoding="utf-8")
+        assert os.listdir(tmp_path) == ["x"]
+
+    def test_two_threads_writing_one_target(self, tmp_path):
+        target = tmp_path / "shared.txt"
+        errors = []
+
+        def writer(tag):
+            try:
+                for i in range(300):
+                    with atomic_path(target) as tmp:
+                        tmp.write_text(f"{tag} {i}\n", encoding="utf-8")
+            except Exception as exc:  # collected and asserted on below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=writer, args=(tag,)) for tag in "ab"]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        assert os.listdir(tmp_path) == ["shared.txt"]
+        assert target.read_text(encoding="utf-8") in {"a 299\n", "b 299\n"}
+
+    def test_mode_matches_plain_write_under_same_umask(self, tmp_path):
+        old = os.umask(0o027)
+        try:
+            plain = tmp_path / "plain.txt"
+            plain.write_text("x", encoding="utf-8")
+            with atomic_path(tmp_path / "atomic.txt") as tmp:
+                tmp.write_text("x", encoding="utf-8")
+        finally:
+            os.umask(old)
+        mode = stat.S_IMODE(plain.stat().st_mode)
+        assert mode == 0o640
+        assert stat.S_IMODE((tmp_path / "atomic.txt").stat().st_mode) == mode
