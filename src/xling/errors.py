@@ -12,7 +12,11 @@ class XlingError(Exception):
 
 
 class OOVError(XlingError):
-    """A surface form is absent from the pronunciation lexicon."""
+    """A surface form is absent from the pronunciation lexicon.
+
+    ``language`` is None for a character that no lexicon covers, such as a
+    digit.
+    """
 
     code = "OOV"
 
@@ -21,7 +25,8 @@ class OOVError(XlingError):
         self.language = language
         self.offset = offset
         where = f" at offset {offset}" if offset is not None else ""
-        super().__init__(f"no {language} lexicon entry for {surface!r}{where}")
+        lexicon = f"{language} lexicon" if language is not None else "lexicon"
+        super().__init__(f"no {lexicon} entry for {surface!r}{where}")
 
 
 class UnmappedLDPError(XlingError):

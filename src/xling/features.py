@@ -6,6 +6,12 @@ start every hop, and the frame count is ``len(samples) // hop + 1``.
 Defaults follow the 16 kHz / 40 ms window / 10 ms hop / 80-mel setup with
 a 1024-point FFT (smallest power of two above the 640-sample window).
 
+The mel is summed filter by filter over each triangle's own run of FFT
+bins with numpy's fixed-order reduction, not by a matrix product: a BLAS
+product sums in an order that depends on its thread count, so mel bytes
+would change with the machine and with the size of the worker pool, and
+in forked pool workers its threads compete with the workers for the CPUs.
+
 Pitch uses a normalized cross-correlation estimator searching 50-600 Hz
 with parabolic peak interpolation; frames whose peak correlation falls
 below the voicing threshold carry the unvoiced sentinel 0.0.
@@ -14,8 +20,10 @@ below the voicing threshold carry the unvoiced sentinel 0.0.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .audio import AudioBuffer
 from .errors import (
@@ -100,16 +108,18 @@ def _check_audio(audio: AudioBuffer, cfg: FeatureConfig) -> np.ndarray:
 
 
 def _frame_signal(samples: np.ndarray, cfg: FeatureConfig, mode="reflect") -> np.ndarray:
-    """Center-padded frames: one row per hop, len(samples)//hop + 1 rows."""
+    """Center-padded frames: one row per hop, len(samples)//hop + 1 rows.
+
+    The rows are a read-only strided view of the padded signal, not a copy.
+    """
     win, hop = cfg.win_length, cfg.hop_length
     pad = win // 2
     n = samples.size
     if mode == "reflect" and n <= pad:
         mode = "constant"  # too short for a full reflection
-    padded = np.pad(samples, pad, mode=mode)
-    n_frames = n // hop + 1
-    idx = np.arange(win)[None, :] + hop * np.arange(n_frames)[:, None]
-    return padded[idx]
+    # win - pad on the right: an odd window's last frame still fits
+    padded = np.pad(samples, (pad, win - pad), mode=mode)
+    return sliding_window_view(padded, win)[::hop][: n // hop + 1]
 
 
 def _hann(n: int) -> np.ndarray:
@@ -148,11 +158,32 @@ def mel_filterbank(cfg: FeatureConfig) -> np.ndarray:
     return fb
 
 
+@lru_cache(maxsize=8)
+def _mel_bands(cfg: FeatureConfig) -> tuple:
+    """``(lo, hi, weights)`` per filter: its non-zero run of FFT bins."""
+    bands = []
+    for row in mel_filterbank(cfg):
+        nonzero = np.flatnonzero(row)
+        lo, hi = (nonzero[0], nonzero[-1] + 1) if nonzero.size else (0, 0)
+        weights = row[lo:hi].copy()
+        weights.flags.writeable = False
+        bands.append((lo, hi, weights))
+    return tuple(bands)
+
+
 def mel_spectrogram(audio: AudioBuffer, cfg: FeatureConfig) -> MelSpectrogram:
-    """Natural-log mel magnitude spectrogram, floored at cfg.log_floor."""
-    magnitude = stft_magnitude(audio, cfg)
-    mel = magnitude @ mel_filterbank(cfg).T
-    return MelSpectrogram(np.log(np.maximum(mel, cfg.log_floor)))
+    """Natural-log mel magnitude spectrogram, floored at cfg.log_floor.
+
+    Each filter is a weighted sum over its own band of bins, added bin by
+    bin in a fixed order with no BLAS call (see the module docstring), so
+    the bytes do not depend on the machine.
+    """
+    bins_by_frame = np.ascontiguousarray(stft_magnitude(audio, cfg).T)
+    bands = _mel_bands(cfg)
+    mel = np.empty((len(bands), bins_by_frame.shape[1]))
+    for m, (lo, hi, weights) in enumerate(bands):
+        np.sum(bins_by_frame[lo:hi] * weights[:, None], axis=0, out=mel[m])
+    return MelSpectrogram(np.log(np.maximum(np.ascontiguousarray(mel.T), cfg.log_floor)))
 
 
 def energy_per_frame(audio: AudioBuffer, cfg: FeatureConfig) -> FrameSeries:
@@ -170,6 +201,10 @@ def pitch_per_frame(audio: AudioBuffer, cfg: FeatureConfig) -> FrameSeries:
     then parabolic interpolation refines it.  Edges are zero-padded rather
     than reflected: a reflected edge frame is time-symmetric and grows a
     spurious mirror-lag correlation peak.
+
+    The peak rule runs on the whole frames x lags correlation matrix at
+    once rather than frame by frame (see ``_pick_pitch``); like the mel, it
+    makes no BLAS call.
     """
     samples = _check_audio(audio, cfg)
     if samples.size < cfg.win_length:
@@ -199,25 +234,35 @@ def pitch_per_frame(audio: AudioBuffer, cfg: FeatureConfig) -> FrameSeries:
     with np.errstate(invalid="ignore", divide="ignore"):
         nccf = np.where(denom > 0, autocorr[:, lags] / denom, 0.0)
 
-    values = np.zeros(frames.shape[0])
+    return FrameSeries(_pick_pitch(nccf, total, lags, cfg), PITCH_HZ)
+
+
+def _pick_pitch(nccf: np.ndarray, total: np.ndarray, lags: np.ndarray,
+                cfg: FeatureConfig) -> np.ndarray:
+    """f0 per row of the frames x lags NCCF matrix; 0.0 where unvoiced.
+
+    ``total`` is each frame's energy and ``lags[k]`` the lag of column k.
+    Non-peaks are masked before the row maximum, and an argmax over the
+    peaks within 15% of it picks the first.  Each voiced row gets the same
+    float operations as a loop over frames would give it, so the output is
+    bit-identical to that loop.
+    """
+    values = np.zeros(nccf.shape[0])
     interior = nccf[:, 1:-1]
     is_peak = (interior >= nccf[:, :-2]) & (interior >= nccf[:, 2:])
-    for t in range(frames.shape[0]):
-        if total[t] <= 0.0:
-            continue
-        peaks = np.flatnonzero(is_peak[t])
-        if peaks.size == 0:
-            continue
-        best = interior[t, peaks].max()
-        if best < cfg.voicing_threshold:
-            continue
-        j = peaks[interior[t, peaks] >= 0.85 * best][0] + 1
-        left, mid, right = nccf[t, j - 1], nccf[t, j], nccf[t, j + 1]
-        curvature = left - 2.0 * mid + right
-        offset = 0.0 if curvature >= 0 else 0.5 * (left - right) / curvature
-        lag = lags[j] + np.clip(offset, -0.5, 0.5)
-        values[t] = float(np.clip(cfg.sample_rate / lag, cfg.f0_min, cfg.f0_max))
-    return FrameSeries(values, PITCH_HZ)
+    best = np.max(np.where(is_peak, interior, -np.inf), axis=1, initial=-np.inf)
+    rows = np.flatnonzero((total > 0.0) & (best >= cfg.voicing_threshold))
+    if rows.size == 0:
+        return values
+    near_best = is_peak[rows] & (interior[rows] >= 0.85 * best[rows, None])
+    j = np.argmax(near_best, axis=1) + 1
+    left, mid, right = nccf[rows, j - 1], nccf[rows, j], nccf[rows, j + 1]
+    curvature = left - 2.0 * mid + right
+    offset = np.divide(0.5 * (left - right), curvature,
+                       out=np.zeros(rows.size), where=curvature < 0)
+    lag = lags[j] + np.clip(offset, -0.5, 0.5)
+    values[rows] = np.clip(cfg.sample_rate / lag, cfg.f0_min, cfg.f0_max)
+    return values
 
 
 def average_by_phoneme(series: FrameSeries, durations) -> np.ndarray:

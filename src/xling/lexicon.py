@@ -6,6 +6,9 @@ syllable per hanzi), and decomposition of each language-dependent phoneme
 into IPA symbols.  The number of IPA symbols a phoneme decomposes into is
 its phoneme length; downstream aggregation relies on these lengths, so
 out-of-vocabulary input is a hard error rather than a silent fallback.
+Text is NFKC-normalised first, so full-width Latin reads as ASCII; only
+the characters in :data:`PUNCTUATION` are skipped, and any other character
+without a pronunciation (a digit, say) is an :class:`OOVError`.
 
 Lexicon files hold one ``KEY<TAB>SYM1 SYM2 ...`` entry per line (line
 rules in :mod:`xling.textio`).  The IPA mapping file keys entries as
@@ -16,6 +19,8 @@ and the IPA mapping ignores them.
 
 from __future__ import annotations
 
+import string
+import unicodedata
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -31,6 +36,10 @@ EN = "EN"
 CN = "CN"
 
 _LATIN_CHARS = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ'")
+
+# Characters the frontend may skip: ASCII and CJK punctuation (after NFKC,
+# full-width forms such as "，" and "！" are already ASCII).
+PUNCTUATION = frozenset(string.punctuation + "、。〈〉《》「」『』【】〔〕〖〗〜・·‘’“”–—…")
 
 
 def _is_han(ch: str) -> bool:
@@ -167,7 +176,9 @@ def tokenize(text: str) -> list:
 
     Whitespace separates tokens and is never emitted; every other
     character lands in some token, so token surfaces plus the skipped
-    whitespace reconstruct the input exactly.
+    whitespace reconstruct the input exactly.  Punct holds every other run
+    of characters, digits included; :func:`text_to_phoneme_sequence` skips
+    only the runs made of :data:`PUNCTUATION`.
     """
     tokens = []
     i, n = 0, len(text)
@@ -258,10 +269,18 @@ def load_phoneme_sequence(path) -> PhonemeSequence:
 
 
 def text_to_phoneme_sequence(text: str, lexicon: Lexicon) -> PhonemeSequence:
-    """Full frontend: text in, parallel LDP/IPA/length sequences out."""
+    """Full frontend: text in, parallel LDP/IPA/length sequences out.
+
+    The text is NFKC-normalised before tokenizing, and error offsets index
+    the normalised text.  A Punct token whose characters are not all in
+    :data:`PUNCTUATION` raises :class:`OOVError` at the first such character.
+    """
     ldp_out, ipa_out, lengths = [], [], []
-    for token in tokenize(text):
+    for token in tokenize(unicodedata.normalize("NFKC", text)):
         if token.script == PUNCT:
+            for i, ch in enumerate(token.surface):
+                if ch not in PUNCTUATION:
+                    raise OOVError(ch, None, offset=token.span[0] + i)
             continue
         for ldp in lookup_ldp(token, lexicon):
             try:

@@ -1,6 +1,13 @@
 import pytest
+from hypothesis import settings
 
 from xling.lexicon import Lexicon
+
+# Property tests run FFTs on whole signals; a per-example deadline would
+# turn a slow moment of a shared host into a failure.  Tests that pass their
+# own ``settings`` keep them.
+settings.register_profile("xling", deadline=None)
+settings.load_profile("xling")
 
 
 @pytest.fixture(scope="session")

@@ -356,3 +356,57 @@ class TestForwardChecksBeforeWeights:
                    "--model-config", cfg, "--out", tmp_path) == 1
         err = capsys.readouterr().err
         assert err.startswith("ERROR SHAPE_MISMATCH: ") and len(err.splitlines()) == 1
+
+
+class TestMalformedRegulateAndManifest:
+    """Bad input to ``regulate`` and ``manifest``: one ``ERROR`` line, exit 1."""
+
+    @pytest.fixture
+    def embeddings(self, tmp_path):
+        path = tmp_path / "x.xlf"
+        write_tensor(path, np.ones((6, 4)))
+        return path
+
+    def one_error_line(self, capsys, code):
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1, err
+        assert err.startswith(f"ERROR {code}: ")
+        return err.strip()
+
+    def test_non_integer_length(self, tmp_path, capsys, embeddings):
+        assert run("regulate", "--embeddings", embeddings, "--lengths", "2,x",
+                   "--out", tmp_path / "out") == 1
+        assert "'x'" in self.one_error_line(capsys, "BAD_CONFIG")
+
+    def test_negative_duration(self, tmp_path, capsys, embeddings):
+        assert run("regulate", "--embeddings", embeddings, "--lengths", "2,1,3",
+                   "--durations", "2 -1 3", "--out", tmp_path / "out") == 1
+        self.one_error_line(capsys, "LENGTH_MISMATCH")
+        assert not (tmp_path / "out" / "expanded.xlf").exists()
+
+    def test_missing_embeddings_file(self, tmp_path, capsys):
+        missing = tmp_path / "missing.xlf"
+        assert run("regulate", "--embeddings", missing, "--lengths", "2,1,3",
+                   "--out", tmp_path / "out") == 1
+        assert str(missing) in self.one_error_line(capsys, "IO")
+
+    def test_bad_spec_line(self, tmp_path, capsys, minicorpus):
+        spec = tmp_path / "bad.spec"
+        spec.write_text("name\tbad\nd2_cnf\tCN\n", encoding="utf-8")
+        assert run("manifest", "--spec", spec, "--roots", minicorpus,
+                   "--out", tmp_path / "out") == 1
+        assert f"{spec}:2: " in self.one_error_line(capsys, "PARSE")
+        assert not (tmp_path / "out" / "manifest.txt").exists()
+
+
+class TestG2pNothingDropped:
+    def test_fullwidth_latin_is_spoken(self, tmp_path):
+        assert run("g2p", "--text", "ｈｅｌｌｏ", "--out", tmp_path) == 0
+        ps = load_phoneme_sequence(tmp_path / "text.phn")
+        assert [s.label for s in ps.ldp] == ["HH", "AH", "L", "OW"]
+
+    def test_digits_are_one_oov_error(self, tmp_path, capsys):
+        assert run("g2p", "--text", "你好 2021 world", "--out", tmp_path) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("ERROR OOV: ") and "offset 3" in err[0]
+        assert not (tmp_path / "text.phn").exists()

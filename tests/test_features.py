@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xling.audio import AudioBuffer
 from xling.errors import (
@@ -247,3 +249,224 @@ class TestWindow:
             FeatureConfig(win_ms=0)
         with pytest.raises(BadConfigError):
             FeatureConfig(hop_ms=0)
+
+
+# ---------------------------------------------------------------- references
+# The implementations the strided framing and the vectorised pitch picker
+# replaced, kept as oracles: outputs must match them bit for bit.
+
+def fancy_index_frames(samples, cfg, mode="reflect"):
+    win, hop = cfg.win_length, cfg.hop_length
+    pad = win // 2
+    n = samples.size
+    if mode == "reflect" and n <= pad:
+        mode = "constant"
+    padded = np.pad(samples, pad, mode=mode)
+    n_frames = n // hop + 1
+    idx = np.arange(win)[None, :] + hop * np.arange(n_frames)[:, None]
+    return padded[idx]
+
+
+def loop_pick(nccf, total, lags, cfg):
+    """Per-frame NCCF peak rule: first peak within 15% of the best, refined."""
+    values = np.zeros(nccf.shape[0])
+    interior = nccf[:, 1:-1]
+    is_peak = (interior >= nccf[:, :-2]) & (interior >= nccf[:, 2:])
+    for t in range(nccf.shape[0]):
+        if total[t] <= 0.0:
+            continue
+        peaks = np.flatnonzero(is_peak[t])
+        if peaks.size == 0:
+            continue
+        best = interior[t, peaks].max()
+        if best < cfg.voicing_threshold:
+            continue
+        j = peaks[interior[t, peaks] >= 0.85 * best][0] + 1
+        left, mid, right = nccf[t, j - 1], nccf[t, j], nccf[t, j + 1]
+        curvature = left - 2.0 * mid + right
+        offset = 0.0 if curvature >= 0 else 0.5 * (left - right) / curvature
+        lag = lags[j] + np.clip(offset, -0.5, 0.5)
+        values[t] = float(np.clip(cfg.sample_rate / lag, cfg.f0_min, cfg.f0_max))
+    return values
+
+
+def reference_pitch(samples, cfg):
+    frames = fancy_index_frames(samples, cfg, mode="constant")
+    frames = frames - frames.mean(axis=1, keepdims=True)
+    win = cfg.win_length
+    lag_min = max(1, int(np.ceil(cfg.sample_rate / cfg.f0_max)))
+    lag_max = min(win - 1, int(np.floor(cfg.sample_rate / cfg.f0_min)))
+    fft_len = 1 << int(np.ceil(np.log2(2 * win)))
+    spectrum = np.fft.rfft(frames, n=fft_len, axis=1)
+    autocorr = np.fft.irfft(spectrum.real**2 + spectrum.imag**2, n=fft_len, axis=1)
+    csum = np.concatenate(
+        [np.zeros((frames.shape[0], 1)), np.cumsum(frames**2, axis=1)], axis=1
+    )
+    total = csum[:, -1]
+    lags = np.arange(lag_min - 1, lag_max + 2)
+    denom = np.sqrt(csum[:, win - lags] * (total[:, None] - csum[:, lags]))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        nccf = np.where(denom > 0, autocorr[:, lags] / denom, 0.0)
+    return loop_pick(nccf, total, lags, cfg)
+
+
+class TestFraming:
+    @pytest.mark.parametrize("mode", ["reflect", "constant"])
+    @pytest.mark.parametrize("n", [1, 320, 321, 159, 160, 16000, 16001])
+    def test_strided_view_matches_fancy_index(self, cfg, mode, n):
+        # n covers 1, pad, pad + 1, hop - 1, hop and a whole/odd second
+        from xling.features import _frame_signal
+
+        samples = np.random.default_rng(n).uniform(-1, 1, n)
+        got = _frame_signal(samples, cfg, mode)
+        want = fancy_index_frames(samples, cfg, mode)
+        assert got.shape == want.shape == (n // cfg.hop_length + 1, cfg.win_length)
+        assert got.tobytes() == want.tobytes()
+
+    def test_odd_window_keeps_the_frame_count(self):
+        # 441-sample window and hop: the last frame of a whole number of hops
+        # starts at len(samples) and needs one sample past the center pad
+        odd = FeatureConfig(sample_rate=11025, win_ms=40, hop_ms=40, fmax=5000.0)
+        assert odd.win_length == odd.hop_length == 441
+        rng = np.random.default_rng(8)
+        for n in (441, 3 * 441, 3 * 441 + 5):
+            audio = AudioBuffer(rng.uniform(-0.5, 0.5, n), 11025)
+            assert mel_spectrogram(audio, odd).frames.shape == (n // 441 + 1, 80)
+            assert pitch_per_frame(audio, odd).values.size == n // 441 + 1
+
+
+class TestMelBands:
+    def test_matches_direct_per_filter_summation_oracle(self, cfg):
+        from xling.features import mel_filterbank
+
+        rng = np.random.default_rng(29)
+        audio = AudioBuffer(rng.uniform(-0.8, 0.8, 12345), SR)
+        magnitude = stft_magnitude(audio, cfg)
+        fb = mel_filterbank(cfg)
+        got = mel_spectrogram(audio, cfg).frames
+        for m in range(cfg.n_mels):
+            bins = np.flatnonzero(fb[m])
+            for t in range(magnitude.shape[0]):
+                acc = 0.0
+                for b in bins:
+                    acc += magnitude[t, b] * fb[m, b]
+                expected = max(acc, cfg.log_floor)
+                # |log a - log b| bounds the relative difference of a and b
+                assert abs(got[t, m] - np.log(expected)) <= 1e-12
+
+    def test_bands_are_cached_and_read_only(self, cfg):
+        from xling.features import _mel_bands
+
+        bands = _mel_bands(cfg)
+        assert _mel_bands(FeatureConfig()) is bands
+        assert len(bands) == cfg.n_mels
+        for lo, hi, weights in bands:
+            assert 0 <= lo < hi <= cfg.fft_size // 2 + 1
+            assert weights.size == hi - lo and not weights.flags.writeable
+            with pytest.raises(ValueError):
+                weights[0] = 1.0
+
+    def test_bytes_do_not_depend_on_blas_threads(self):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import xling
+
+        script = (
+            "import hashlib, numpy as np\n"
+            "from xling.audio import AudioBuffer\n"
+            "from xling.features import FeatureConfig, mel_spectrogram\n"
+            "rng = np.random.default_rng(11)\n"
+            "t = np.arange(6 * 16000) / 16000\n"
+            "x = 0.4 * np.sin(2 * np.pi * 140 * t) + 0.1 * rng.standard_normal(t.size)\n"
+            "mel = mel_spectrogram(AudioBuffer(x, 16000), FeatureConfig()).frames\n"
+            "print(hashlib.sha256(mel.tobytes()).hexdigest())\n"
+        )
+        src = str(Path(xling.__file__).resolve().parents[1])
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads)
+            out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                                 capture_output=True, text=True, timeout=120)
+            digests.append(out.stdout.strip())
+        assert digests[0] == digests[1] and len(digests[0]) == 64
+
+
+class TestPitchPicker:
+    @given(
+        f0=st.floats(60.0, 500.0),
+        amp=st.floats(0.0, 0.9),
+        noise=st.floats(0.0, 0.5),
+        n=st.integers(640, 12000),
+        silent=st.tuples(st.integers(0, 12000), st.integers(0, 4000)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40)
+    def test_signals_match_per_frame_loop_bitwise(self, cfg, f0, amp, noise, n, silent, seed):
+        t = np.arange(n) / SR
+        rng = np.random.default_rng(seed)
+        x = amp * np.sin(2 * np.pi * f0 * t) + noise * rng.standard_normal(n)
+        x[silent[0] : silent[0] + silent[1]] = 0.0
+        got = pitch_per_frame(AudioBuffer(x, SR), cfg).values
+        assert got.tobytes() == reference_pitch(x, cfg).tobytes()
+
+    def test_fixed_cases_match_per_frame_loop(self, cfg):
+        from xling.features import _pick_pitch
+
+        below = np.nextafter(0.85, 0.0)
+        rows = {
+            "all zero, no energy": ([0.0] * 6, 0.0, False),
+            "all zero, energy": ([0.0] * 6, 1.0, False),  # every lag a 0.0 peak
+            "voiced but no energy": ([0.0, 0.9, 0.0, 0.0, 0.0, 0.0], 0.0, False),
+            "no local peak": ([0.4, 0.5, 0.6, 0.7, 0.8, 0.9], 1.0, False),
+            "plateau tie": ([0.1, 0.5, 0.9, 0.9, 0.9, 0.2], 1.0, True),
+            "peak at exactly 0.85 best": ([0.0, 0.85, 0.0, 1.0, 0.0, 0.0], 1.0, True),
+            "peak just below 0.85 best": ([0.0, below, 0.0, 1.0, 0.0, 0.0], 1.0, True),
+            "best equals threshold": ([0.0, 0.1, 0.3, 0.2, 0.0, 0.0], 1.0, True),
+            "best just below threshold": (
+                [0.0, 0.1, np.nextafter(0.3, 0.0), 0.2, 0.0, 0.0], 1.0, False),
+            "flat peak, zero curvature": ([0.6, 0.6, 0.6, 0.1, 0.0, 0.0], 1.0, True),
+            "asymmetric peak": ([0.0, 0.3, 0.95, 0.7, 0.1, 0.0], 1.0, True),
+        }
+        nccf = np.array([r[0] for r in rows.values()])
+        total = np.array([r[1] for r in rows.values()])
+        lags = np.arange(26, 32)
+        got = _pick_pitch(nccf, total, lags, cfg)
+        assert got.tobytes() == loop_pick(nccf, total, lags, cfg).tobytes()
+        assert [v > 0 for v in got] == [r[2] for r in rows.values()]
+        at = dict(zip(rows, got))
+        assert at["peak at exactly 0.85 best"] == SR / 27  # the first peak wins
+        assert at["peak just below 0.85 best"] == SR / 29
+        assert at["flat peak, zero curvature"] == SR / 27
+
+    @pytest.mark.parametrize("n_lags", [0, 1, 2, 3])
+    def test_lag_ranges_without_interior(self, cfg, n_lags):
+        from xling.features import _pick_pitch
+
+        nccf = np.full((4, n_lags), 0.9)
+        total = np.ones(4)
+        lags = np.arange(1, 1 + n_lags)
+        got = _pick_pitch(nccf, total, lags, cfg)
+        assert got.tobytes() == loop_pick(nccf, total, lags, cfg).tobytes()
+
+    @given(
+        values=st.lists(
+            st.lists(st.sampled_from([-0.2, 0.0, 0.255, 0.3, 0.5, 0.85, 0.9, 1.0]),
+                     min_size=8, max_size=8),
+            min_size=1, max_size=10,
+        ),
+        energy=st.lists(st.sampled_from([0.0, 1.0]), min_size=10, max_size=10),
+        first_lag=st.integers(1, 300),
+    )
+    @settings(max_examples=300)
+    def test_random_nccf_matches_per_frame_loop(self, cfg, values, energy, first_lag):
+        from xling.features import _pick_pitch
+
+        nccf = np.array(values)
+        total = np.array(energy[: nccf.shape[0]])
+        lags = np.arange(first_lag, first_lag + nccf.shape[1])
+        got = _pick_pitch(nccf, total, lags, cfg)
+        assert got.tobytes() == loop_pick(nccf, total, lags, cfg).tobytes()

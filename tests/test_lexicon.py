@@ -1,3 +1,6 @@
+import re
+import unicodedata
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +13,7 @@ from xling.lexicon import (
     HAN,
     LATIN,
     PUNCT,
+    PUNCTUATION,
     LDPSymbol,
     Lexicon,
     PhonemeSequence,
@@ -239,3 +243,69 @@ class TestLexiconLoading:
                 tmp_path / "map.dict",
                 tmp_path / "inv.txt",
             )
+
+
+def fullwidth(text):
+    return "".join(chr(ord(c) + 0xFEE0) if "!" <= c <= "~" else c for c in text)
+
+
+class TestNothingSilentlyDropped:
+    def test_digits_raise_with_offset(self, lexicon):
+        with pytest.raises(OOVError) as exc_info:
+            text_to_phoneme_sequence("你好 2021 world", lexicon)
+        assert exc_info.value.offset == 3 and exc_info.value.surface == "2"
+        assert exc_info.value.language is None
+
+    def test_fullwidth_latin_reads_as_ascii(self, lexicon):
+        ps = text_to_phoneme_sequence(fullwidth("hello"), lexicon)
+        assert len(ps) > 0 and ps == text_to_phoneme_sequence("hello", lexicon)
+
+    @pytest.mark.parametrize("text, plain", [
+        ("你好，world！", "你好 world"),
+        ("你好。「world」", "你好 world"),
+        ("《你好》、world…", "你好 world"),
+        ("你好 —— world; (world)", "你好 world world"),
+    ])
+    def test_ascii_and_cjk_punctuation_are_skipped(self, lexicon, text, plain):
+        assert text_to_phoneme_sequence(text, lexicon) == text_to_phoneme_sequence(
+            plain, lexicon
+        )
+
+    @pytest.mark.parametrize("text, offset", [
+        ("好 ☃", 2), ("world ½", 6), ("好€", 1), ("好́", 1),
+    ])
+    def test_other_symbols_raise(self, lexicon, text, offset):
+        with pytest.raises(OOVError) as exc_info:
+            text_to_phoneme_sequence(text, lexicon)
+        assert exc_info.value.offset == offset
+
+    @given(data=st.data())
+    @settings(max_examples=300)
+    def test_every_spoken_character_yields_a_phoneme_or_raises(self, lexicon, data):
+        words = sorted(lexicon.en_entries)
+        hanzi = sorted(lexicon.cn_entries)
+        piece = st.one_of(
+            st.sampled_from(words).map(str.lower),
+            st.sampled_from(words).map(fullwidth),
+            st.sampled_from(hanzi),
+            st.sampled_from(sorted(PUNCTUATION)),
+            st.sampled_from(list("0123456789０１２，！？　 \t")),
+            st.characters(),
+        )
+        pieces = data.draw(st.lists(piece, max_size=12))
+        text = data.draw(st.sampled_from(["", " "])).join(pieces)
+        norm = unicodedata.normalize("NFKC", text)
+        try:
+            ps = text_to_phoneme_sequence(text, lexicon)
+        except OOVError as exc:
+            assert norm[exc.offset : exc.offset + len(exc.surface)] == exc.surface
+            assert any(not c.isspace() and c not in PUNCTUATION for c in exc.surface)
+            return
+        han = [c for c in norm if "一" <= c <= "鿿"]
+        latin_runs = re.findall(r"[A-Za-z']*[A-Za-z][A-Za-z']*", norm)
+        assert all(
+            c.isspace() or c in PUNCTUATION or c in han or c.isascii() and c.isalpha()
+            for c in norm
+        )
+        assert sum(s.language == CN for s in ps.ldp) == len(han)
+        assert sum(s.language == EN for s in ps.ldp) >= len(latin_runs)
