@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigMismatchError, EmptyAudioError
+from .textio import atomic_path
 
 
 @dataclass(frozen=True)
@@ -56,7 +57,7 @@ def write_wav(path, samples, sample_rate: int) -> None:
     if samples.size == 0:
         raise EmptyAudioError("refusing to write an empty WAV file")
     pcm = np.clip(np.round(samples * 32768.0), -32768, 32767).astype("<i2")
-    with wave.open(str(path), "wb") as w:
+    with atomic_path(path) as tmp, wave.open(str(tmp), "wb") as w:
         w.setnchannels(1)
         w.setsampwidth(2)
         w.setframerate(sample_rate)

@@ -11,9 +11,11 @@ balance report).
 A ``--config`` file (flat ``key=value`` lines) can set lexicon paths,
 feature parameters, quantizer parameters, and default input paths; flags
 always win over config values.  Every referenced file is checked before
-any work starts.  Failures print a single ``ERROR <code>: <detail>``
-line and exit nonzero; outputs are written atomically so parallel runs
-(``--jobs``) never produce partial files.  ``XLING_LOG`` in
+any work starts; an unknown or repeated config key is an error.  Failures
+print a single ``ERROR <code>: <detail>`` line and exit nonzero.  Every
+output is atomic because every writer of the package is (text through
+:mod:`xling.textio`, tensors through :mod:`xling.tensorio`), so parallel
+runs (``--jobs``) never produce partial files.  ``XLING_LOG`` in
 {error, info, debug} controls stderr logging.
 """
 
@@ -29,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import regulator, tensorio
+from . import corpus, regulator, tensorio
 from .audio import read_wav
 from .corpus import (
     DatasetSpec,
@@ -72,7 +74,7 @@ from .model import (
     init_weights,
     save_weights,
 )
-from .textio import atomic_path, cast, records
+from .textio import cast, records, write_records, write_text
 
 log = logging.getLogger("xling")
 
@@ -91,6 +93,7 @@ _FEATURE_KEYS = {
 }
 _LEXICON_KEYS = ("en_dict", "cn_dict", "ipa_dict", "ipa_inventory")
 _PATH_KEYS = _LEXICON_KEYS + ("model_config", "dataset_spec", "stats")
+_CONFIG_KEYS = {*_FEATURE_KEYS, *_PATH_KEYS, "out_dir", "quantizer_bins", "quantizer_scale"}
 
 
 def _setup_logging() -> None:
@@ -104,8 +107,13 @@ def _setup_logging() -> None:
 
 
 def load_pipeline_config(path) -> dict:
-    """Flat key=value config; every referenced path must already exist."""
-    values = dict(fields for _, fields in records(path, "=", 1, n_fields=2))
+    """Flat key=value config of known keys set once; referenced paths must exist."""
+    values = {}
+    for line_no, (key, value) in records(path, "=", 1, n_fields=2):
+        if key not in _CONFIG_KEYS or key in values:
+            problem = "repeated" if key in values else "unknown"
+            raise BadConfigError(f"{path}:{line_no}: {problem} key {key!r}")
+        values[key] = value
     for key in _PATH_KEYS:
         if key in values and not Path(values[key]).is_file():
             raise BadConfigError(f"{key} points to missing file {values[key]!r}")
@@ -144,16 +152,6 @@ def _out_dir(args, cfg: dict) -> Path:
     return path
 
 
-def _write_atomic_tensor(path: Path, values) -> None:
-    with atomic_path(path) as tmp:
-        tensorio.write_tensor(tmp, values)
-
-
-def _write_atomic_text(path: Path, text: str) -> None:
-    with atomic_path(path) as tmp:
-        tmp.write_text(text, encoding="utf-8")
-
-
 def _map(fn, tasks: list, jobs: int) -> list:
     """``fn`` over ``tasks`` in order; a process pool runs them when jobs > 1."""
     if jobs > 1 and len(tasks) > 1:
@@ -188,8 +186,7 @@ def _cmd_g2p(args, cfg: dict) -> int:
         name = args.name or Path(args.text_file).stem
     ps = text_to_phoneme_sequence(text, lexicon)
     out = _out_dir(args, cfg) / f"{name}.phn"
-    with atomic_path(out) as tmp:
-        dump_phoneme_sequence(ps, tmp)
+    dump_phoneme_sequence(ps, out)
     log.info("wrote %s (%d phonemes, %d IPA symbols)", out, len(ps.ldp), len(ps.ipa))
     return 0
 
@@ -201,12 +198,12 @@ def _cmd_regulate(args, cfg: dict) -> int:
     lengths = _parse_int_list(args.lengths, args.lengths_file, "lengths")
     out_dir = _out_dir(args, cfg)
     Y = regulator.aggregate(X, lengths)
-    _write_atomic_tensor(out_dir / "aggregated.xlf", Y)
+    tensorio.write_tensor(out_dir / "aggregated.xlf", Y)
     log.info("aggregated %s -> %s", X.shape, Y.shape)
     if args.durations or args.durations_file:
         durations = _parse_int_list(args.durations, args.durations_file, "durations")
         F = regulator.expand(Y, durations)
-        _write_atomic_tensor(out_dir / "expanded.xlf", F)
+        tensorio.write_tensor(out_dir / "expanded.xlf", F)
         log.info("expanded %s -> %s", Y.shape, F.shape)
     return 0
 
@@ -223,7 +220,7 @@ def _fit_durations_to_frames(durations: list, n_frames: int) -> list:
     delta = n_frames - sum(durations)
     if delta == 0:
         return durations
-    if abs(delta) > 2 or not durations:
+    if abs(delta) > corpus.DURATION_TOLERANCE_FRAMES or not durations:
         raise LengthMismatchError(
             f"alignment covers {sum(durations)} frames but features have {n_frames}"
         )
@@ -253,9 +250,9 @@ def _extract_one(task: FeatureTask) -> str:
     mel = mel_spectrogram(audio, task.feature_cfg)
     energy = energy_per_frame(audio, task.feature_cfg)
     pitch = pitch_per_frame(audio, task.feature_cfg)
-    _write_atomic_tensor(out_dir / f"{task.utt_id}.mel.xlf", mel.frames)
-    _write_atomic_tensor(out_dir / f"{task.utt_id}.energy.xlf", energy.values)
-    _write_atomic_tensor(out_dir / f"{task.utt_id}.pitch.xlf", pitch.values)
+    tensorio.write_tensor(out_dir / f"{task.utt_id}.mel.xlf", mel.frames)
+    tensorio.write_tensor(out_dir / f"{task.utt_id}.energy.xlf", energy.values)
+    tensorio.write_tensor(out_dir / f"{task.utt_id}.pitch.xlf", pitch.values)
     if task.alignment_path is not None:
         record = parse_alignment(task.alignment_path, utt_id=task.utt_id)
         durations = _fit_durations_to_frames(
@@ -263,13 +260,11 @@ def _extract_one(task: FeatureTask) -> str:
         )
         energy_avg = average_by_phoneme(energy, durations)
         pitch_avg = average_by_phoneme(pitch, durations)
-        _write_atomic_tensor(out_dir / f"{task.utt_id}.energy_avg.xlf", energy_avg)
-        _write_atomic_tensor(out_dir / f"{task.utt_id}.pitch_avg.xlf", pitch_avg)
+        tensorio.write_tensor(out_dir / f"{task.utt_id}.energy_avg.xlf", energy_avg)
+        tensorio.write_tensor(out_dir / f"{task.utt_id}.pitch_avg.xlf", pitch_avg)
         if task.quantizer_cfg is not None:
             indices = quantize(energy_avg, task.quantizer_cfg)
-            _write_atomic_tensor(
-                out_dir / f"{task.utt_id}.energy_q.xlf", indices.astype(np.float64)
-            )
+            tensorio.write_tensor(out_dir / f"{task.utt_id}.energy_q.xlf", indices)
     return task.utt_id
 
 
@@ -348,25 +343,17 @@ def _cmd_stats(args, cfg: dict) -> int:
         FeatureTask(e.utt_id, e.audio_path, None, ".", feature_cfg, None)
         for e in entries
     ]
-    results = _map(_stat_one, tasks, args.jobs)
-    energy_min = min(r[0] for r in results)
-    energy_max = max(r[1] for r in results)
-    pitch_min = min(r[2] for r in results)
-    pitch_max = max(r[3] for r in results)
-    n_frames = sum(r[4] for r in results)
-    n_voiced = sum(r[5] for r in results)
+    e_min, e_max, p_min, p_max, frames, voiced = zip(*_map(_stat_one, tasks, args.jobs))
+    energy_min, energy_max = min(e_min), max(e_max)
+    pitch_min, pitch_max = min(p_min), max(p_max)
     if not np.isfinite(energy_min) or not np.isfinite(energy_max):
         raise BadConfigError("corpus has no nonzero energy frames")
     out = _out_dir(args, cfg) / "stats.txt"
-    lines = [
-        f"energy_min={energy_min!r}",
-        f"energy_max={energy_max!r}",
-        f"pitch_min={pitch_min!r}" if np.isfinite(pitch_min) else "pitch_min=0.0",
-        f"pitch_max={pitch_max!r}" if np.isfinite(pitch_max) else "pitch_max=0.0",
-        f"n_frames={n_frames}",
-        f"n_voiced_frames={n_voiced}",
-    ]
-    _write_atomic_text(out, "\n".join(lines) + "\n")
+    stats = {"energy_min": energy_min, "energy_max": energy_max,
+             "pitch_min": pitch_min if np.isfinite(pitch_min) else 0.0,
+             "pitch_max": pitch_max if np.isfinite(pitch_max) else 0.0,
+             "n_frames": sum(frames), "n_voiced_frames": sum(voiced)}
+    write_records(out, [(key, repr(value)) for key, value in stats.items()], "=", 1)
     log.info("wrote %s over %d utterances", out, len(entries))
     return 0
 
@@ -408,16 +395,13 @@ def _cmd_forward(args, cfg: dict) -> int:
     out = model_forward(weights, ids, ps.lengths, args.speaker, mode)
     out_dir = _out_dir(args, cfg)
     name = Path(args.phonemes).stem
-    _write_atomic_tensor(out_dir / f"{name}.mel_pred.xlf", out.mel_pred)
-    _write_atomic_tensor(out_dir / f"{name}.dur_pred.xlf", out.dur_pred)
-    _write_atomic_tensor(out_dir / f"{name}.pitch_pred.xlf", out.pitch_pred)
-    _write_atomic_tensor(out_dir / f"{name}.energy_pred.xlf", out.energy_pred)
+    for part in ("mel_pred", "dur_pred", "pitch_pred", "energy_pred"):
+        tensorio.write_tensor(out_dir / f"{name}.{part}.xlf", getattr(out, part))
     lines = [f"{stage}\t{'x'.join(str(d) for d in shape)}" for stage, shape in out.trace]
     lines.append("durations_used\t" + " ".join(str(d) for d in out.durations_used))
-    _write_atomic_text(out_dir / f"{name}.trace.txt", "\n".join(lines) + "\n")
+    write_text(out_dir / f"{name}.trace.txt", "\n".join(lines) + "\n")
     if args.dump_weights:
-        with atomic_path(args.dump_weights) as tmp:
-            save_weights(tmp, weights)
+        save_weights(args.dump_weights, weights)
     log.info("forward %s: mel %s", name, out.mel_pred.shape)
     return 0
 
@@ -442,10 +426,9 @@ def _cmd_manifest(args, cfg: dict) -> int:
     spec = DatasetSpec.load(spec_path)
     entries = build_manifest(spec, args.roots, jobs=max(1, args.jobs))
     out_dir = _out_dir(args, cfg)
-    with atomic_path(out_dir / "manifest.txt") as tmp:
-        write_manifest(entries, tmp)
+    write_manifest(entries, out_dir / "manifest.txt")
     report = balance_report(entries)
-    _write_atomic_text(out_dir / "balance.txt", report.render())
+    write_text(out_dir / "balance.txt", report.render())
     log.info(
         "manifest %s: %d entries, %.4f h, flags=%s",
         spec.name, len(entries), report.total_hours, report.flags or "none",

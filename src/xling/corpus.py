@@ -29,7 +29,7 @@ from .errors import (
     MissingSpeakerError,
     ParseError,
 )
-from .textio import cast, records
+from .textio import cast, records, write_records
 
 FRAMES_PER_SECOND = 100  # 10 ms alignment frames
 DURATION_TOLERANCE_FRAMES = 2
@@ -65,6 +65,14 @@ class SpeakerSpec:
     gender: str
     max_hours: float
 
+    def __post_init__(self):
+        if self.language not in LANGUAGES:
+            raise ParseError(f"unknown language {self.language!r}")
+        if self.gender not in GENDERS:
+            raise ParseError(f"unknown gender {self.gender!r}")
+        if not self.max_hours > 0:
+            raise ParseError(f"max_hours must be positive for {self.speaker_id}")
+
 
 @dataclass(frozen=True)
 class DatasetSpec:
@@ -75,13 +83,6 @@ class DatasetSpec:
         ids = [m.speaker_id for m in self.members]
         if len(set(ids)) != len(ids):
             raise ParseError(f"duplicate speaker ids in dataset {self.name!r}")
-        for m in self.members:
-            if m.language not in LANGUAGES:
-                raise ParseError(f"unknown language {m.language!r}")
-            if m.gender not in GENDERS:
-                raise ParseError(f"unknown gender {m.gender!r}")
-            if not m.max_hours > 0:
-                raise ParseError(f"max_hours must be positive for {m.speaker_id}")
 
     @classmethod
     def load(cls, path) -> "DatasetSpec":
@@ -94,7 +95,10 @@ class DatasetSpec:
                 name = parts[1]
             elif len(parts) == 4:
                 max_hours = cast(float, parts[3], path, line_no)
-                members.append(SpeakerSpec(parts[0], parts[1], parts[2], max_hours))
+                try:
+                    members.append(SpeakerSpec(parts[0], parts[1], parts[2], max_hours))
+                except ParseError as exc:
+                    raise ParseError(str(exc), path=path, line=line_no) from exc
             else:
                 raise ParseError(
                     "expected speaker<TAB>language<TAB>gender<TAB>max_hours",
@@ -108,10 +112,9 @@ class DatasetSpec:
         return cls(name, tuple(members))
 
     def save(self, path) -> None:
-        lines = [f"name\t{self.name}"]
-        for m in self.members:
-            lines.append(f"{m.speaker_id}\t{m.language}\t{m.gender}\t{m.max_hours}")
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        rows = [("name", self.name)]
+        rows += [(m.speaker_id, m.language, m.gender, str(m.max_hours)) for m in self.members]
+        write_records(path, rows, "\t")
 
 
 def parse_alignment(path, utt_id: str | None = None) -> AlignmentRecord:
@@ -198,27 +201,14 @@ def build_manifest(spec: DatasetSpec, scan_roots, jobs: int = 1) -> list:
 
 def write_manifest(entries, path) -> None:
     seen = set()
-    lines = []
+    rows = []
     for e in entries:
         if e.utt_id in seen:
-            raise ParseError(f"duplicate utt_id {e.utt_id!r} in manifest")
+            raise ParseError(f"duplicate utt_id {e.utt_id!r}", path=path)
         seen.add(e.utt_id)
-        fields = [
-            e.utt_id,
-            e.audio_path,
-            e.text,
-            e.speaker_id,
-            e.language,
-            e.gender,
-            repr(e.duration_sec),
-            e.alignment_path,
-        ]
-        for value in fields:
-            # read_manifest splits lines on \n and \r and strips each field
-            if "|" in value or "\n" in value or "\r" in value or value != value.strip():
-                raise ParseError(f"manifest field would not read back: {value!r}")
-        lines.append("|".join(fields))
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+        rows.append((e.utt_id, e.audio_path, e.text, e.speaker_id, e.language, e.gender,
+                     repr(e.duration_sec), e.alignment_path))
+    write_records(path, rows, "|")
 
 
 def read_manifest(path) -> list:

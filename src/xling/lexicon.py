@@ -23,10 +23,9 @@ import string
 import unicodedata
 from dataclasses import dataclass, field
 from importlib import resources
-from pathlib import Path
 
 from .errors import OOVError, ParseError, UnmappedLDPError
-from .textio import cast, records
+from .textio import cast, records, write_records
 
 HAN = "Han"
 LATIN = "Latin"
@@ -238,14 +237,13 @@ def inventory_ids(lexicon: Lexicon) -> dict:
 
 def dump_phoneme_sequence(ps: PhonemeSequence, path) -> None:
     """One LDP per line: label, language, meta (- if none), length, IPA."""
-    lines = ["# label\tlanguage\tmeta\tlength\tipa"]
+    rows = []
     pos = 0
     for sym, n in zip(ps.ldp, ps.lengths):
-        ipa = " ".join(ps.ipa[pos : pos + n])
-        pos += n
         meta = "-" if sym.meta is None else str(sym.meta)
-        lines.append(f"{sym.label}\t{sym.language}\t{meta}\t{n}\t{ipa}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        rows.append((sym.label, sym.language, meta, str(n), " ".join(ps.ipa[pos : pos + n])))
+        pos += n
+    write_records(path, rows, "\t", header="label\tlanguage\tmeta\tlength\tipa")
 
 
 def load_phoneme_sequence(path) -> PhonemeSequence:

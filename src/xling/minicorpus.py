@@ -27,6 +27,7 @@ import numpy as np
 from .audio import write_wav
 from .corpus import DatasetSpec, SpeakerSpec
 from .lexicon import Lexicon, text_to_phoneme_sequence
+from .textio import write_records, write_text
 
 SAMPLE_RATE = 16000
 HOP = 160  # 10 ms
@@ -115,16 +116,12 @@ def generate(root, scale: int = 100, seed: int = 0) -> Path:
             write_wav(
                 speaker_dir / f"{stem}.wav", _synth_audio(rng, n_samples, f0), SAMPLE_RATE
             )
-            (speaker_dir / f"{stem}.txt").write_text(text + "\n", encoding="utf-8")
+            write_text(speaker_dir / f"{stem}.txt", text + "\n")
             # the feature grid has frames+1 rows (center padding), still
             # within the +-2 frame tolerance against the audio duration
             durations = _distribute_frames(rng, frames + 1, len(phonemes.ldp))
-            lines = [
-                f"{sym.label}\t{d}" for sym, d in zip(phonemes.ldp, durations)
-            ]
-            (speaker_dir / f"{stem}.align").write_text(
-                "\n".join(lines) + "\n", encoding="utf-8"
-            )
+            rows = [(sym.label, str(d)) for sym, d in zip(phonemes.ldp, durations)]
+            write_records(speaker_dir / f"{stem}.align", rows, "\t", 1)
 
     datasets = {}
     for speaker_id, dataset, language, gender, hours in SPEAKERS:

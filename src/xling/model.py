@@ -18,14 +18,13 @@ including a ``stopgrad:`` annotation on every variance-predictor input.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from pathlib import Path
 
 import numpy as np
 
 from . import regulator, tensorio
 from .errors import BadConfigError, ParseError, ShapeMismatchError, UnknownSpeakerError
 from .prng import Xorshift64Star, uniform
-from .textio import cast, records
+from .textio import cast, records, write_records
 
 ATTN_HEADS = 2
 LAYERNORM_EPS = 1e-5
@@ -62,8 +61,8 @@ class ModelConfig:
             raise BadConfigError("convolution kernels must be odd")
 
     def to_file(self, path) -> None:
-        lines = [f"{f.name}={getattr(self, f.name)}" for f in fields(self)]
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        rows = [(f.name, str(getattr(self, f.name))) for f in fields(self)]
+        write_records(path, rows, "=", 1)
 
     @classmethod
     def from_file(cls, path) -> "ModelConfig":

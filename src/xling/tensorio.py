@@ -21,49 +21,35 @@ import struct
 import numpy as np
 
 from .errors import ParseError
+from .textio import atomic_path
 
 MAGIC = b"XLF1"
 
 
 def write_tensor(path, values) -> None:
-    arr = np.asarray(values, dtype=np.float64, order="C")
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<I", arr.ndim))
-        f.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        f.write(arr.astype("<f8").tobytes())
+    with atomic_path(path) as tmp, open(tmp, "wb") as f:
+        f.writelines((MAGIC, *_pack(values)))
 
 
 def read_tensor(path) -> np.ndarray:
-    with open(path, "rb") as f:
-        data = f.read()
+    data = _read(path)
     arr, offset = _parse_tensor(data, 4, path)
-    if data[:4] != MAGIC:
-        raise ParseError(f"bad magic {data[:4]!r}, expected {MAGIC!r}", path=path)
     if offset != len(data):
         raise ParseError(f"{len(data) - offset} trailing bytes", path=path)
     return arr
 
 
 def write_sections(path, tensors: dict) -> None:
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<I", len(tensors)))
+    with atomic_path(path) as tmp, open(tmp, "wb") as f:
+        f.write(MAGIC + struct.pack("<I", len(tensors)))
         for name in sorted(tensors):
-            arr = np.asarray(tensors[name], dtype=np.float64, order="C")
             encoded = name.encode("utf-8")
-            f.write(struct.pack("<I", len(encoded)))
-            f.write(encoded)
-            f.write(struct.pack("<I", arr.ndim))
-            f.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            f.write(arr.astype("<f8").tobytes())
+            f.write(struct.pack("<I", len(encoded)) + encoded)
+            f.writelines(_pack(tensors[name]))
 
 
 def read_sections(path) -> dict:
-    with open(path, "rb") as f:
-        data = f.read()
-    if data[:4] != MAGIC:
-        raise ParseError(f"bad magic {data[:4]!r}, expected {MAGIC!r}", path=path)
+    data = _read(path)
     (count,) = struct.unpack_from("<I", data, 4)
     offset = 8
     tensors = {}
@@ -76,6 +62,20 @@ def read_sections(path) -> dict:
     if offset != len(data):
         raise ParseError(f"{len(data) - offset} trailing bytes", path=path)
     return tensors
+
+
+def _read(path) -> bytes:
+    with open(path, "rb") as f:
+        data = f.read()
+    if data[:4] != MAGIC:
+        raise ParseError(f"bad magic {data[:4]!r}, expected {MAGIC!r}", path=path)
+    return data
+
+
+def _pack(values) -> tuple:
+    """The rank/dims/values block :func:`_parse_tensor` reads, as two buffers."""
+    arr = np.asarray(values, dtype="<f8", order="C")
+    return struct.pack(f"<{arr.ndim + 1}I", arr.ndim, *arr.shape), arr
 
 
 def _parse_tensor(data: bytes, offset: int, path) -> tuple[np.ndarray, int]:

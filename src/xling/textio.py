@@ -8,6 +8,13 @@ each line is stripped, and blank lines and ``#`` comment lines are skipped;
 the rest splits on ``sep`` (whitespace runs when ``None``) at most
 ``maxsplit`` times into stripped fields; a malformed line raises
 :class:`ParseError` at ``path:line``.
+
+Writing mirrors reading: :func:`write_records` joins each row's fields
+with ``sep`` (a space for ``None``) into one ``\\n``-ended line, and a row
+that :func:`records` would not read back as the same fields (a field with
+``sep`` or a line break, surrounding whitespace, a leading ``#``, a blank
+line) raises :class:`ParseError` at ``path`` before anything is written.
+Every output file of the package goes through :func:`atomic_path`.
 """
 
 import os
@@ -21,15 +28,39 @@ from .errors import ParseError
 def records(path, sep=None, maxsplit=-1, n_fields=None):
     """Yield ``(line_no, fields)`` for each record line of ``path``."""
     text = Path(path).read_text(encoding="utf-8")
-    for line_no, raw in enumerate(text.split("\n"), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+    for line_no, line in enumerate(text.split("\n"), start=1):
+        fields = _fields(line, sep, maxsplit)
+        if fields is None:
             continue
-        fields = [field.strip() for field in line.split(sep, maxsplit)]
         if n_fields is not None and len(fields) != n_fields:
             raise ParseError(f"expected {n_fields} fields split by {sep!r}, "
                              f"got {len(fields)}", path=path, line=line_no)
         yield line_no, fields
+
+
+def _fields(line: str, sep, maxsplit):
+    """The fields :func:`records` reads from ``line``; None if it skips it."""
+    line = line.strip()
+    if not line or line.startswith("#"):
+        return None
+    return [field.strip() for field in line.split(sep, maxsplit)]
+
+
+def write_records(path, rows, sep=None, maxsplit=-1, header=None) -> None:
+    """Write each row of str fields as one line; ``header`` as a ``# `` line."""
+    lines = [] if header is None else [f"# {header}"]
+    for row in rows:
+        line = (sep or " ").join(row)
+        if "\n" in line or "\r" in line or _fields(line, sep, maxsplit) != list(row):
+            raise ParseError(f"row {list(row)!r} would not read back", path=path)
+        lines.append(line)
+    write_text(path, "".join(line + "\n" for line in lines))
+
+
+def write_text(path, text: str) -> None:
+    """Write ``text`` as UTF-8 through :func:`atomic_path`."""
+    with atomic_path(path) as tmp:
+        tmp.write_text(text, encoding="utf-8")
 
 
 def cast(kind, value: str, path, line_no):

@@ -410,3 +410,41 @@ class TestG2pNothingDropped:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("ERROR OOV: ") and "offset 3" in err[0]
         assert not (tmp_path / "text.phn").exists()
+
+
+class TestConfigKeys:
+    """An unknown or repeated ``--config`` key is one ``ERROR BAD_CONFIG``
+    line naming the key and ``path:line``, exit 1."""
+
+    KNOWN = "out_dir=o\nquantizer_bins=128\nquantizer_scale=log\nwin_ms=40\n"
+
+    @pytest.mark.parametrize("content, line, key", [
+        (KNOWN + "fmn=100\n", 5, "fmn"),
+        (KNOWN + "# shorter\nwin_ms=20\n", 6, "win_ms"),
+    ], ids=["unknown", "repeated"])
+    def test_rejected_with_path_line(self, tmp_path, capsys, content, line, key):
+        config = tmp_path / "pipeline.cfg"
+        config.write_text(content, encoding="utf-8")
+        assert run("g2p", "--config", config, "--text", "好", "--out", tmp_path / "out") == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1, err
+        assert err.startswith(f"ERROR BAD_CONFIG: {config}:{line}: ")
+        assert repr(key) in err
+        assert not (tmp_path / "out").exists()
+
+
+class TestSpecMemberLine:
+    @pytest.mark.parametrize("member, detail", [
+        ("d2_cnf\tXX\tF\t0.01", "unknown language 'XX'"),
+        ("d2_cnf\tCN\tQ\t0.01", "unknown gender 'Q'"),
+        ("d2_cnf\tCN\tF\t0", "max_hours must be positive for d2_cnf"),
+    ], ids=["language", "gender", "max_hours"])
+    def test_bad_member_names_path_line(self, tmp_path, capsys, minicorpus, member, detail):
+        spec = tmp_path / "bad.spec"
+        spec.write_text(f"name\tbad\n# members\n{member}\n", encoding="utf-8")
+        assert run("manifest", "--spec", spec, "--roots", minicorpus,
+                   "--out", tmp_path / "out") == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1, err
+        assert err.strip() == f"ERROR PARSE: {spec}:3: {detail}"
+        assert not (tmp_path / "out" / "manifest.txt").exists()

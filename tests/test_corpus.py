@@ -229,3 +229,12 @@ class TestManifestFields:
         with pytest.raises(ParseError):
             write_manifest([entry], path)
         assert not path.exists()
+
+
+class TestSpeakerSpecChecks:
+    @pytest.mark.parametrize("language, gender, max_hours", [
+        ("FR", "M", 1.0), ("CN", "X", 1.0), ("CN", "M", 0.0), ("CN", "M", float("nan")),
+    ])
+    def test_programmatic_member_raises(self, language, gender, max_hours):
+        with pytest.raises(ParseError):
+            SpeakerSpec("a", language, gender, max_hours)
