@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import wave
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigMismatchError, EmptyAudioError
+from .errors import ConfigMismatchError, EmptyAudioError, ParseError
 from .textio import atomic_path
 
 
@@ -32,9 +33,22 @@ class AudioBuffer:
         return self.samples.size / self.sample_rate
 
 
+@contextmanager
+def _open_wav(path):
+    """``wave.open(path)``; a header it cannot read is a ParseError at ``path``."""
+    try:
+        with wave.open(str(path), "rb") as w:
+            if w.getframerate() <= 0:
+                raise ParseError(f"bad frame rate {w.getframerate()}", path=path)
+            yield w
+    except (wave.Error, EOFError) as exc:
+        raise ParseError(f"not a readable WAV file: {str(exc) or 'truncated header'}",
+                         path=path) from exc
+
+
 def read_wav(path, expected_rate: int | None = None) -> AudioBuffer:
     """Read a mono 16-bit PCM WAV file; anything else is rejected."""
-    with wave.open(str(path), "rb") as w:
+    with _open_wav(path) as w:
         channels = w.getnchannels()
         width = w.getsampwidth()
         rate = w.getframerate()
@@ -48,6 +62,8 @@ def read_wav(path, expected_rate: int | None = None) -> AudioBuffer:
                 f"{path}: expected {expected_rate} Hz, got {rate} Hz"
             )
         raw = w.readframes(n)
+    if len(raw) != 2 * n:
+        raise ParseError(f"data chunk truncated: {len(raw)} of {2 * n} bytes", path=path)
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
     return AudioBuffer(samples, rate)
 
@@ -66,5 +82,5 @@ def write_wav(path, samples, sample_rate: int) -> None:
 
 def wav_duration_sec(path) -> float:
     """Duration from the WAV header without reading sample data."""
-    with wave.open(str(path), "rb") as w:
+    with _open_wav(path) as w:
         return w.getnframes() / w.getframerate()

@@ -12,7 +12,8 @@ A ``--config`` file (flat ``key=value`` lines) can set lexicon paths,
 feature parameters, quantizer parameters, and default input paths; flags
 always win over config values.  Every referenced file is checked before
 any work starts; an unknown or repeated config key is an error.  Failures
-print a single ``ERROR <code>: <detail>`` line and exit nonzero.  Every
+print a single ``ERROR <code>: <detail>`` line and exit nonzero; in
+``features`` and ``stats`` the detail names the utterance and its WAV.  Every
 output is atomic because every writer of the package is (text through
 :mod:`xling.textio`, tensors through :mod:`xling.tensorio`), so parallel
 runs (``--jobs``) never produce partial files.  ``XLING_LOG`` in
@@ -22,6 +23,7 @@ runs (``--jobs``) never produce partial files.  ``XLING_LOG`` in
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import os
 import sys
@@ -45,6 +47,7 @@ from .errors import (
     BadConfigError,
     LengthMismatchError,
     ParseError,
+    UtteranceError,
     XlingError,
 )
 from .features import (
@@ -74,7 +77,7 @@ from .model import (
     init_weights,
     save_weights,
 )
-from .textio import cast, records, write_records, write_text
+from .textio import cast, read_text, records, write_records, write_text
 
 log = logging.getLogger("xling")
 
@@ -166,7 +169,7 @@ def _parse_int_list(value: str | None, file_value: str | None, what: str) -> lis
     if value is not None:
         parts = [p for p in value.replace(",", " ").split() if p]
     else:
-        parts = Path(file_value).read_text(encoding="utf-8").split()
+        parts = read_text(file_value).split()
     try:
         return [int(p) for p in parts]
     except ValueError as exc:
@@ -182,7 +185,7 @@ def _cmd_g2p(args, cfg: dict) -> int:
     if args.text is not None:
         text, name = args.text, (args.name or "text")
     else:
-        text = Path(args.text_file).read_text(encoding="utf-8").strip()
+        text = read_text(args.text_file).strip()
         name = args.name or Path(args.text_file).stem
     ps = text_to_phoneme_sequence(text, lexicon)
     out = _out_dir(args, cfg) / f"{name}.phn"
@@ -244,6 +247,22 @@ class FeatureTask:
     quantizer_cfg: QuantizerConfig | None
 
 
+def _naming_failures(fn):
+    """``fn(task)``, with a failure re-raised naming its utterance and WAV path."""
+
+    @functools.wraps(fn)
+    def run(task: FeatureTask):
+        try:
+            return fn(task)
+        except XlingError as exc:
+            raise UtteranceError(task.utt_id, task.wav_path, exc.code, str(exc)) from exc
+        except OSError as exc:
+            raise UtteranceError(task.utt_id, task.wav_path, "IO", str(exc)) from exc
+
+    return run
+
+
+@_naming_failures
 def _extract_one(task: FeatureTask) -> str:
     audio = read_wav(task.wav_path, expected_rate=task.feature_cfg.sample_rate)
     out_dir = Path(task.out_dir)
@@ -318,6 +337,7 @@ def _cmd_features(args, cfg: dict) -> int:
 
 # ---------------------------------------------------------------- stats
 
+@_naming_failures
 def _stat_one(task: FeatureTask) -> tuple:
     audio = read_wav(task.wav_path, expected_rate=task.feature_cfg.sample_rate)
     energy = energy_per_frame(audio, task.feature_cfg).values

@@ -8,7 +8,8 @@ File formats (line rules in :mod:`xling.textio`):
 * manifest: one utterance per line,
   ``utt_id|audio_path|text|speaker|language|gender|duration_sec|alignment_path``.
 * dataset spec: a ``name<TAB>value`` line, then one member per line as
-  ``speaker_id<TAB>language<TAB>gender<TAB>max_hours``.
+  ``speaker_id<TAB>language<TAB>gender<TAB>max_hours``; the two are told
+  apart by their field count, so a speaker may be called ``name``.
 
 `build_manifest` scans per-speaker directories (``<root>/<speaker_id>/``
 holding ``<utt>.wav`` + ``<utt>.txt`` + ``<utt>.align``), validates every
@@ -29,7 +30,7 @@ from .errors import (
     MissingSpeakerError,
     ParseError,
 )
-from .textio import cast, records, write_records
+from .textio import cast, read_text, records, write_records
 
 FRAMES_PER_SECOND = 100  # 10 ms alignment frames
 DURATION_TOLERANCE_FRAMES = 2
@@ -89,9 +90,8 @@ class DatasetSpec:
         name = None
         members = []
         for line_no, parts in records(path, "\t"):
-            if parts[0] == "name":
-                if len(parts) != 2:
-                    raise ParseError("expected name<TAB>value", path=path, line=line_no)
+            # told apart by field count: a member's speaker id may be "name"
+            if len(parts) == 2 and parts[0] == "name":
                 name = parts[1]
             elif len(parts) == 4:
                 max_hours = cast(float, parts[3], path, line_no)
@@ -101,7 +101,8 @@ class DatasetSpec:
                     raise ParseError(str(exc), path=path, line=line_no) from exc
             else:
                 raise ParseError(
-                    "expected speaker<TAB>language<TAB>gender<TAB>max_hours",
+                    "expected name<TAB>value or "
+                    "speaker<TAB>language<TAB>gender<TAB>max_hours",
                     path=path,
                     line=line_no,
                 )
@@ -175,7 +176,7 @@ def _scan_speaker(member: SpeakerSpec, roots) -> list:
             ManifestEntry(
                 utt_id=utt_id,
                 audio_path=str(wav_path),
-                text=text_path.read_text(encoding="utf-8").strip(),
+                text=read_text(text_path).strip(),
                 speaker_id=member.speaker_id,
                 language=member.language,
                 gender=member.gender,

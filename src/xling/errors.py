@@ -108,3 +108,21 @@ class EmptyManifestError(XlingError):
     """An operation that needs manifest entries received none."""
 
     code = "EMPTY_MANIFEST"
+
+
+class UtteranceError(XlingError):
+    """One utterance of a batch failed; carries the code of the cause.
+
+    The message names the utterance id and its WAV path.  The error is
+    rebuilt from its fields when it crosses a process pool.
+    """
+
+    def __init__(self, utt_id, path, code, detail):
+        self.utt_id = utt_id
+        self.path = path
+        self.code = code
+        self.detail = detail
+        super().__init__(f"utterance {utt_id} ({path}): {detail}")
+
+    def __reduce__(self):
+        return type(self), (self.utt_id, self.path, self.code, self.detail)

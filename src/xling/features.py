@@ -4,7 +4,7 @@ Framing is shared by all three extractors so their frame counts always
 agree: the signal is center-padded by half a window (reflected), frames
 start every hop, and the frame count is ``len(samples) // hop + 1``.
 Defaults follow the 16 kHz / 40 ms window / 10 ms hop / 80-mel setup with
-a 1024-point FFT (smallest power of two above the 640-sample window).
+a 1024-point STFT (smallest power of two above the 640-sample window).
 
 The mel is summed filter by filter over each triangle's own run of FFT
 bins with numpy's fixed-order reduction, not by a matrix product: a BLAS
@@ -14,7 +14,19 @@ in forked pool workers its threads compete with the workers for the CPUs.
 
 Pitch uses a normalized cross-correlation estimator searching 50-600 Hz
 with parabolic peak interpolation; frames whose peak correlation falls
-below the voicing threshold carry the unvoiced sentinel 0.0.
+below the voicing threshold carry the unvoiced sentinel 0.0.  Its
+autocorrelation is one ``rfft``/``irfft`` pair per frame at the smallest
+power of two above ``win + lag_max`` (1024 points at the defaults).  The
+circular correlation of ``win``-sample rows has no wrap-around below lag
+``fft_len - win + 1``, and the parabola reads lag ``lag_max + 1`` at most,
+so no longer transform is needed.
+
+The STFT and the pitch correlation run over blocks of :data:`FRAME_BLOCK`
+frames, each written into one preallocated result, so that a block's
+spectrum and correlation stay in the L2 cache instead of streaming
+full-utterance temporaries through memory.  Blocking changes no bit:
+pocketfft transforms each row on its own, and every other step (window,
+mean, power, cumulative sum, division) works row by row.
 """
 
 from __future__ import annotations
@@ -38,6 +50,11 @@ PITCH_HZ = "PitchHz"
 
 LINEAR = "linear"
 LOG = "log"
+
+FRAME_BLOCK = 64
+"""Frames per block of the STFT and pitch kernels: at the defaults a
+block's 1024-point spectra and correlations are 0.5 MiB each, so one
+block's temporaries fit in a 2 MiB L2 cache."""
 
 
 @dataclass(frozen=True)
@@ -132,9 +149,25 @@ def _hann(n: int) -> np.ndarray:
 def stft_magnitude(audio: AudioBuffer, cfg: FeatureConfig) -> np.ndarray:
     """Magnitude spectrogram, T_f x (fft_size/2 + 1), Hann window."""
     samples = _check_audio(audio, cfg)
-    frames = _frame_signal(samples, cfg)
     window = _hann(cfg.win_length)
-    return np.abs(np.fft.rfft(frames * window, n=cfg.fft_size, axis=1))
+
+    def kernel(block, out):
+        np.abs(np.fft.rfft(block * window, n=cfg.fft_size, axis=1), out=out)
+
+    return _by_blocks(kernel, _frame_signal(samples, cfg), cfg.fft_size // 2 + 1)
+
+
+def _by_blocks(kernel, frames: np.ndarray, width: int) -> np.ndarray:
+    """One ``(rows, width)`` array, filled by ``kernel(block, out)`` per block.
+
+    ``kernel`` reads up to :data:`FRAME_BLOCK` rows of ``frames`` and writes
+    the same rows of the result; every step it runs is row by row, so the
+    bytes do not depend on where the blocks fall.
+    """
+    out = np.empty((frames.shape[0], width))
+    for start in range(0, frames.shape[0], FRAME_BLOCK):
+        kernel(frames[start:start + FRAME_BLOCK], out[start:start + FRAME_BLOCK])
+    return out
 
 
 def mel_filterbank(cfg: FeatureConfig) -> np.ndarray:
@@ -211,28 +244,37 @@ def pitch_per_frame(audio: AudioBuffer, cfg: FeatureConfig) -> FrameSeries:
         raise EmptyAudioError(
             f"need at least one window ({cfg.win_length} samples), got {samples.size}"
         )
-    frames = _frame_signal(samples, cfg, mode="constant")
-    frames = frames - frames.mean(axis=1, keepdims=True)
     win = cfg.win_length
     lag_min = max(1, int(np.ceil(cfg.sample_rate / cfg.f0_max)))
     lag_max = min(win - 1, int(np.floor(cfg.sample_rate / cfg.f0_min)))
+    # lags lo..hi-1 are the searched ones and one more on each side for the
+    # peak test and the parabola, or none when the window is too short; all
+    # lie below fft_len - win + 1, where the circular correlation wraps
+    lo = lag_min - 1
+    hi = max(lo, lag_max + 2)
+    fft_len = 1 << (win + lag_max).bit_length()
 
-    # autocorrelation numerator for all lags at once, via FFT
-    fft_len = 1 << int(np.ceil(np.log2(2 * win)))
-    spectrum = np.fft.rfft(frames, n=fft_len, axis=1)
-    autocorr = np.fft.irfft(spectrum.real**2 + spectrum.imag**2, n=fft_len, axis=1)
+    def kernel(block, out):
+        frames = block - block.mean(axis=1, keepdims=True)
+        spectrum = np.fft.rfft(frames, n=fft_len, axis=1)
+        power = spectrum.real**2
+        power += spectrum.imag**2
+        autocorr = np.fft.irfft(power, n=fft_len, axis=1)
+        # per-lag energies of the leading and trailing sub-frames
+        csum = np.zeros((frames.shape[0], win + 1))
+        np.cumsum(frames**2, axis=1, out=csum[:, 1:])
+        lead = csum[:, win - hi + 1 : win - lo + 1][:, ::-1]
+        trail = csum[:, -1:] - csum[:, lo:hi]
+        denom = np.sqrt(lead * trail)
+        out[:, -1] = csum[:, -1]
+        out[:, :-1] = 0.0
+        np.divide(autocorr[:, lo:hi], denom, out=out[:, :-1], where=denom > 0)
 
-    # per-lag energies of the leading and trailing sub-frames
-    csum = np.concatenate(
-        [np.zeros((frames.shape[0], 1)), np.cumsum(frames**2, axis=1)], axis=1
-    )
-    total = csum[:, -1]
-    lags = np.arange(lag_min - 1, lag_max + 2)
-    lead = csum[:, win - lags]
-    trail = total[:, None] - csum[:, lags]
-    denom = np.sqrt(lead * trail)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        nccf = np.where(denom > 0, autocorr[:, lags] / denom, 0.0)
+    frames = _frame_signal(samples, cfg, mode="constant")
+    # the last column holds each frame's energy, the rest its NCCF row
+    nccf_total = _by_blocks(kernel, frames, hi - lo + 1)
+    nccf, total = nccf_total[:, :-1], nccf_total[:, -1]
+    lags = np.arange(lo, hi)
 
     return FrameSeries(_pick_pitch(nccf, total, lags, cfg), PITCH_HZ)
 

@@ -16,6 +16,7 @@ identical bytes.
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -50,18 +51,30 @@ def write_sections(path, tensors: dict) -> None:
 
 def read_sections(path) -> dict:
     data = _read(path)
-    (count,) = struct.unpack_from("<I", data, 4)
-    offset = 8
+    count, offset = _unpack_u32(data, 4, path)
     tensors = {}
     for _ in range(count):
-        (name_len,) = struct.unpack_from("<I", data, offset)
-        offset += 4
-        name = data[offset : offset + name_len].decode("utf-8")
-        offset += name_len
-        tensors[name], offset = _parse_tensor(data, offset, path)
+        name_len, offset = _unpack_u32(data, offset, path)
+        end = offset + name_len
+        if end > len(data):
+            raise ParseError(f"section name of {name_len} bytes runs past the end",
+                             path=path)
+        try:
+            name = data[offset:end].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"section name is not UTF-8: {exc}", path=path) from exc
+        tensors[name], offset = _parse_tensor(data, end, path)
     if offset != len(data):
         raise ParseError(f"{len(data) - offset} trailing bytes", path=path)
     return tensors
+
+
+def _unpack_u32(data: bytes, offset: int, path) -> tuple[int, int]:
+    """The u32 LE at ``offset`` and the offset after it."""
+    if offset + 4 > len(data):
+        raise ParseError(f"truncated at byte {len(data)}, expected a u32 at {offset}",
+                         path=path)
+    return struct.unpack_from("<I", data, offset)[0], offset + 4
 
 
 def _read(path) -> bytes:
@@ -79,16 +92,14 @@ def _pack(values) -> tuple:
 
 
 def _parse_tensor(data: bytes, offset: int, path) -> tuple[np.ndarray, int]:
-    try:
-        (rank,) = struct.unpack_from("<I", data, offset)
-        offset += 4
-        dims = struct.unpack_from(f"<{rank}I", data, offset)
-        offset += 4 * rank
-        n = int(np.prod(dims, dtype=np.int64)) if rank else 1
-        end = offset + 8 * n
-        if end > len(data):
-            raise struct.error("tensor data truncated")
-        arr = np.frombuffer(data[offset:end], dtype="<f8").reshape(dims)
-    except struct.error as exc:
-        raise ParseError(str(exc), path=path) from exc
+    rank, offset = _unpack_u32(data, offset, path)
+    if offset + 4 * rank > len(data):
+        raise ParseError(f"{rank} dims run past the end", path=path)
+    dims = struct.unpack_from(f"<{rank}I", data, offset)
+    offset += 4 * rank
+    n = math.prod(dims)  # a Python int: a huge header cannot wrap around
+    end = offset + 8 * n
+    if end > len(data):
+        raise ParseError("tensor data truncated", path=path)
+    arr = np.frombuffer(data[offset:end], dtype="<f8").reshape(dims)
     return arr.astype(np.float64), end

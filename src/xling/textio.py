@@ -3,11 +3,12 @@
 Every text format of this package (lexicons, IPA inventory, ``.phn``,
 alignment, manifest, dataset spec, model and pipeline configs, stats)
 shares these line rules, applied by :func:`records` and nowhere else:
-files are UTF-8; ``\\n``, ``\\r\\n`` and ``\\r`` end a line, numbered from 1;
-each line is stripped, and blank lines and ``#`` comment lines are skipped;
-the rest splits on ``sep`` (whitespace runs when ``None``) at most
-``maxsplit`` times into stripped fields; a malformed line raises
-:class:`ParseError` at ``path:line``.
+files are UTF-8, and :func:`read_text` reports any other byte as a
+:class:`ParseError` at ``path:line``; ``\\n``, ``\\r\\n`` and ``\\r`` end a
+line, numbered from 1; each line is stripped, and blank lines and ``#``
+comment lines are skipped; the rest splits on ``sep`` (whitespace runs
+when ``None``) at most ``maxsplit`` times into stripped fields; a malformed
+line raises :class:`ParseError` at ``path:line``.
 
 Writing mirrors reading: :func:`write_records` joins each row's fields
 with ``sep`` (a space for ``None``) into one ``\\n``-ended line, and a row
@@ -27,7 +28,7 @@ from .errors import ParseError
 
 def records(path, sep=None, maxsplit=-1, n_fields=None):
     """Yield ``(line_no, fields)`` for each record line of ``path``."""
-    text = Path(path).read_text(encoding="utf-8")
+    text = read_text(path)
     for line_no, line in enumerate(text.split("\n"), start=1):
         fields = _fields(line, sep, maxsplit)
         if fields is None:
@@ -36,6 +37,23 @@ def records(path, sep=None, maxsplit=-1, n_fields=None):
             raise ParseError(f"expected {n_fields} fields split by {sep!r}, "
                              f"got {len(fields)}", path=path, line=line_no)
         yield line_no, fields
+
+
+def read_text(path) -> str:
+    """The UTF-8 text of ``path`` with every line break read as ``\\n``.
+
+    A byte sequence that is not UTF-8 raises :class:`ParseError` at the
+    ``path:line`` that holds it.
+    """
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[:exc.start]
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        raise ParseError(f"not UTF-8: byte {data[exc.start]:#04x} at offset {exc.start}",
+                         path=path, line=line) from exc
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _fields(line: str, sep, maxsplit):

@@ -1,10 +1,11 @@
+import re
 import wave
 
 import numpy as np
 import pytest
 
 from xling.audio import AudioBuffer, read_wav, wav_duration_sec, write_wav
-from xling.errors import ConfigMismatchError, EmptyAudioError
+from xling.errors import ConfigMismatchError, EmptyAudioError, ParseError
 
 
 class TestWavIO:
@@ -72,3 +73,40 @@ class TestAudioBuffer:
     def test_bad_rate(self):
         with pytest.raises(ConfigMismatchError):
             AudioBuffer(np.zeros(10), 0)
+
+
+class TestUnreadableWav:
+    @pytest.mark.parametrize("cut", [0, 4, 12, 20, 30], ids=lambda c: f"first {c} bytes")
+    def test_cut_header_is_one_parse_error(self, tmp_path, cut):
+        whole = tmp_path / "a.wav"
+        write_wav(whole, np.full(100, 0.1), 16000)
+        path = tmp_path / "cut.wav"
+        path.write_bytes(whole.read_bytes()[:cut])
+        for read in (read_wav, wav_duration_sec):
+            with pytest.raises(ParseError, match=rf"^{re.escape(str(path))}: "):
+                read(path)
+
+    def test_riff_wave_without_chunks(self, tmp_path):
+        path = tmp_path / "bare.wav"
+        path.write_bytes(b"RIFF\x04\x00\x00\x00WAVE")
+        for read in (read_wav, wav_duration_sec):
+            with pytest.raises(ParseError, match="fmt chunk and/or data chunk missing"):
+                read(path)
+
+    def test_cut_data_chunk(self, tmp_path):
+        whole = tmp_path / "a.wav"
+        write_wav(whole, np.full(100, 0.1), 16000)
+        path = tmp_path / "cut.wav"
+        path.write_bytes(whole.read_bytes()[:-51])
+        with pytest.raises(ParseError, match=r"data chunk truncated: 149 of 200 bytes"):
+            read_wav(path)
+
+    def test_zero_frame_rate(self, tmp_path):
+        path = tmp_path / "a.wav"
+        write_wav(path, np.full(100, 0.1), 16000)
+        data = bytearray(path.read_bytes())
+        data[24:28] = bytes(4)  # the fmt chunk's sample rate
+        path.write_bytes(bytes(data))
+        for read in (read_wav, wav_duration_sec):
+            with pytest.raises(ParseError, match="bad frame rate 0"):
+                read(path)

@@ -1,3 +1,5 @@
+import wave
+
 import numpy as np
 import pytest
 
@@ -448,3 +450,77 @@ class TestSpecMemberLine:
         assert len(err.splitlines()) == 1, err
         assert err.strip() == f"ERROR PARSE: {spec}:3: {detail}"
         assert not (tmp_path / "out" / "manifest.txt").exists()
+
+
+class TestNotUtf8Input:
+    """A non-UTF-8 byte in any text input is one ``ERROR PARSE`` at path:line."""
+
+    def one_parse_error(self, capsys, path, line):
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1, err
+        assert err.startswith(f"ERROR PARSE: {path}:{line}: not UTF-8: byte 0x")
+
+    def test_config(self, tmp_path, capsys):
+        config = tmp_path / "pipeline.cfg"
+        config.write_bytes(b"hop_ms=10\nwin_ms=\xff\n")
+        assert run("g2p", "--config", config, "--text", "hello", "--out", tmp_path) == 1
+        self.one_parse_error(capsys, config, 2)
+
+    def test_text_file(self, tmp_path, capsys):
+        text = tmp_path / "t.txt"
+        text.write_bytes(b"hello\r\nworld \xe4\xbd\n")
+        assert run("g2p", "--text-file", text, "--out", tmp_path) == 1
+        self.one_parse_error(capsys, text, 2)
+
+    @pytest.mark.parametrize("flag", ["--lengths-file", "--durations-file"])
+    def test_regulate_int_files(self, tmp_path, capsys, flag):
+        write_tensor(tmp_path / "x.xlf", np.ones((3, 2)))
+        good = tmp_path / "good.txt"
+        good.write_text("1 2\n", encoding="utf-8")
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"1\n\n2 \x80\n")
+        files = {"--lengths-file": good, "--durations-file": good, flag: bad}
+        argv = [arg for pair in files.items() for arg in pair]
+        assert run("regulate", "--embeddings", tmp_path / "x.xlf", *argv,
+                   "--out", tmp_path / "out") == 1
+        self.one_parse_error(capsys, bad, 3)
+
+
+class TestBatchFailureNamesUtterance:
+    @pytest.fixture
+    def manifest(self, tmp_path, minicorpus):
+        run("manifest", "--spec", minicorpus / "d2.spec", "--roots", minicorpus,
+            "--out", tmp_path / "man", "--jobs", 1)
+        lines = (tmp_path / "man" / "manifest.txt").read_text(encoding="utf-8").splitlines()
+        entries = [line for line in lines if not line.startswith("#")]
+        with wave.open(str(tmp_path / "empty.wav"), "wb") as w:
+            w.setnchannels(1)
+            w.setsampwidth(2)
+            w.setframerate(16000)
+        fields = entries[2].split("|")
+        fields[1] = str(tmp_path / "empty.wav")
+        entries[2] = "|".join(fields)
+        path = tmp_path / "broken.txt"
+        path.write_text("\n".join(entries) + "\n", encoding="utf-8")
+        return path, fields[0], fields[1]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("command", ["stats", "features"])
+    def test_error_line_names_utt_and_wav(self, tmp_path, capsys, manifest, command, jobs):
+        path, utt_id, wav = manifest
+        assert run(command, "--manifest", path, "--jobs", jobs,
+                   "--out", tmp_path / "out") == 1
+        err = capsys.readouterr().err
+        assert err == (f"ERROR EMPTY_AUDIO: utterance {utt_id} ({wav}): "
+                       "no samples to analyze\n")
+
+    def test_error_survives_pickling_with_its_code(self):
+        import pickle
+
+        from xling.errors import UtteranceError
+
+        exc = UtteranceError("d2_cnf_0001", "a.wav", "PARSE", "a.wav: truncated")
+        back = pickle.loads(pickle.dumps(exc))
+        assert (back.code, str(back)) == ("PARSE", str(exc))
+        assert (back.utt_id, back.path, back.detail) == ("d2_cnf_0001", "a.wav",
+                                                         "a.wav: truncated")

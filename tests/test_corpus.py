@@ -76,6 +76,20 @@ class TestDatasetSpec:
         spec.save(path)
         assert DatasetSpec.load(path) == spec
 
+    def test_member_called_name_round_trips(self, tmp_path):
+        # the name line has 2 fields and a member 4, whatever the first says
+        spec = DatasetSpec("name", (SpeakerSpec("name", "CN", "M", 1.0),
+                                    SpeakerSpec("enf", "EN", "F", 2.0)))
+        path = tmp_path / "n.spec"
+        spec.save(path)
+        assert DatasetSpec.load(path) == spec
+
+    def test_three_field_line_rejected(self, tmp_path):
+        path = tmp_path / "bad.spec"
+        path.write_text("name\tx\tdd\ncnm\tCN\tM\t1.0\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=r":1: expected name<TAB>value or speaker"):
+            DatasetSpec.load(path)
+
     def test_duplicate_speakers_rejected(self):
         with pytest.raises(ParseError):
             DatasetSpec(

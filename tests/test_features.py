@@ -12,6 +12,7 @@ from xling.errors import (
 )
 from xling.features import (
     ENERGY,
+    FRAME_BLOCK,
     LINEAR,
     LOG,
     PITCH_HZ,
@@ -296,7 +297,7 @@ def reference_pitch(samples, cfg):
     win = cfg.win_length
     lag_min = max(1, int(np.ceil(cfg.sample_rate / cfg.f0_max)))
     lag_max = min(win - 1, int(np.floor(cfg.sample_rate / cfg.f0_min)))
-    fft_len = 1 << int(np.ceil(np.log2(2 * win)))
+    fft_len = 1 << (win + lag_max).bit_length()
     spectrum = np.fft.rfft(frames, n=fft_len, axis=1)
     autocorr = np.fft.irfft(spectrum.real**2 + spectrum.imag**2, n=fft_len, axis=1)
     csum = np.concatenate(
@@ -470,3 +471,123 @@ class TestPitchPicker:
         lags = np.arange(first_lag, first_lag + nccf.shape[1])
         got = _pick_pitch(nccf, total, lags, cfg)
         assert got.tobytes() == loop_pick(nccf, total, lags, cfg).tobytes()
+
+
+# ------------------------------------------------------- pitch FFT and blocks
+
+def old_length_pitch(samples, cfg, pick=loop_pick):
+    """``reference_pitch`` at the FFT length the pitch kernel used before it
+    moved to the alias-free one: two windows, rounded up to a power of two."""
+    frames = fancy_index_frames(samples, cfg, mode="constant")
+    frames = frames - frames.mean(axis=1, keepdims=True)
+    win = cfg.win_length
+    lag_min = max(1, int(np.ceil(cfg.sample_rate / cfg.f0_max)))
+    lag_max = min(win - 1, int(np.floor(cfg.sample_rate / cfg.f0_min)))
+    fft_len = 1 << int(np.ceil(np.log2(2 * win)))
+    spectrum = np.fft.rfft(frames, n=fft_len, axis=1)
+    autocorr = np.fft.irfft(spectrum.real**2 + spectrum.imag**2, n=fft_len, axis=1)
+    csum = np.concatenate(
+        [np.zeros((frames.shape[0], 1)), np.cumsum(frames**2, axis=1)], axis=1
+    )
+    total = csum[:, -1]
+    lags = np.arange(lag_min - 1, lag_max + 2)
+    denom = np.sqrt(csum[:, win - lags] * (total[:, None] - csum[:, lags]))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        nccf = np.where(denom > 0, autocorr[:, lags] / denom, 0.0)
+    return pick(nccf, total, lags, cfg)
+
+
+class TestAliasFreePitchFFT:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        rows=st.integers(1, 8),
+        scale=st.sampled_from([1e-6, 1e-3, 0.5, 1.0]),
+        dc=st.floats(-1.0, 1.0),
+        silent=st.integers(0, 640),
+    )
+    @settings(max_examples=60)
+    def test_autocorrelation_matches_the_double_length_fft(self, cfg, seed, rows, scale,
+                                                          dc, silent):
+        win = cfg.win_length
+        lag_min = int(np.ceil(cfg.sample_rate / cfg.f0_max))
+        lag_max = min(win - 1, int(np.floor(cfg.sample_rate / cfg.f0_min)))
+        lags = np.arange(lag_min - 1, lag_max + 2)
+        fft_len = 1 << (win + lag_max).bit_length()
+        assert fft_len == 1024 and fft_len >= win + lags[-1]
+        frames = dc + scale * np.random.default_rng(seed).standard_normal((rows, win))
+        frames[:, :silent] = 0.0
+
+        def autocorr(n):
+            spectrum = np.fft.rfft(frames, n=n, axis=1)
+            return np.fft.irfft(spectrum.real**2 + spectrum.imag**2, n=n, axis=1)[:, lags]
+
+        energy = np.sum(frames**2, axis=1, keepdims=True)
+        assert np.all(np.abs(autocorr(fft_len) - autocorr(2048)) <= 1e-12 * energy)
+
+    def test_minicorpus_pitch_moves_only_at_rounding_level(self, cfg, minicorpus):
+        from xling.audio import read_wav
+        from xling.features import _pick_pitch
+
+        frames = voiced = 0
+        worst = 0.0
+        for wav in sorted(minicorpus.rglob("*.wav")):
+            samples = read_wav(wav).samples
+            got = pitch_per_frame(AudioBuffer(samples, SR), cfg).values
+            # the vectorised picker: bitwise equal to loop_pick (TestPitchPicker)
+            old = old_length_pitch(samples, cfg, pick=_pick_pitch)
+            assert np.array_equal(got > 0, old > 0), wav  # no voicing flips
+            on = old > 0
+            worst = max(worst, float(np.max(np.abs(got[on] - old[on]) / old[on],
+                                            initial=0.0)))
+            frames += old.size
+            voiced += int(on.sum())
+        assert voiced > 0.5 * frames
+        assert worst <= 1e-12
+
+    @given(
+        f0=st.floats(60.0, 500.0),
+        amp=st.floats(0.0, 0.9),
+        noise=st.floats(0.0, 0.5),
+        n=st.integers(640, 12000),
+        silent=st.tuples(st.integers(0, 12000), st.integers(0, 4000)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40)
+    def test_noisy_signals_keep_their_voicing(self, cfg, f0, amp, noise, n, silent, seed):
+        # unlike the all-tonal minicorpus, these have unvoiced frames to flip
+        from xling.features import _pick_pitch
+
+        t = np.arange(n) / SR
+        rng = np.random.default_rng(seed)
+        x = amp * np.sin(2 * np.pi * f0 * t) + noise * rng.standard_normal(n)
+        x[silent[0] : silent[0] + silent[1]] = 0.0
+        got = pitch_per_frame(AudioBuffer(x, SR), cfg).values
+        old = old_length_pitch(x, cfg, pick=_pick_pitch)
+        assert np.array_equal(got > 0, old > 0)
+        assert np.all(np.abs(got - old) <= 1e-12 * old)
+
+
+class TestFrameBlocks:
+    @pytest.mark.parametrize("win_ms, hop_ms", [(40, 10), (10, 20)])
+    @pytest.mark.parametrize("n_frames",
+                             [1, FRAME_BLOCK - 1, FRAME_BLOCK, FRAME_BLOCK + 1, 500])
+    def test_blocked_equals_one_unblocked_call(self, monkeypatch, win_ms, hop_ms, n_frames):
+        from xling import features
+
+        # a 10 ms window on a 20 ms hop gives pitch a one-frame signal too
+        cfg = FeatureConfig(win_ms=win_ms, hop_ms=hop_ms)
+        n = n_frames * cfg.hop_length - 1  # n // hop + 1 == n_frames
+        rng = np.random.default_rng(n_frames)
+        t = np.arange(n) / SR
+        audio = AudioBuffer(0.4 * np.sin(2 * np.pi * 180 * t) + 0.1 * rng.standard_normal(n),
+                            SR)
+        blocked = [stft_magnitude(audio, cfg)]
+        if n >= cfg.win_length:
+            blocked.append(pitch_per_frame(audio, cfg).values)
+        monkeypatch.setattr(features, "FRAME_BLOCK", 1 << 30)
+        whole = [stft_magnitude(audio, cfg)]
+        if n >= cfg.win_length:
+            whole.append(pitch_per_frame(audio, cfg).values)
+        assert blocked[0].shape == (n_frames, cfg.fft_size // 2 + 1)
+        for got, want in zip(blocked, whole):
+            assert got.tobytes() == want.tobytes()

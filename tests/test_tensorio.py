@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -81,3 +82,36 @@ class TestSections:
         path.write_bytes(b"XLF2" + struct.pack("<I", 0))
         with pytest.raises(ParseError):
             read_sections(path)
+
+
+class TestTruncatedSections:
+    @pytest.mark.parametrize("data, detail", [
+        (b"XLF1", "truncated at byte 4"),
+        (b"XLF1" + struct.pack("<I", 1), "truncated at byte 8"),
+        (b"XLF1" + struct.pack("<I", 1) + struct.pack("<I", 100) + b"ab",
+         "section name of 100 bytes runs past the end"),
+        (b"XLF1" + struct.pack("<I", 1) + struct.pack("<I", 2) + b"\xff\xfe"
+         + struct.pack("<II", 1, 1) + struct.pack("<d", 0.5), "section name is not UTF-8"),
+        (b"XLF1" + struct.pack("<I", 1) + struct.pack("<I", 1) + b"w", "truncated at byte 13"),
+        (b"XLF1" + struct.pack("<I", 1) + struct.pack("<I", 1) + b"w"
+         + struct.pack("<II", 3, 2), "3 dims run past the end"),
+        (b"XLF1" + struct.pack("<I", 2) + struct.pack("<I", 1) + b"w"
+         + struct.pack("<I", 0) + struct.pack("<d", 1.0), "truncated at byte 25"),
+    ], ids=["magic only", "no name length", "name past the end", "name not UTF-8",
+            "no rank", "dims past the end", "missing section"])
+    def test_is_one_parse_error_at_the_path(self, tmp_path, data, detail):
+        path = tmp_path / "w.xlf"
+        path.write_bytes(data)
+        with pytest.raises(ParseError, match=rf"^{re.escape(str(path))}: {detail}"):
+            read_sections(path)
+
+    @pytest.mark.parametrize("data", [
+        b"XLF1",
+        b"XLF1" + struct.pack("<I", 2) + struct.pack("<I", 3),
+        b"XLF1" + struct.pack("<I", 4) + struct.pack("<4I", *[2**32 - 1] * 4),
+    ], ids=["magic only", "dims past the end", "huge dims"])
+    def test_single_tensor_header_is_one_parse_error(self, tmp_path, data):
+        path = tmp_path / "t.xlf"
+        path.write_bytes(data)
+        with pytest.raises(ParseError, match=rf"^{re.escape(str(path))}: "):
+            read_tensor(path)

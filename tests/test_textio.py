@@ -7,7 +7,7 @@ import threading
 import pytest
 
 from xling.errors import ParseError
-from xling.textio import atomic_path, cast, records
+from xling.textio import atomic_path, cast, read_text, records
 
 
 class TestRecords:
@@ -35,6 +35,29 @@ class TestRecords:
         path.write_text("a=1\n# c\nno equals sign\n", encoding="utf-8")
         with pytest.raises(ParseError, match=rf"^{re.escape(str(path))}:3: expected 2 fields"):
             list(records(path, "=", 1, n_fields=2))
+
+
+class TestNotUtf8:
+    @pytest.mark.parametrize("data, line", [
+        (b"\xffa=1\n", 1),
+        (b"a=1\nb=\xfe\n", 2),
+        (b"a=1\r\nb=2\r\n# c\r\nd=\xc3(\n", 4),
+        (b"a=1\rb=2\r\x80", 3),
+        (b"a=\xe4\xbd\xa0\n\n\xe4\xbd\n", 3),  # a valid CJK char, then a cut one
+    ])
+    def test_bad_byte_is_a_parse_error_at_its_line(self, tmp_path, data, line):
+        path = tmp_path / "r.txt"
+        path.write_bytes(data)
+        where = rf"^{re.escape(str(path))}:{line}: not UTF-8: byte 0x"
+        with pytest.raises(ParseError, match=where):
+            list(records(path, "=", 1))
+        with pytest.raises(ParseError, match=where):
+            read_text(path)
+
+    def test_read_text_reads_every_line_break_as_newline(self, tmp_path):
+        path = tmp_path / "t.txt"
+        path.write_bytes("你\r\n好\rx\n".encode("utf-8"))
+        assert read_text(path) == "你\n好\nx\n"
 
 
 class TestCast:
