@@ -81,6 +81,16 @@ def write_wav(path, samples, sample_rate: int) -> None:
 
 
 def wav_duration_sec(path) -> float:
-    """Duration from the WAV header without reading sample data."""
+    """Duration from the WAV header; reads only the last frame, not the samples.
+
+    That frame proves the data chunk holds every frame the header promises,
+    so a cut file is a ParseError here rather than later in ``read_wav``.
+    """
     with _open_wav(path) as w:
-        return w.getnframes() / w.getframerate()
+        n = w.getnframes()
+        if n:
+            w.setpos(n - 1)
+            if len(w.readframes(1)) != w.getsampwidth() * w.getnchannels():
+                raise ParseError(f"data chunk truncated: fewer than the {n} frames "
+                                 "its header promises", path=path)
+        return n / w.getframerate()

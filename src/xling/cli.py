@@ -460,10 +460,12 @@ def _cmd_manifest(args, cfg: dict) -> int:
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="pipeline config file (key=value lines)")
-    parser.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                        help="worker pool size for batch commands")
-    parser.add_argument("--seed", type=int, default=0, help="PRNG seed (u64)")
     parser.add_argument("--out", help="output directory")
+
+
+def _add_jobs(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
+                        help="worker pool size")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -489,6 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("features", help="extract mel/energy/pitch (+averaged) tracks")
     _add_common(p)
+    _add_jobs(p)
     p.add_argument("--wav", help="single WAV input")
     p.add_argument("--utt-id", help="utterance id for single-WAV mode")
     p.add_argument("--alignment", help="alignment file for single-WAV mode")
@@ -498,11 +501,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stats", help="corpus-wide energy/pitch ranges")
     _add_common(p)
+    _add_jobs(p)
     p.add_argument("--manifest", required=True)
     p.set_defaults(func=_cmd_stats)
 
     p = sub.add_parser("forward", help="run the deterministic model stub")
     _add_common(p)
+    p.add_argument("--seed", type=int, default=0, help="PRNG seed (u64)")
     p.add_argument("--phonemes", required=True, help=".phn file from g2p")
     p.add_argument("--model-config", help="ModelConfig key=value file")
     p.add_argument("--speaker", type=int, default=0)
@@ -516,6 +521,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("manifest", help="build a manifest and balance report")
     _add_common(p)
+    _add_jobs(p)
     p.add_argument("--spec", help="dataset spec file")
     p.add_argument("--roots", nargs="+", required=True, help="corpus scan roots")
     p.set_defaults(func=_cmd_manifest)

@@ -28,6 +28,9 @@ class OOVError(XlingError):
         lexicon = f"{language} lexicon" if language is not None else "lexicon"
         super().__init__(f"no {lexicon} entry for {surface!r}{where}")
 
+    def __reduce__(self):
+        return type(self), (self.surface, self.language, self.offset)
+
 
 class UnmappedLDPError(XlingError):
     """A (label, language) pair has no IPA decomposition."""
@@ -40,6 +43,9 @@ class UnmappedLDPError(XlingError):
         self.offset = offset
         where = f" at offset {offset}" if offset is not None else ""
         super().__init__(f"no IPA mapping for {language} phoneme {label!r}{where}")
+
+    def __reduce__(self):
+        return type(self), (self.label, self.language, self.offset)
 
 
 class LengthMismatchError(XlingError):

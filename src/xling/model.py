@@ -17,7 +17,10 @@ including a ``stopgrad:`` annotation on every variance-predictor input.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
+from itertools import repeat
 
 import numpy as np
 
@@ -144,19 +147,35 @@ class Weights:
     seed: int | None = None
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on; every CPU where the OS cannot say."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def init_weights(cfg: ModelConfig, seed: int) -> Weights:
     """Uniform [-0.1, 0.1] parameters, reproducible from (cfg, seed).
 
+    ``seed`` is a u64; anything outside ``[0, 2**64)`` is a BadConfigError.
     A master xorshift64* stream hands one sub-seed to each tensor (in
-    :func:`parameter_shapes` order); the tensor is then filled by the
-    counter-based SplitMix64 stream in cache-sized blocks, in place (see
-    :mod:`xling.prng`).  Nothing is cached: every call generates all
-    parameters again, and the bits do not depend on the block size.
+    :func:`parameter_shapes` order), all drawn before any tensor is filled.
+    The tensors are then filled on a thread pool with one worker per CPU
+    this process may run on, each by the counter-based SplitMix64 stream in
+    cache-sized blocks, in place (see :mod:`xling.prng`); numpy releases
+    the GIL inside its ufuncs, so the fills run in parallel.  The bits
+    depend on neither the thread count nor the block size.  Nothing is
+    cached and nothing outlives the call: the pool is shut down before it
+    returns, and every call generates all parameters again.
     """
+    if not 0 <= seed < 1 << 64:
+        raise BadConfigError(f"seed must be in [0, 2**64), got {seed}")
     master = Xorshift64Star(seed)
-    tensors = {}
-    for name, shape in parameter_shapes(cfg):
-        tensors[name] = uniform(master.next_u64(), shape, INIT_LOW, INIT_HIGH)
+    names, shapes = zip(*parameter_shapes(cfg))
+    seeds = [master.next_u64() for _ in names]
+    with ThreadPoolExecutor(max_workers=_usable_cpus()) as pool:
+        tensors = dict(zip(names, pool.map(uniform, seeds, shapes,
+                                           repeat(INIT_LOW), repeat(INIT_HIGH))))
     return Weights(cfg, tensors, seed)
 
 

@@ -15,9 +15,10 @@ Doubles are formed from the top 53 bits: ``(x >> 11) * 2**-53``.
 
 Both array fills work in place over blocks of :data:`BLOCK` elements, so
 each mixing step runs on data that stays in the L2 cache instead of
-streaming a full-size temporary through memory.  Blocking changes no bit
-of the output: element ``i`` of a SplitMix64 fill depends only on ``seed``
-and ``i``.
+streaming a full-size temporary through memory.  Element ``i`` of a
+SplitMix64 fill depends only on ``seed`` and ``i``, and each tensor has
+its own sub-seed, so ``model.init_weights`` fills its tensors on a thread
+pool: the bits depend on neither the block size nor the thread count.
 """
 
 from __future__ import annotations
@@ -86,21 +87,24 @@ def splitmix64_fill(seed: int, n: int) -> np.ndarray:
 def uniform(seed: int, shape, low: float, high: float) -> np.ndarray:
     """Deterministic uniform [low, high) tensor from a SplitMix64 stream.
 
-    The value is ``low + (high - low) * u`` with ``u = (x >> 11) * 2**-53``.
-    The doubles overwrite the u64 draws block by block, so the tensor
-    shares the memory of its :func:`splitmix64_fill` result.
+    The value is ``low + (high - low) * u`` with ``u = (x >> 11) * 2**-53``,
+    computed as ``t * ((high - low) * 2**-53) + low`` with ``t = x >> 11``:
+    ``t < 2**53`` converts to a double exactly and scaling by a power of
+    two does not round (for ``high - low`` above ``2**-969``), so the
+    product is rounded once either way.  The doubles overwrite the u64
+    draws block by block, so the tensor shares the memory of its
+    :func:`splitmix64_fill` result.  Safe to call from several threads at
+    once: it touches no shared state.
     """
     n = int(np.prod(shape, dtype=np.int64)) if shape else 1
     bits = splitmix64_fill(seed, n)
     values = bits.view(np.float64)
+    scale = (high - low) * 2.0**-53
     tmp = np.empty(min(n, BLOCK), dtype=np.uint64)
     for start in range(0, n, BLOCK):
         u = values[start:start + BLOCK]
         t = tmp[:u.size]
         np.right_shift(bits[start:start + BLOCK], np.uint64(11), out=t)
-        np.multiply(t, 2.0**-53, out=u)
-        # IEEE multiplication and addition commute exactly, so this is the
-        # documented formula bit for bit
-        u *= high - low
+        np.multiply(t, scale, out=u)
         u += low
     return values.reshape(shape)

@@ -101,6 +101,16 @@ class TestUnreadableWav:
         with pytest.raises(ParseError, match=r"data chunk truncated: 149 of 200 bytes"):
             read_wav(path)
 
+    @pytest.mark.parametrize("cut", [1, 2, 51, 100, 199])
+    def test_duration_rejects_cut_data_chunk(self, tmp_path, cut):
+        whole = tmp_path / "a.wav"
+        write_wav(whole, np.full(100, 0.1), 16000)
+        assert wav_duration_sec(whole) == 100 / 16000
+        path = tmp_path / "cut.wav"
+        path.write_bytes(whole.read_bytes()[:-cut])
+        with pytest.raises(ParseError, match=rf"^{re.escape(str(path))}: data chunk truncated"):
+            wav_duration_sec(path)
+
     def test_zero_frame_rate(self, tmp_path):
         path = tmp_path / "a.wav"
         write_wav(path, np.full(100, 0.1), 16000)

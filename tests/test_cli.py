@@ -230,7 +230,55 @@ class TestStatsAndForward:
         assert len(err.splitlines()) == 1
 
 
+class TestForwardSeedRange:
+    @pytest.fixture
+    def inputs(self, tmp_path):
+        run("g2p", "--text", "你好 world", "--out", tmp_path)
+        cfg = tmp_path / "model.cfg"
+        cfg.write_text("n_ipa_symbols=54\nn_speakers=2\nhidden=4\nenc_layers=1\n"
+                       "dec_layers=1\nconv_kernel=3\nff_channels=4\nn_mels=4\n",
+                       encoding="utf-8")
+        return tmp_path / "text.phn", cfg
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5])
+    def test_seed_outside_u64_is_one_bad_config_line(self, tmp_path, capsys, inputs,
+                                                     seed):
+        phn, cfg = inputs
+        out = tmp_path / "out"
+        assert run("forward", "--phonemes", phn, "--model-config", cfg,
+                   "--seed", seed, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err == f"ERROR BAD_CONFIG: seed must be in [0, 2**64), got {seed}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_seed_at_the_u64_ends_runs(self, tmp_path, inputs, seed):
+        phn, cfg = inputs
+        assert run("forward", "--phonemes", phn, "--model-config", cfg,
+                   "--seed", seed, "--out", tmp_path / "out") == 0
+        assert read_tensor(tmp_path / "out" / "text.mel_pred.xlf").shape[1] == 4
+
+
 class TestManifestCommand:
+    def test_truncated_wav_is_one_parse_error_and_no_manifest(self, tmp_path, minicorpus,
+                                                              capsys):
+        import shutil
+
+        roots = tmp_path / "roots"
+        shutil.copytree(minicorpus / "d2_cnf", roots / "d2_cnf")
+        wav = sorted((roots / "d2_cnf").glob("*.wav"))[1]
+        wav.write_bytes(wav.read_bytes()[:-100])
+        spec = tmp_path / "one.spec"
+        spec.write_text("name\tone\nd2_cnf\tCN\tF\t1.0\n", encoding="utf-8")
+        out = tmp_path / "out"
+        for jobs in (1, 2):
+            assert run("manifest", "--spec", spec, "--roots", roots, "--out", out,
+                       "--jobs", jobs) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"ERROR PARSE: {wav}: data chunk truncated")
+            assert len(err.splitlines()) == 1
+            assert not (out / "manifest.txt").exists()
+
     def test_outputs_and_determinism(self, tmp_path, minicorpus):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):
@@ -253,13 +301,29 @@ class TestManifestCommand:
 class TestParser:
     def test_help_lists_flags_per_subcommand(self, capsys):
         parser = build_parser()
+        jobs = {"features", "stats", "manifest"}
         for command in ("g2p", "regulate", "features", "stats", "forward", "manifest"):
             with pytest.raises(SystemExit) as exc_info:
                 parser.parse_args([command, "--help"])
             assert exc_info.value.code == 0
             out = capsys.readouterr().out
-            for flag in ("--config", "--jobs", "--seed", "--out"):
+            for flag in ("--config", "--out"):
                 assert flag in out
+            assert ("--jobs" in out) == (command in jobs)
+            assert ("--seed" in out) == (command == "forward")
+
+    @pytest.mark.parametrize("argv", [
+        ["g2p", "--text", "hi", "--jobs", "2"],
+        ["regulate", "--embeddings", "x.xlf", "--jobs", "2"],
+        ["stats", "--manifest", "m.txt", "--seed", "1"],
+        ["features", "--wav", "a.wav", "--seed", "1"],
+        ["forward", "--phonemes", "a.phn", "--jobs", "2"],
+    ])
+    def test_flag_not_read_by_the_command_is_a_parser_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc_info:
+            build_parser().parse_args(argv)
+        assert exc_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_unknown_flag_is_hard_error(self, capsys):
         with pytest.raises(SystemExit) as exc_info:

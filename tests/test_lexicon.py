@@ -309,3 +309,18 @@ class TestNothingSilentlyDropped:
         )
         assert sum(s.language == CN for s in ps.ldp) == len(han)
         assert sum(s.language == EN for s in ps.ldp) >= len(latin_runs)
+
+
+class TestErrorsCrossProcessPools:
+    @pytest.mark.parametrize("exc", [
+        OOVError("zzxqv", "EN", 3),
+        OOVError("7", None),
+        UnmappedLDPError("ABC", "CN", 0),
+    ])
+    def test_pickle_round_trip_keeps_type_code_fields_and_message(self, exc):
+        import pickle
+
+        back = pickle.loads(pickle.dumps(exc))
+        assert type(back) is type(exc)
+        assert (back.code, str(back)) == (exc.code, str(exc))
+        assert vars(back) == vars(exc)

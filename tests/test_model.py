@@ -1,9 +1,11 @@
 import hashlib
+import os
+import threading
 
 import numpy as np
 import pytest
 
-from xling import regulator
+from xling import model, prng, regulator
 from xling.errors import (
     BadConfigError,
     ParseError,
@@ -26,6 +28,7 @@ from xling.model import (
     parameter_shapes,
     save_weights,
 )
+from xling.prng import BLOCK, Xorshift64Star, uniform
 
 SMALL = ModelConfig(
     n_ipa_symbols=11,
@@ -97,6 +100,16 @@ class TestInitWeights:
             "ac48bf6b751bc76b22785035b000b0e6ba7e9a94e22153d028f6a45829bbfe11"
         )
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 7])
+    def test_seed_outside_u64_rejected(self, seed):
+        with pytest.raises(BadConfigError, match=r"seed must be in \[0, 2\*\*64\)"):
+            init_weights(SMALL, seed=seed)
+
+    def test_largest_u64_seed_is_its_own_stream(self):
+        top = init_weights(SMALL, seed=2**64 - 1)
+        zero = init_weights(SMALL, seed=0)
+        assert any(not np.array_equal(top.tensors[n], zero.tensors[n]) for n in top.tensors)
+
     def test_seed_changes_parameters(self):
         a = init_weights(SMALL, seed=7)
         b = init_weights(SMALL, seed=8)
@@ -116,6 +129,77 @@ class TestInitWeights:
         assert set(small_weights.tensors) == set(declared)
         for name, shape in declared.items():
             assert small_weights.tensors[name].shape == shape
+
+
+# conv1/conv2 weights hold 1400 * 16 * 3 = 67,200 values: two block edges each
+CROSSES_BLOCKS = ModelConfig(n_ipa_symbols=5, n_speakers=2, hidden=16, enc_layers=1,
+                             dec_layers=1, conv_kernel=3, ff_channels=1400, n_mels=4)
+
+
+def sequential_init(cfg, seed):
+    """One tensor after another on the calling thread: the reference order."""
+    master = Xorshift64Star(seed)
+    return {name: uniform(master.next_u64(), shape, -0.1, 0.1)
+            for name, shape in parameter_shapes(cfg)}
+
+
+class TestParallelInit:
+    @pytest.mark.parametrize("cpus", [1, 4, None])
+    def test_equals_sequential_reference_for_any_pool_size(self, monkeypatch, cpus):
+        assert max(np.prod(s) for _, s in parameter_shapes(CROSSES_BLOCKS)) > 2 * BLOCK
+        sizes = []
+
+        class Recording(model.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers)
+
+        if cpus is None:  # no affinity API: one worker per CPU
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        monkeypatch.setattr(model, "ThreadPoolExecutor", Recording)
+        got = init_weights(CROSSES_BLOCKS, seed=13)
+        assert sizes == [cpus or 3]
+        want = sequential_init(CROSSES_BLOCKS, 13)
+        assert list(got.tensors) == list(want)
+        for name, tensor in want.items():
+            assert tensor.shape == got.tensors[name].shape
+            assert np.array_equal(tensor, got.tensors[name]), name
+
+    def test_every_draw_passes_through_splitmix64_fill(self, monkeypatch):
+        fill, drawn = prng.splitmix64_fill, []
+
+        def counting(seed, n):
+            out = fill(seed, n)
+            drawn.append(out.size)  # list.append is atomic across threads
+            return out
+
+        monkeypatch.setattr(prng, "splitmix64_fill", counting)
+        for _ in range(2):
+            drawn.clear()
+            init_weights(CROSSES_BLOCKS, seed=3)
+            shapes = [shape for _, shape in parameter_shapes(CROSSES_BLOCKS)]
+            assert len(drawn) == len(shapes)
+            assert sum(drawn) == sum(int(np.prod(shape)) for shape in shapes)
+
+    def test_no_thread_outlives_the_call(self):
+        before = threading.active_count()
+        init_weights(CROSSES_BLOCKS, seed=1)
+        assert threading.active_count() == before
+
+    def test_worker_failure_reaches_the_caller(self, monkeypatch):
+        def failing(seed, shape, low, high):
+            if shape == (1400,):
+                raise MemoryError("no room")
+            return uniform(seed, shape, low, high)
+
+        before = threading.active_count()
+        monkeypatch.setattr(model, "uniform", failing)
+        with pytest.raises(MemoryError, match="no room"):
+            init_weights(CROSSES_BLOCKS, seed=1)
+        assert threading.active_count() == before
 
 
 class TestForward:

@@ -1,4 +1,6 @@
 import numpy as np
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from xling.prng import BLOCK, Xorshift64Star, splitmix64_fill, uniform
 
@@ -89,3 +91,13 @@ class TestUniform:
         bits = reference_splitmix64(3, 6)
         expected = [-1.0 + 2.0 * ((b >> 11) * 2.0**-53) for b in bits]
         assert np.allclose(uniform(3, (6,), -1.0, 1.0), expected, atol=0)
+
+    @given(seed=st.integers(0, MASK), low=st.floats(-1e6, 1e6),
+           width=st.floats(1e-280, 1e6))
+    def test_folded_scale_matches_the_two_step_formula(self, seed, low, width):
+        high = low + width
+        assume(high > low)
+        bits = np.array(reference_splitmix64(seed, 64), dtype=np.uint64)
+        u = (bits >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        expected = u * (high - low) + low
+        assert np.array_equal(uniform(seed, (64,), low, high), expected)
