@@ -8,16 +8,16 @@ tracks), ``stats`` (corpus-wide energy/pitch ranges for the quantizer),
 stage trace), and ``manifest`` (dataset spec + scan roots -> manifest and
 balance report).
 
-A ``--config`` file (flat ``key=value`` lines) can set lexicon paths,
-feature parameters, quantizer parameters, and default input paths; flags
-always win over config values.  Every referenced file is checked before
-any work starts; an unknown or repeated config key is an error.  Failures
-print a single ``ERROR <code>: <detail>`` line and exit nonzero; in
-``features`` and ``stats`` the detail names the utterance and its WAV.  Every
-output is atomic because every writer of the package is (text through
-:mod:`xling.textio`, tensors through :mod:`xling.tensorio`), so parallel
-runs (``--jobs``) never produce partial files.  ``XLING_LOG`` in
-{error, info, debug} controls stderr logging.
+A ``--config`` file (``key=value`` lines under the rule of
+:func:`xling.textio.read_keys`) can set lexicon paths, feature parameters,
+quantizer parameters, and default input paths; flags always win over config
+values.  It is typed when loaded, and every referenced file is checked
+before any work starts.  Failures print a single ``ERROR <code>: <detail>``
+line and exit nonzero; in ``features`` and ``stats`` the detail names the
+utterance and its WAV.  Every output is atomic because every writer of the
+package is (text through :mod:`xling.textio`, tensors through
+:mod:`xling.tensorio`), so parallel runs (``--jobs``) never produce partial
+files.  ``XLING_LOG`` in {error, info, debug} controls stderr logging.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -76,27 +77,19 @@ from .model import (
     forward as model_forward,
     init_weights,
     save_weights,
+    usable_cpus,
 )
-from .textio import cast, read_text, records, write_records, write_text
+from .textio import read_keys, read_text, write_records, write_text
 
 log = logging.getLogger("xling")
 
-_FEATURE_KEYS = {
-    "sample_rate": int,
-    "win_ms": int,
-    "hop_ms": int,
-    "n_mels": int,
-    "fft_size": int,
-    "fmin": float,
-    "fmax": float,
-    "log_floor": float,
-    "f0_min": float,
-    "f0_max": float,
-    "voicing_threshold": float,
-}
+_FEATURE_KINDS = get_type_hints(FeatureConfig)
 _LEXICON_KEYS = ("en_dict", "cn_dict", "ipa_dict", "ipa_inventory")
 _PATH_KEYS = _LEXICON_KEYS + ("model_config", "dataset_spec", "stats")
-_CONFIG_KEYS = {*_FEATURE_KEYS, *_PATH_KEYS, "out_dir", "quantizer_bins", "quantizer_scale"}
+_CONFIG_KINDS = {**_FEATURE_KINDS, "quantizer_bins": int,
+                 **dict.fromkeys(_PATH_KEYS + ("out_dir", "quantizer_scale"), str)}
+_STATS_KEYS = ("energy_min", "energy_max", "pitch_min", "pitch_max",
+               "n_frames", "n_voiced_frames")
 
 
 def _setup_logging() -> None:
@@ -110,31 +103,16 @@ def _setup_logging() -> None:
 
 
 def load_pipeline_config(path) -> dict:
-    """Flat key=value config of known keys set once; referenced paths must exist."""
-    values = {}
-    for line_no, (key, value) in records(path, "=", 1, n_fields=2):
-        if key not in _CONFIG_KEYS or key in values:
-            problem = "repeated" if key in values else "unknown"
-            raise BadConfigError(f"{path}:{line_no}: {problem} key {key!r}")
-        values[key] = value
+    """The typed ``key=value`` config at ``path``; referenced paths must exist."""
+    values = read_keys(path, _CONFIG_KINDS)
     for key in _PATH_KEYS:
         if key in values and not Path(values[key]).is_file():
             raise BadConfigError(f"{key} points to missing file {values[key]!r}")
     return values
 
 
-def _config_value(cfg: dict, key: str, kind, default=None):
-    value = cfg.get(key, default)
-    try:
-        return kind(value)
-    except ValueError as exc:
-        raise BadConfigError(f"{key} must be {kind.__name__}, got {value!r}") from exc
-
-
 def _feature_config(cfg: dict) -> FeatureConfig:
-    kwargs = {key: _config_value(cfg, key, kind)
-              for key, kind in _FEATURE_KEYS.items() if key in cfg}
-    return FeatureConfig(**kwargs)
+    return FeatureConfig(**{key: cfg[key] for key in _FEATURE_KINDS if key in cfg})
 
 
 def _lexicon(cfg: dict) -> Lexicon:
@@ -288,11 +266,8 @@ def _extract_one(task: FeatureTask) -> str:
 
 
 def _read_stats(path) -> dict:
-    stats = {
-        key: cast(float, value, path, line_no)
-        for line_no, (key, value) in records(path, "=", 1, n_fields=2)
-    }
-    missing = [key for key in ("energy_min", "energy_max") if key not in stats]
+    stats = read_keys(path, dict.fromkeys(_STATS_KEYS, float))
+    missing = [key for key in _STATS_KEYS[:2] if key not in stats]
     if missing:
         raise ParseError(f"stats file lacks {missing}", path=path)
     return stats
@@ -306,7 +281,7 @@ def _quantizer_from(args, cfg: dict) -> QuantizerConfig | None:
     return QuantizerConfig(
         v_min=stats["energy_min"],
         v_max=stats["energy_max"],
-        n_bins=_config_value(cfg, "quantizer_bins", int, 256),
+        n_bins=cfg.get("quantizer_bins", 256),
         scale=cfg.get("quantizer_scale", LOG),
     )
 
@@ -369,11 +344,11 @@ def _cmd_stats(args, cfg: dict) -> int:
     if not np.isfinite(energy_min) or not np.isfinite(energy_max):
         raise BadConfigError("corpus has no nonzero energy frames")
     out = _out_dir(args, cfg) / "stats.txt"
-    stats = {"energy_min": energy_min, "energy_max": energy_max,
-             "pitch_min": pitch_min if np.isfinite(pitch_min) else 0.0,
-             "pitch_max": pitch_max if np.isfinite(pitch_max) else 0.0,
-             "n_frames": sum(frames), "n_voiced_frames": sum(voiced)}
-    write_records(out, [(key, repr(value)) for key, value in stats.items()], "=", 1)
+    stats = (energy_min, energy_max,
+             pitch_min if np.isfinite(pitch_min) else 0.0,
+             pitch_max if np.isfinite(pitch_max) else 0.0,
+             sum(frames), sum(voiced))
+    write_records(out, zip(_STATS_KEYS, map(repr, stats)), "=", 1)
     log.info("wrote %s over %d utterances", out, len(entries))
     return 0
 
@@ -444,7 +419,7 @@ def _cmd_manifest(args, cfg: dict) -> int:
     if spec_path is None:
         raise BadConfigError("provide --spec or dataset_spec in the config")
     spec = DatasetSpec.load(spec_path)
-    entries = build_manifest(spec, args.roots, jobs=max(1, args.jobs))
+    entries = build_manifest(spec, args.roots, jobs=args.jobs)
     out_dir = _out_dir(args, cfg)
     write_manifest(entries, out_dir / "manifest.txt")
     report = balance_report(entries)
@@ -463,9 +438,19 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", help="output directory")
 
 
+def _positive_int(value: str) -> int:
+    try:
+        number = int(value)
+    except ValueError:
+        number = 0
+    if number < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {value!r}")
+    return number
+
+
 def _add_jobs(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                        help="worker pool size")
+    parser.add_argument("--jobs", type=_positive_int, default=usable_cpus(),
+                        help="worker pool size (default: the CPUs this process may use)")
 
 
 def build_parser() -> argparse.ArgumentParser:

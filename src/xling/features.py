@@ -31,7 +31,8 @@ mean, power, cumulative sum, division) works row by row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
@@ -72,12 +73,17 @@ class FeatureConfig:
     voicing_threshold: float = 0.3
 
     def __post_init__(self):
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise BadConfigError(f"{f.name} must be finite")
         if self.sample_rate <= 0:
             raise BadConfigError("sample_rate must be positive")
         if (self.win_ms * self.sample_rate) % 1000 or (self.hop_ms * self.sample_rate) % 1000:
             raise BadConfigError("window and hop must be whole numbers of samples")
         if self.win_length < 1 or self.hop_length < 1:
             raise BadConfigError("window and hop must be at least one sample")
+        if self.n_mels < 1:
+            raise BadConfigError("n_mels must be positive")
         if self.fft_size < self.win_length:
             raise BadConfigError("fft_size must cover the analysis window")
         if not (0 <= self.fmin < self.fmax <= self.sample_rate / 2):
@@ -341,8 +347,9 @@ class QuantizerConfig:
     def __post_init__(self):
         if self.n_bins < 1:
             raise BadConfigError("n_bins must be positive")
-        if not (self.v_min < self.v_max):
-            raise BadConfigError(f"need v_min < v_max, got [{self.v_min}, {self.v_max}]")
+        if not (math.isfinite(self.v_min) and self.v_min < self.v_max
+                and math.isfinite(self.v_max)):
+            raise BadConfigError(f"need finite v_min < v_max, got [{self.v_min}, {self.v_max}]")
         if self.scale not in (LINEAR, LOG):
             raise BadConfigError(f"unknown scale {self.scale!r}")
         if self.scale == LOG and self.v_min <= 0:

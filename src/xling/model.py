@@ -21,13 +21,14 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from itertools import repeat
+from typing import get_type_hints
 
 import numpy as np
 
 from . import regulator, tensorio
 from .errors import BadConfigError, ParseError, ShapeMismatchError, UnknownSpeakerError
 from .prng import Xorshift64Star, uniform
-from .textio import cast, records, write_records
+from .textio import read_keys, write_records
 
 ATTN_HEADS = 2
 LAYERNORM_EPS = 1e-5
@@ -69,12 +70,7 @@ class ModelConfig:
 
     @classmethod
     def from_file(cls, path) -> "ModelConfig":
-        values = {}
-        names = {f.name for f in fields(cls)}
-        for line_no, (key, value) in records(path, "=", 1, n_fields=2):
-            if key not in names:
-                raise ParseError(f"unknown key {key!r}", path=path, line=line_no)
-            values[key] = cast(int, value, path, line_no)
+        values = read_keys(path, get_type_hints(cls))
         try:
             return cls(**values)
         except TypeError as exc:
@@ -147,7 +143,7 @@ class Weights:
     seed: int | None = None
 
 
-def _usable_cpus() -> int:
+def usable_cpus() -> int:
     """CPUs this process may run on; every CPU where the OS cannot say."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
@@ -173,7 +169,7 @@ def init_weights(cfg: ModelConfig, seed: int) -> Weights:
     master = Xorshift64Star(seed)
     names, shapes = zip(*parameter_shapes(cfg))
     seeds = [master.next_u64() for _ in names]
-    with ThreadPoolExecutor(max_workers=_usable_cpus()) as pool:
+    with ThreadPoolExecutor(max_workers=usable_cpus()) as pool:
         tensors = dict(zip(names, pool.map(uniform, seeds, shapes,
                                            repeat(INIT_LOW), repeat(INIT_HIGH))))
     return Weights(cfg, tensors, seed)

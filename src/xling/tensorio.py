@@ -101,5 +101,5 @@ def _parse_tensor(data: bytes, offset: int, path) -> tuple[np.ndarray, int]:
     end = offset + 8 * n
     if end > len(data):
         raise ParseError("tensor data truncated", path=path)
-    arr = np.frombuffer(data[offset:end], dtype="<f8").reshape(dims)
-    return arr.astype(np.float64), end
+    arr = np.frombuffer(data, "<f8", count=n, offset=offset).reshape(dims)
+    return arr.astype(np.float64), end  # the one copy: owned, writable, native order

@@ -10,6 +10,12 @@ comment lines are skipped; the rest splits on ``sep`` (whitespace runs
 when ``None``) at most ``maxsplit`` times into stripped fields; a malformed
 line raises :class:`ParseError` at ``path:line``.
 
+The ``key=value`` formats (model config, pipeline config, stats) are read
+by :func:`read_keys` and nowhere else: each record splits at its first
+``=``, and its caller's ``kinds`` maps every allowed key to the type its
+value is read as.  A key outside ``kinds``, a key set twice, or a value
+its type rejects raises :class:`ParseError` at ``path:line``.
+
 Writing mirrors reading: :func:`write_records` joins each row's fields
 with ``sep`` (a space for ``None``) into one ``\\n``-ended line, and a row
 that :func:`records` would not read back as the same fields (a field with
@@ -37,6 +43,21 @@ def records(path, sep=None, maxsplit=-1, n_fields=None):
             raise ParseError(f"expected {n_fields} fields split by {sep!r}, "
                              f"got {len(fields)}", path=path, line=line_no)
         yield line_no, fields
+
+
+def read_keys(path, kinds: dict) -> dict:
+    """``{key: kinds[key](value)}`` over the ``key=value`` records of ``path``."""
+    values = {}
+    for line_no, (key, value) in records(path, "=", 1, n_fields=2):
+        if key not in kinds or key in values:
+            problem = "repeated" if key in values else "unknown"
+            raise ParseError(f"{problem} key {key!r}", path=path, line=line_no)
+        try:
+            values[key] = kinds[key](value)
+        except ValueError as exc:
+            raise ParseError(f"{key}: expected {kinds[key].__name__}, got {value!r}",
+                             path=path, line=line_no) from exc
+    return values
 
 
 def read_text(path) -> str:

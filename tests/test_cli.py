@@ -337,7 +337,8 @@ class TestParser:
         assert run("features", "--config", config, "--wav", wav,
                    "--out", tmp_path) == 1
         err = capsys.readouterr().err
-        assert err.startswith("ERROR BAD_CONFIG: ") and "fmin" in err
+        assert err.startswith("ERROR PARSE: ") and "fmin" in err
+        assert f"{config}:1: " in err
         assert len(err.splitlines()) == 1
 
     def test_bad_log_level_env(self, tmp_path, monkeypatch, capsys):
@@ -387,7 +388,7 @@ class TestMalformedInput:
         config.write_text("quantizer_bins=abc\n", encoding="utf-8")
         assert run("features", "--config", config, "--wav", tmp_path / "missing.wav",
                    "--stats", stats, "--out", tmp_path) == 1
-        assert "quantizer_bins" in self.one_error_line(capsys, "BAD_CONFIG")
+        assert "quantizer_bins" in self.one_error_line(capsys, "PARSE")
 
     def test_zero_length_window_in_config(self, tmp_path, capsys):
         config = tmp_path / "pipeline.cfg"
@@ -479,7 +480,7 @@ class TestG2pNothingDropped:
 
 
 class TestConfigKeys:
-    """An unknown or repeated ``--config`` key is one ``ERROR BAD_CONFIG``
+    """An unknown or repeated ``--config`` key is one ``ERROR PARSE``
     line naming the key and ``path:line``, exit 1."""
 
     KNOWN = "out_dir=o\nquantizer_bins=128\nquantizer_scale=log\nwin_ms=40\n"
@@ -494,7 +495,7 @@ class TestConfigKeys:
         assert run("g2p", "--config", config, "--text", "好", "--out", tmp_path / "out") == 1
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1, err
-        assert err.startswith(f"ERROR BAD_CONFIG: {config}:{line}: ")
+        assert err.startswith(f"ERROR PARSE: {config}:{line}: ")
         assert repr(key) in err
         assert not (tmp_path / "out").exists()
 
@@ -588,3 +589,94 @@ class TestBatchFailureNamesUtterance:
         assert (back.code, str(back)) == ("PARSE", str(exc))
         assert (back.utt_id, back.path, back.detail) == ("d2_cnf_0001", "a.wav",
                                                          "a.wav: truncated")
+
+
+class TestStatsFileKeys:
+    """A stats key set twice or outside the six written by ``stats`` is one
+    ``ERROR PARSE`` line at ``path:line``, exit 1."""
+
+    @pytest.mark.parametrize("content, line, key", [
+        ("energy_min=1.0\nenergy_max=2.0\nenergy_max=3.0\n", 3, "energy_max"),
+        ("energy_min=1.0\nenergy_max=2.0\npitch_mn=50.0\n", 3, "pitch_mn"),
+    ], ids=["repeated", "unknown"])
+    def test_rejected_with_path_line(self, tmp_path, capsys, content, line, key):
+        stats = tmp_path / "stats.txt"
+        stats.write_text(content, encoding="utf-8")
+        assert run("features", "--wav", tmp_path / "missing.wav", "--stats", stats,
+                   "--out", tmp_path / "out") == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1, err
+        assert err.startswith(f"ERROR PARSE: {stats}:{line}: ") and repr(key) in err
+
+    def test_written_in_the_order_read(self, tmp_path, minicorpus):
+        from xling.cli import _STATS_KEYS
+
+        run("manifest", "--spec", minicorpus / "d2.spec", "--roots", minicorpus,
+            "--out", tmp_path, "--jobs", 1)
+        assert run("stats", "--manifest", tmp_path / "manifest.txt", "--out", tmp_path,
+                   "--jobs", 1) == 0
+        lines = (tmp_path / "stats.txt").read_text("utf-8").splitlines()
+        assert tuple(line.split("=")[0] for line in lines) == _STATS_KEYS
+
+
+class TestConfigValuesChecked:
+    """A feature or quantizer value that its config rejects is one
+    ``ERROR BAD_CONFIG`` line, exit 1, with nothing written."""
+
+    @pytest.fixture
+    def tone(self, tmp_path):
+        from xling.audio import write_wav
+
+        t = np.arange(16000) / 16000
+        wav = tmp_path / "tone.wav"
+        write_wav(wav, 0.5 * np.sin(2 * np.pi * 200.0 * t), 16000)
+        return wav
+
+    def one_bad_config_line(self, capsys):
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1, err
+        assert err.startswith("ERROR BAD_CONFIG: ")
+
+    @pytest.mark.parametrize("line", [
+        "n_mels=-1", "n_mels=0", "log_floor=nan", "voicing_threshold=nan",
+    ])
+    def test_feature_value(self, tmp_path, capsys, tone, line):
+        config = tmp_path / "pipeline.cfg"
+        config.write_text(line + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert run("features", "--config", config, "--wav", tone, "--out", out) == 1
+        self.one_bad_config_line(capsys)
+        assert not (out / "tone.mel.xlf").exists()
+
+    def test_non_finite_stats_range(self, tmp_path, capsys, tone):
+        stats = tmp_path / "stats.txt"
+        stats.write_text("energy_min=0.001\nenergy_max=inf\n", encoding="utf-8")
+        alignment = tmp_path / "tone.align"
+        alignment.write_text("a\t50\nb\t51\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert run("features", "--wav", tone, "--alignment", alignment, "--stats", stats,
+                   "--out", out) == 1
+        self.one_bad_config_line(capsys)
+        assert not (out / "tone.energy_q.xlf").exists()
+
+
+class TestJobs:
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    @pytest.mark.parametrize("command", ["features", "stats", "manifest"])
+    def test_below_one_is_a_parser_error(self, capsys, command, jobs):
+        with pytest.raises(SystemExit) as exc_info:
+            build_parser().parse_args([command, "--jobs", jobs])
+        assert exc_info.value.code == 2
+        assert "--jobs: expected an integer of at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_default_is_the_usable_cpu_count(self, monkeypatch, cpus):
+        import os
+
+        from xling.model import usable_cpus
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        assert usable_cpus() == cpus
+        args = build_parser().parse_args(["stats", "--manifest", "m.txt"])
+        assert args.jobs == cpus

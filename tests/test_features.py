@@ -61,6 +61,18 @@ class TestConfig:
         with pytest.raises(BadConfigError):
             FeatureConfig(fmax=9000.0)
 
+    @pytest.mark.parametrize("n_mels", [0, -1])
+    def test_at_least_one_mel_band(self, n_mels):
+        with pytest.raises(BadConfigError, match="n_mels"):
+            FeatureConfig(n_mels=n_mels)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("field", ["fmin", "fmax", "log_floor", "f0_min", "f0_max",
+                                       "voicing_threshold"])
+    def test_float_fields_must_be_finite(self, field, value):
+        with pytest.raises(BadConfigError, match=field):
+            FeatureConfig(**{field: value})
+
 
 class TestMelSpectrogram:
     def test_one_second_yields_101_frames(self, cfg):
@@ -234,6 +246,13 @@ class TestQuantizer:
             QuantizerConfig(v_min=0.0, v_max=1.0, n_bins=0)
         with pytest.raises(BadConfigError):
             dequantize([5], QuantizerConfig(v_min=0.0, v_max=1.0, n_bins=4))
+
+    @pytest.mark.parametrize("v_min, v_max", [
+        (0.0, float("inf")), (float("-inf"), 1.0), (float("nan"), 1.0), (0.0, float("nan")),
+    ])
+    def test_range_must_be_finite(self, v_min, v_max):
+        with pytest.raises(BadConfigError):
+            QuantizerConfig(v_min=v_min, v_max=v_max)
 
 
 class TestWindow:

@@ -2,8 +2,12 @@ import hashlib
 import os
 import threading
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from xling import model, prng, regulator
 from xling.errors import (
@@ -79,6 +83,28 @@ class TestConfig:
         path.write_text("bogus=3\n", encoding="utf-8")
         with pytest.raises(ParseError):
             ModelConfig.from_file(path)
+
+
+    def test_file_repeated_key_names_path_and_line(self, tmp_path):
+        path = tmp_path / "model.cfg"
+        path.write_text("n_ipa_symbols=4\nn_speakers=1\nhidden=8\nhidden=16\n",
+                        encoding="utf-8")
+        with pytest.raises(ParseError, match=rf"^{re.escape(f'{path}:4: ')}.*'hidden'"):
+            ModelConfig.from_file(path)
+
+    @given(cfg=st.builds(
+        ModelConfig,
+        n_ipa_symbols=st.integers(1, 10**6), n_speakers=st.integers(1, 10**6),
+        hidden=st.integers(1, 10**4).map(lambda h: ATTN_HEADS * h),
+        enc_layers=st.integers(1, 64), dec_layers=st.integers(1, 64),
+        conv_kernel=st.integers(0, 32).map(lambda k: 2 * k + 1),
+        ff_channels=st.integers(1, 10**5), n_mels=st.integers(1, 512),
+        pitch_embed_kernel=st.integers(0, 32).map(lambda k: 2 * k + 1),
+    ))
+    def test_file_round_trip_over_valid_configs(self, tmp_path_factory, cfg):
+        path = tmp_path_factory.mktemp("cfg") / "model.cfg"
+        cfg.to_file(path)
+        assert ModelConfig.from_file(path) == cfg
 
 
 class TestInitWeights:

@@ -21,6 +21,16 @@ class TestSingleTensor:
         assert got.shape == arr.shape
         assert np.array_equal(got, arr)
 
+    def test_result_owns_a_writable_copy(self, tmp_path):
+        arr = np.arange(6.0).reshape(2, 3)
+        path = tmp_path / "t.xlf"
+        write_tensor(path, arr)
+        got = read_tensor(path)
+        assert got.flags.owndata and got.flags.writeable and got.base is None
+        assert got.dtype == np.float64 and np.array_equal(got, arr)
+        got[0, 0] = 7.0
+        assert np.array_equal(read_tensor(path), arr)
+
     def test_exact_byte_layout(self, tmp_path):
         # magic, u32 rank, u32 dims, little-endian f64 row-major
         arr = np.array([[1.5, -2.0], [0.25, 8.0]])

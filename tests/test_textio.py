@@ -4,10 +4,15 @@ import stat
 import sys
 import threading
 
-import pytest
+from pathlib import Path
 
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+import xling
 from xling.errors import ParseError
-from xling.textio import atomic_path, cast, read_text, records
+from xling.textio import atomic_path, cast, read_keys, read_text, records, write_records
 
 
 class TestRecords:
@@ -68,6 +73,49 @@ class TestCast:
     def test_bad_value_names_path_and_line(self):
         with pytest.raises(ParseError, match=r"^f\.txt:7: expected float, got 'abc'$"):
             cast(float, "abc", "f.txt", 7)
+
+
+class TestReadKeys:
+    KINDS = {"n": int, "x": float, "name": str}
+
+    def test_types_each_value_by_its_key(self, tmp_path):
+        path = tmp_path / "k.cfg"
+        path.write_text("# c\nn = 3\nx=0.5\nname=a=b\n", encoding="utf-8")
+        assert read_keys(path, self.KINDS) == {"n": 3, "x": 0.5, "name": "a=b"}
+
+    @pytest.mark.parametrize("content, line, detail", [
+        ("n=1\nm=2\n", 2, "unknown key 'm'"),
+        ("n=1\n\nn=1\n", 3, "repeated key 'n'"),
+        ("x=0.5\nn=1.5\n", 2, "n: expected int, got '1.5'"),
+        ("x=abc\n", 1, "x: expected float, got 'abc'"),
+        ("n\n", 1, "expected 2 fields"),
+    ], ids=["unknown", "repeated", "bad int", "bad float", "no ="])
+    def test_bad_record_is_a_parse_error_at_its_line(self, tmp_path, content, line, detail):
+        path = tmp_path / "k.cfg"
+        path.write_text(content, encoding="utf-8")
+        with pytest.raises(ParseError, match=rf"^{re.escape(f'{path}:{line}: ')}") as exc_info:
+            read_keys(path, self.KINDS)
+        assert detail in str(exc_info.value)
+
+    @given(pairs=st.dictionaries(st.text(max_size=6), st.text(max_size=6), max_size=5))
+    def test_written_rows_read_back(self, tmp_path_factory, pairs):
+        path = tmp_path_factory.mktemp("keys") / "k.cfg"
+        try:
+            write_records(path, pairs.items(), "=", 1)
+        except ParseError:
+            assert not path.exists()
+            return
+        assert read_keys(path, dict.fromkeys(pairs, str)) == pairs
+
+
+class TestOneKeyValueReader:
+    """``read_keys`` is the only reader of ``key=value`` records."""
+
+    def test_equals_separated_records_are_read_only_in_textio(self):
+        reader = re.compile(r"(?<![\w.])records\([^)]*[\"']=[\"']")
+        readers = sorted(p.name for p in Path(xling.__file__).parent.glob("*.py")
+                         if reader.search(p.read_text(encoding="utf-8")))
+        assert readers == ["textio.py"]
 
 
 class TestAtomicPath:
