@@ -33,11 +33,20 @@ class AudioBuffer:
         return self.samples.size / self.sample_rate
 
 
+def _wave_open(path):
+    """``wave.open(path, "rb")``, with a chunk whose declared size runs past
+    the end of the file (a bare RuntimeError from ``wave``) as a ``wave.Error``."""
+    try:
+        return wave.open(str(path), "rb")
+    except RuntimeError as exc:
+        raise wave.Error("a chunk runs past the end of the file") from exc
+
+
 @contextmanager
 def _open_wav(path):
     """``wave.open(path)``; a header it cannot read is a ParseError at ``path``."""
     try:
-        with wave.open(str(path), "rb") as w:
+        with _wave_open(path) as w:
             if w.getframerate() <= 0:
                 raise ParseError(f"bad frame rate {w.getframerate()}", path=path)
             yield w

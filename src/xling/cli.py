@@ -103,8 +103,13 @@ def _setup_logging() -> None:
 
 
 def load_pipeline_config(path) -> dict:
-    """The typed ``key=value`` config at ``path``; referenced paths must exist."""
+    """The typed ``key=value`` config at ``path``; referenced paths must exist.
+
+    Every value is checked here, whether or not the subcommand reads it.
+    """
     values = read_keys(path, _CONFIG_KINDS)
+    _feature_config(values)
+    _quantizer(values, 1.0, 2.0)  # any valid range: the real one comes from stats
     for key in _PATH_KEYS:
         if key in values and not Path(values[key]).is_file():
             raise BadConfigError(f"{key} points to missing file {values[key]!r}")
@@ -273,38 +278,38 @@ def _read_stats(path) -> dict:
     return stats
 
 
+def _quantizer(cfg: dict, v_min: float, v_max: float) -> QuantizerConfig:
+    return QuantizerConfig(v_min, v_max, n_bins=cfg.get("quantizer_bins", 256),
+                           scale=cfg.get("quantizer_scale", LOG))
+
+
 def _quantizer_from(args, cfg: dict) -> QuantizerConfig | None:
     stats_path = args.stats or cfg.get("stats")
     if stats_path is None:
         return None
     stats = _read_stats(stats_path)
-    return QuantizerConfig(
-        v_min=stats["energy_min"],
-        v_max=stats["energy_max"],
-        n_bins=cfg.get("quantizer_bins", 256),
-        scale=cfg.get("quantizer_scale", LOG),
-    )
+    return _quantizer(cfg, stats["energy_min"], stats["energy_max"])
 
 
 def _cmd_features(args, cfg: dict) -> int:
+    single = {"--wav": args.wav, "--utt-id": args.utt_id, "--alignment": args.alignment}
+    if args.manifest is not None:
+        unread = [flag for flag, value in single.items() if value is not None]
+        if unread:
+            raise BadConfigError(f"--manifest cannot be combined with {', '.join(unread)}")
+    elif args.wav is None:
+        raise BadConfigError("provide --wav or --manifest")
     feature_cfg = _feature_config(cfg)
     quantizer_cfg = _quantizer_from(args, cfg)
     out_dir = _out_dir(args, cfg)
-    tasks = []
-    if args.manifest:
-        for entry in read_manifest(args.manifest):
-            tasks.append(
-                FeatureTask(entry.utt_id, entry.audio_path, entry.alignment_path,
-                            str(out_dir), feature_cfg, quantizer_cfg)
-            )
-    elif args.wav:
-        utt_id = args.utt_id or Path(args.wav).stem
-        tasks.append(
-            FeatureTask(utt_id, args.wav, args.alignment, str(out_dir),
-                        feature_cfg, quantizer_cfg)
-        )
+    if args.manifest is not None:
+        tasks = [FeatureTask(entry.utt_id, entry.audio_path, entry.alignment_path,
+                             str(out_dir), feature_cfg, quantizer_cfg)
+                 for entry in read_manifest(args.manifest)]
     else:
-        raise BadConfigError("provide --wav or --manifest")
+        utt_id = args.utt_id or Path(args.wav).stem
+        tasks = [FeatureTask(utt_id, args.wav, args.alignment, str(out_dir),
+                             feature_cfg, quantizer_cfg)]
     for utt_id in _map(_extract_one, tasks, args.jobs):
         log.info("extracted %s", utt_id)
     return 0

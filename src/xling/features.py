@@ -57,6 +57,13 @@ FRAME_BLOCK = 64
 block's 1024-point spectra and correlations are 0.5 MiB each, so one
 block's temporaries fit in a 2 MiB L2 cache."""
 
+NCCF_FLOOR = 1e-9
+"""An NCCF denominator at or below this fraction of the frame's energy counts
+as zero.  An edge frame is half zero padding, so at the longest lags its
+leading sub-frame can be silent too: the denominator is then rounding noise
+(about 1e-15 of the energy), and dividing by it gives a correlation above the
+Cauchy-Schwarz bound of 1 that can win the peak pick as a spurious f0."""
+
 
 @dataclass(frozen=True)
 class FeatureConfig:
@@ -92,6 +99,9 @@ class FeatureConfig:
             raise BadConfigError("log_floor must be positive")
         if not (0 < self.f0_min < self.f0_max < self.sample_rate / 2):
             raise BadConfigError("need 0 < f0_min < f0_max < Nyquist")
+        if not (0 <= self.voicing_threshold < 1):
+            # the NCCF peak never exceeds 1, so a threshold of 1 or more voices nothing
+            raise BadConfigError("need 0 <= voicing_threshold < 1")
 
     @property
     def win_length(self) -> int:
@@ -274,7 +284,8 @@ def pitch_per_frame(audio: AudioBuffer, cfg: FeatureConfig) -> FrameSeries:
         denom = np.sqrt(lead * trail)
         out[:, -1] = csum[:, -1]
         out[:, :-1] = 0.0
-        np.divide(autocorr[:, lo:hi], denom, out=out[:, :-1], where=denom > 0)
+        np.divide(autocorr[:, lo:hi], denom, out=out[:, :-1],
+                  where=denom > NCCF_FLOOR * csum[:, -1:])
 
     frames = _frame_signal(samples, cfg, mode="constant")
     # the last column holds each frame's energy, the rest its NCCF row

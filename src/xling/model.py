@@ -13,6 +13,12 @@ There is no training here: every parameter is drawn uniformly from
 pure deterministic function of (config, seed, inputs).  Each forward run
 records a trace of (stage, shape) pairs covering the whole dataflow,
 including a ``stopgrad:`` annotation on every variance-predictor input.
+
+Every parameter name and shape is declared in :func:`parameter_shapes`.
+A conv, ``pitch_embed`` and ``mel_proj`` each declare ``name.weight`` and
+a ``name.bias`` over its first axis through ``_affine_params``; a layer
+norm declares ``name.gamma`` and ``name.beta`` through ``_ln_params``.
+``_conv`` and ``_ln`` read them back under the same ``name``.
 """
 
 from __future__ import annotations
@@ -77,40 +83,31 @@ class ModelConfig:
             raise ParseError(str(exc), path=path) from exc
 
 
+def _affine_params(name: str, shape: tuple) -> list:
+    """A weight of ``shape`` and a bias over its first axis."""
+    return [(f"{name}.weight", shape), (f"{name}.bias", shape[:1])]
+
+
+def _ln_params(name: str, hidden: int) -> list:
+    return [(f"{name}.gamma", (hidden,)), (f"{name}.beta", (hidden,))]
+
+
 def _fft_block_params(prefix: str, cfg: ModelConfig) -> list:
     H, ff, k = cfg.hidden, cfg.ff_channels, cfg.conv_kernel
-    params = []
-    for gate in ("wq", "wk", "wv", "wo"):
-        params.append((f"{prefix}.attn.{gate}", (H, H)))
-    for gate in ("bq", "bk", "bv", "bo"):
-        params.append((f"{prefix}.attn.{gate}", (H,)))
-    params += [
-        (f"{prefix}.ln1.gamma", (H,)),
-        (f"{prefix}.ln1.beta", (H,)),
-        (f"{prefix}.conv1.weight", (ff, H, k)),
-        (f"{prefix}.conv1.bias", (ff,)),
-        (f"{prefix}.conv2.weight", (H, ff, k)),
-        (f"{prefix}.conv2.bias", (H,)),
-        (f"{prefix}.ln2.gamma", (H,)),
-        (f"{prefix}.ln2.beta", (H,)),
-    ]
-    return params
+    params = [(f"{prefix}.attn.{gate}", (H, H)) for gate in ("wq", "wk", "wv", "wo")]
+    params += [(f"{prefix}.attn.{gate}", (H,)) for gate in ("bq", "bk", "bv", "bo")]
+    params += _ln_params(f"{prefix}.ln1", H)
+    params += _affine_params(f"{prefix}.conv1", (ff, H, k))
+    params += _affine_params(f"{prefix}.conv2", (H, ff, k))
+    return params + _ln_params(f"{prefix}.ln2", H)
 
 
 def _predictor_params(prefix: str, cfg: ModelConfig) -> list:
-    H, k = cfg.hidden, PREDICTOR_KERNEL
-    return [
-        (f"{prefix}.conv1.weight", (H, H, k)),
-        (f"{prefix}.conv1.bias", (H,)),
-        (f"{prefix}.ln1.gamma", (H,)),
-        (f"{prefix}.ln1.beta", (H,)),
-        (f"{prefix}.conv2.weight", (H, H, k)),
-        (f"{prefix}.conv2.bias", (H,)),
-        (f"{prefix}.ln2.gamma", (H,)),
-        (f"{prefix}.ln2.beta", (H,)),
-        (f"{prefix}.proj.weight", (H,)),
-        (f"{prefix}.proj.bias", (1,)),
-    ]
+    H, params = cfg.hidden, []
+    for i in (1, 2):
+        params += _affine_params(f"{prefix}.conv{i}", (H, H, PREDICTOR_KERNEL))
+        params += _ln_params(f"{prefix}.ln{i}", H)
+    return params + [(f"{prefix}.proj.weight", (H,)), (f"{prefix}.proj.bias", (1,))]
 
 
 def parameter_shapes(cfg: ModelConfig) -> list:
@@ -123,17 +120,10 @@ def parameter_shapes(cfg: ModelConfig) -> list:
         params += _fft_block_params(f"encoder.{i}", cfg)
     for name in ("duration", "pitch", "energy"):
         params += _predictor_params(f"{name}_predictor", cfg)
-    params += [
-        ("pitch_embed.weight", (cfg.hidden, 1, cfg.pitch_embed_kernel)),
-        ("pitch_embed.bias", (cfg.hidden,)),
-    ]
+    params += _affine_params("pitch_embed", (cfg.hidden, 1, cfg.pitch_embed_kernel))
     for i in range(cfg.dec_layers):
         params += _fft_block_params(f"decoder.{i}", cfg)
-    params += [
-        ("mel_proj.weight", (cfg.n_mels, cfg.hidden)),
-        ("mel_proj.bias", (cfg.n_mels,)),
-    ]
-    return params
+    return params + _affine_params("mel_proj", (cfg.n_mels, cfg.hidden))
 
 
 @dataclass(frozen=True)
@@ -216,14 +206,16 @@ class ForwardOutput:
     trace: tuple  # ordered (stage, shape) pairs
 
 
-def _layernorm(x, gamma, beta):
+def _ln(x, p, name):
+    """Layer norm over the last axis with parameters ``name.gamma``/``.beta``."""
     mean = x.mean(axis=-1, keepdims=True)
     var = x.var(axis=-1, keepdims=True)
-    return (x - mean) / np.sqrt(var + LAYERNORM_EPS) * gamma + beta
+    return (x - mean) / np.sqrt(var + LAYERNORM_EPS) * p[f"{name}.gamma"] + p[f"{name}.beta"]
 
 
-def _conv1d(x, weight, bias):
+def _conv(x, p, name):
     """Same-padded 1-D convolution over time; x is (T, C_in)."""
+    weight = p[f"{name}.weight"]
     if x.shape[0] == 0:
         return np.zeros((0, weight.shape[0]))
     k = weight.shape[2]
@@ -231,7 +223,7 @@ def _conv1d(x, weight, bias):
     padded = np.pad(x, ((pad, pad), (0, 0)))
     windows = np.lib.stride_tricks.sliding_window_view(padded, k, axis=0)
     flat = windows.reshape(x.shape[0], -1)  # (T, C_in * k)
-    return flat @ weight.reshape(weight.shape[0], -1).T + bias
+    return flat @ weight.reshape(weight.shape[0], -1).T + p[f"{name}.bias"]
 
 
 def _attention(x, p, prefix):
@@ -252,22 +244,15 @@ def _attention(x, p, prefix):
 def _fft_block(x, p, prefix):
     if x.shape[0] == 0:
         return x
-    x = _layernorm(
-        x + _attention(x, p, f"{prefix}.attn"),
-        p[f"{prefix}.ln1.gamma"],
-        p[f"{prefix}.ln1.beta"],
-    )
-    h = np.maximum(_conv1d(x, p[f"{prefix}.conv1.weight"], p[f"{prefix}.conv1.bias"]), 0.0)
-    h = _conv1d(h, p[f"{prefix}.conv2.weight"], p[f"{prefix}.conv2.bias"])
-    return _layernorm(x + h, p[f"{prefix}.ln2.gamma"], p[f"{prefix}.ln2.beta"])
+    x = _ln(x + _attention(x, p, f"{prefix}.attn"), p, f"{prefix}.ln1")
+    h = _conv(np.maximum(_conv(x, p, f"{prefix}.conv1"), 0.0), p, f"{prefix}.conv2")
+    return _ln(x + h, p, f"{prefix}.ln2")
 
 
 def _predictor(x, p, prefix):
-    h = np.maximum(_conv1d(x, p[f"{prefix}.conv1.weight"], p[f"{prefix}.conv1.bias"]), 0.0)
-    h = _layernorm(h, p[f"{prefix}.ln1.gamma"], p[f"{prefix}.ln1.beta"])
-    h = np.maximum(_conv1d(h, p[f"{prefix}.conv2.weight"], p[f"{prefix}.conv2.bias"]), 0.0)
-    h = _layernorm(h, p[f"{prefix}.ln2.gamma"], p[f"{prefix}.ln2.beta"])
-    return h @ p[f"{prefix}.proj.weight"] + p[f"{prefix}.proj.bias"][0]
+    for i in (1, 2):
+        x = _ln(np.maximum(_conv(x, p, f"{prefix}.conv{i}"), 0.0), p, f"{prefix}.ln{i}")
+    return x @ p[f"{prefix}.proj.weight"] + p[f"{prefix}.proj.bias"][0]
 
 
 def positional_encoding(length: int, dim: int) -> np.ndarray:
@@ -354,10 +339,7 @@ def forward(weights: Weights, ipa_ids, phoneme_lengths, speaker: int, mode) -> F
         with np.errstate(over="ignore"):
             frames = np.round(np.exp(log_frames))
         durations = np.clip(frames, 0, MAX_FRAMES_PER_PHONEME).astype(np.int64)
-    pitch_embedding = _conv1d(
-        pitch_values[:, None], p["pitch_embed.weight"], p["pitch_embed.bias"]
-    )
-    y = y + pitch_embedding
+    y = y + _conv(pitch_values[:, None], p, "pitch_embed")
     trace.append(("pitch_embedding", y.shape))
 
     f = regulator.expand(y, durations)

@@ -3,12 +3,13 @@
 Every text format of this package (lexicons, IPA inventory, ``.phn``,
 alignment, manifest, dataset spec, model and pipeline configs, stats)
 shares these line rules, applied by :func:`records` and nowhere else:
-files are UTF-8, and :func:`read_text` reports any other byte as a
-:class:`ParseError` at ``path:line``; ``\\n``, ``\\r\\n`` and ``\\r`` end a
-line, numbered from 1; each line is stripped, and blank lines and ``#``
-comment lines are skipped; the rest splits on ``sep`` (whitespace runs
-when ``None``) at most ``maxsplit`` times into stripped fields; a malformed
-line raises :class:`ParseError` at ``path:line``.
+files are UTF-8 and hold no NUL byte, and :func:`read_text` reports a
+byte that breaks either rule as a :class:`ParseError` at ``path:line``;
+``\\n``, ``\\r\\n`` and ``\\r`` end a line, numbered from 1; each line is
+stripped, and blank lines and ``#`` comment lines are skipped; the rest
+splits on ``sep`` (whitespace runs when ``None``) at most ``maxsplit``
+times into stripped fields; a malformed line raises :class:`ParseError` at
+``path:line``.
 
 The ``key=value`` formats (model config, pipeline config, stats) are read
 by :func:`read_keys` and nowhere else: each record splits at its first
@@ -19,8 +20,8 @@ its type rejects raises :class:`ParseError` at ``path:line``.
 Writing mirrors reading: :func:`write_records` joins each row's fields
 with ``sep`` (a space for ``None``) into one ``\\n``-ended line, and a row
 that :func:`records` would not read back as the same fields (a field with
-``sep`` or a line break, surrounding whitespace, a leading ``#``, a blank
-line) raises :class:`ParseError` at ``path`` before anything is written.
+``sep``, a line break or a NUL, surrounding whitespace, a leading ``#``, a
+blank line) raises :class:`ParseError` at ``path`` before anything is written.
 Every output file of the package goes through :func:`atomic_path`.
 """
 
@@ -63,18 +64,26 @@ def read_keys(path, kinds: dict) -> dict:
 def read_text(path) -> str:
     """The UTF-8 text of ``path`` with every line break read as ``\\n``.
 
-    A byte sequence that is not UTF-8 raises :class:`ParseError` at the
-    ``path:line`` that holds it.
+    A byte sequence that is not UTF-8, or a NUL byte, raises
+    :class:`ParseError` at the ``path:line`` that holds it.
     """
     data = Path(path).read_bytes()
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        head = data[:exc.start]
-        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
         raise ParseError(f"not UTF-8: byte {data[exc.start]:#04x} at offset {exc.start}",
-                         path=path, line=line) from exc
+                         path=path, line=_line_at(data, exc.start)) from exc
+    if "\0" in text:
+        # no path or name of any format may hold one: the OS refuses it
+        offset = data.index(b"\0")
+        raise ParseError(f"NUL byte at offset {offset}", path=path, line=_line_at(data, offset))
     return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def _line_at(data: bytes, offset: int) -> int:
+    """The 1-based line of ``data`` that holds byte ``offset``."""
+    head = data[:offset]
+    return head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
 
 
 def _fields(line: str, sep, maxsplit):
@@ -90,7 +99,7 @@ def write_records(path, rows, sep=None, maxsplit=-1, header=None) -> None:
     lines = [] if header is None else [f"# {header}"]
     for row in rows:
         line = (sep or " ").join(row)
-        if "\n" in line or "\r" in line or _fields(line, sep, maxsplit) != list(row):
+        if any(c in line for c in "\n\r\0") or _fields(line, sep, maxsplit) != list(row):
             raise ParseError(f"row {list(row)!r} would not read back", path=path)
         lines.append(line)
     write_text(path, "".join(line + "\n" for line in lines))

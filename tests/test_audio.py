@@ -93,6 +93,16 @@ class TestUnreadableWav:
             with pytest.raises(ParseError, match="fmt chunk and/or data chunk missing"):
                 read(path)
 
+    def test_chunk_running_past_the_end(self, tmp_path):
+        whole = tmp_path / "a.wav"
+        write_wav(whole, np.full(100, 0.1), 16000)
+        data = whole.read_bytes()
+        path = tmp_path / "shifted.wav"
+        path.write_bytes(data[:12] + b"\x00" + data[12:])  # chunk id "\0fmt", size " \x10\0\0"
+        for read in (read_wav, wav_duration_sec):
+            with pytest.raises(ParseError, match=rf"^{re.escape(str(path))}: not a readable WAV"):
+                read(path)
+
     def test_cut_data_chunk(self, tmp_path):
         whole = tmp_path / "a.wav"
         write_wav(whole, np.full(100, 0.1), 16000)

@@ -551,6 +551,21 @@ class TestNotUtf8Input:
         self.one_parse_error(capsys, bad, 3)
 
 
+class TestNulByteInput:
+    @pytest.mark.parametrize("command", ["stats", "features"])
+    def test_manifest_audio_path(self, tmp_path, capsys, minicorpus, command):
+        run("manifest", "--spec", minicorpus / "d2.spec", "--roots", minicorpus,
+            "--out", tmp_path / "man", "--jobs", 1)
+        data = (tmp_path / "man" / "manifest.txt").read_bytes()
+        offset = data.index(b".wav")
+        path = tmp_path / "nul.txt"
+        path.write_bytes(data[:offset] + b"\0" + data[offset:])
+        line = data[:offset].count(b"\n") + 1
+        assert run(command, "--manifest", path, "--out", tmp_path / "out") == 1
+        err = capsys.readouterr().err
+        assert err == f"ERROR PARSE: {path}:{line}: NUL byte at offset {offset}\n"
+
+
 class TestBatchFailureNamesUtterance:
     @pytest.fixture
     def manifest(self, tmp_path, minicorpus):
@@ -658,6 +673,48 @@ class TestConfigValuesChecked:
                    "--out", out) == 1
         self.one_bad_config_line(capsys)
         assert not (out / "tone.energy_q.xlf").exists()
+
+
+class TestConfigValuesCheckedAtLoad:
+    """Every config value is checked when the config loads, also where the
+    subcommand does not read it: one ``ERROR BAD_CONFIG`` line, exit 1."""
+
+    @pytest.mark.parametrize("line", [
+        "voicing_threshold=5", "voicing_threshold=1", "voicing_threshold=-0.1",
+        "quantizer_scale=bogus", "quantizer_bins=-3", "quantizer_bins=0",
+    ])
+    @pytest.mark.parametrize("command", ["features", "g2p"])
+    def test_value_rejected(self, tmp_path, capsys, command, line):
+        from xling.audio import write_wav
+
+        wav = tmp_path / "tone.wav"
+        write_wav(wav, 0.5 * np.sin(2 * np.pi * 200.0 * np.arange(1600) / 16000), 16000)
+        config = tmp_path / "pipeline.cfg"
+        config.write_text(line + "\n", encoding="utf-8")
+        source = ["--wav", wav] if command == "features" else ["--text", "hello"]
+        out = tmp_path / "out"
+        assert run(command, "--config", config, *source, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1, err
+        assert err.startswith("ERROR BAD_CONFIG: ")
+        assert not out.exists()
+
+
+class TestFeaturesUnreadFlags:
+    @pytest.mark.parametrize("flags", [
+        ["--wav", "a.wav"], ["--utt-id", "zz"], ["--alignment", "missing.align"],
+        ["--wav", "a.wav", "--utt-id", "zz", "--alignment", "missing.align"],
+    ])
+    def test_manifest_refuses_single_wav_flags(self, tmp_path, capsys, flags):
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text("# no entries\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert run("features", "--manifest", manifest, *flags, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1, err
+        assert err.startswith("ERROR BAD_CONFIG: --manifest cannot be combined with ")
+        assert all(flag in err for flag in flags if flag.startswith("--"))
+        assert not out.exists()
 
 
 class TestJobs:

@@ -1,0 +1,121 @@
+"""No input file reaches a traceback: a property test over the d2 flow.
+
+Each valid input file of a small d2 minicorpus flow is mutated once (cut
+short, one bit flipped, bytes inserted, or a span repeated) and fed to the
+subcommand that reads it, through ``cli.main``.  The run must exit 0, or
+exit 1 with exactly one ``ERROR <code>:`` line on stderr.
+
+Inserted bytes are control or non-ASCII bytes, never digits, so no mutation
+can turn a model config or an alignment into one that asks for gigabytes:
+at most a repeated span doubles a number's digits.
+"""
+
+import contextlib
+import io
+import re
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from xling.cli import main
+
+ONE_ERROR = re.compile(r"ERROR [A-Z_]+: [^\n]*\n")
+# n_speakers is last, so any cut that drops a key drops a required one and
+# the model never falls back to its paper-sized defaults
+MODEL_CONFIG = ("hidden=8\nenc_layers=1\ndec_layers=1\nconv_kernel=3\nff_channels=4\n"
+                "n_mels=5\npitch_embed_kernel=3\nn_ipa_symbols=54\nn_speakers=2\n")
+PIPELINE_CONFIG = "win_ms=40\nhop_ms=10\nvoicing_threshold=0.3\nquantizer_bins=16\n"
+
+
+def run(*argv):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main([str(a) for a in argv])
+    return code, err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def flow(tmp_path_factory):
+    """Every input file of a d2 flow over two one-second utterances."""
+    from xling.minicorpus import generate
+
+    root = tmp_path_factory.mktemp("fuzz")
+    corpus = generate(root / "corpus", scale=3600)
+    out = root / "flow"
+    assert run("manifest", "--spec", corpus / "d2.spec", "--roots", corpus,
+               "--out", out, "--jobs", 1) == (0, "")
+    manifest = out / "manifest.txt"
+    assert run("stats", "--manifest", manifest, "--out", out, "--jobs", 1) == (0, "")
+    wav = Path(manifest.read_text("utf-8").split("|")[1])
+    files = {
+        "spec": corpus / "d2.spec", "manifest": manifest, "stats": out / "stats.txt",
+        "wav": wav, "alignment": wav.with_suffix(".align"),
+        "transcript": wav.with_suffix(".txt"), "phn": out / "utt0000.phn",
+        "xlf": out / "utt0000.pitch_avg.xlf", "energy": out / "utt0000.energy_avg.xlf",
+        "model_config": out / "model.cfg", "pipeline_config": out / "pipeline.cfg",
+    }
+    files["model_config"].write_text(MODEL_CONFIG, encoding="utf-8")
+    files["pipeline_config"].write_text(PIPELINE_CONFIG, encoding="utf-8")
+    assert run("g2p", "--text-file", files["transcript"], "--out", out) == (0, "")
+    assert run("features", "--wav", wav, "--alignment", files["alignment"],
+               "--utt-id", "utt0000", "--out", out) == (0, "")
+    return {"root": corpus, **files}
+
+
+def command(kind, f, path, out):
+    """The argv of the subcommand that reads ``kind``, with ``path`` for it."""
+    f = {**f, kind: path}
+    forward = ["forward", "--phonemes", f["phn"], "--model-config", f["model_config"]]
+    single = ["features", "--wav", f["wav"], "--alignment", f["alignment"],
+              "--stats", f["stats"], "--config", f["pipeline_config"]]
+    argv = {
+        "spec": ["manifest", "--spec", f["spec"], "--roots", f["root"], "--jobs", 1],
+        "manifest": ["features", "--manifest", f["manifest"], "--stats", f["stats"],
+                     "--jobs", 1],
+        "stats": single, "wav": single, "alignment": single, "pipeline_config": single,
+        "transcript": ["g2p", "--text-file", f["transcript"]],
+        "phn": forward, "model_config": forward,
+        "xlf": forward + ["--alignment", f["alignment"], "--pitch-avg", f["xlf"],
+                          "--energy-avg", f["energy"]],
+    }[kind]
+    return argv + ["--out", out]
+
+
+@st.composite
+def mutation(draw, data: bytes) -> bytes:
+    at = draw(st.integers(0, len(data)))
+    kind = draw(st.sampled_from(["cut", "flip", "insert", "repeat"]))
+    if kind == "cut":
+        return data[:at]
+    if kind == "flip" and at < len(data):  # a flip past the end inserts instead
+        return data[:at] + bytes([data[at] ^ 1 << draw(st.integers(0, 7))]) + data[at + 1:]
+    if kind == "repeat":
+        start = draw(st.integers(0, at))
+        return data[:at] + data[start:at] + data[at:]
+    junk = st.sampled_from([*range(0x00, 0x09), *range(0x80, 0x100)])
+    return data[:at] + bytes(draw(st.lists(junk, min_size=1, max_size=4))) + data[at:]
+
+
+KINDS = ["spec", "manifest", "stats", "wav", "alignment", "transcript", "phn", "xlf",
+         "model_config", "pipeline_config"]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_unmutated_flow_exits_zero(flow, kind, tmp_path):
+    assert run(*command(kind, flow, flow[kind], tmp_path)) == (0, "")
+
+
+@given(data=st.data())
+@settings(max_examples=1000, suppress_health_check=[HealthCheck.too_slow])
+def test_mutated_input_exits_zero_or_with_one_error_line(flow, data):
+    kind = data.draw(st.sampled_from(KINDS), label="kind")
+    original = flow[kind].read_bytes()
+    mutated = data.draw(mutation(original), label="mutated")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / flow[kind].name
+        path.write_bytes(mutated)
+        code, err = run(*command(kind, flow, path, Path(tmp) / "out"))
+    assert (code, err) == (0, "") or (code == 1 and ONE_ERROR.fullmatch(err)), (code, err)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from xling.audio import AudioBuffer
@@ -15,6 +15,7 @@ from xling.features import (
     FRAME_BLOCK,
     LINEAR,
     LOG,
+    NCCF_FLOOR,
     PITCH_HZ,
     FeatureConfig,
     FrameSeries,
@@ -65,6 +66,11 @@ class TestConfig:
     def test_at_least_one_mel_band(self, n_mels):
         with pytest.raises(BadConfigError, match="n_mels"):
             FeatureConfig(n_mels=n_mels)
+
+    @pytest.mark.parametrize("value", [-0.01, 1.0, 5.0])
+    def test_voicing_threshold_below_one(self, value):
+        with pytest.raises(BadConfigError, match="voicing_threshold"):
+            FeatureConfig(voicing_threshold=value)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     @pytest.mark.parametrize("field", ["fmin", "fmax", "log_floor", "f0_min", "f0_max",
@@ -145,6 +151,13 @@ class TestPitch:
     def test_silence_all_unvoiced(self, cfg):
         p = pitch_per_frame(AudioBuffer(np.zeros(SR), SR), cfg)
         assert np.all(p.values == 0.0)
+
+    def test_half_padded_edge_frames_read_the_tone(self, cfg):
+        # frame 0 is half zero padding; at its longest lags the leading
+        # sub-frame is silent and its NCCF denominator is rounding noise
+        p = pitch_per_frame(tone(200, seconds=0.1, amp=0.3), cfg)
+        assert p.values.size == 11
+        assert np.all(np.abs(p.values - 200.0) <= 0.1)
 
     def test_chirp_monotone_within_jitter(self, cfg):
         t = np.arange(SR) / SR
@@ -326,7 +339,8 @@ def reference_pitch(samples, cfg):
     lags = np.arange(lag_min - 1, lag_max + 2)
     denom = np.sqrt(csum[:, win - lags] * (total[:, None] - csum[:, lags]))
     with np.errstate(invalid="ignore", divide="ignore"):
-        nccf = np.where(denom > 0, autocorr[:, lags] / denom, 0.0)
+        nccf = np.where(denom > NCCF_FLOOR * total[:, None],
+                        autocorr[:, lags] / denom, 0.0)
     return loop_pick(nccf, total, lags, cfg)
 
 
@@ -512,7 +526,8 @@ def old_length_pitch(samples, cfg, pick=loop_pick):
     lags = np.arange(lag_min - 1, lag_max + 2)
     denom = np.sqrt(csum[:, win - lags] * (total[:, None] - csum[:, lags]))
     with np.errstate(invalid="ignore", divide="ignore"):
-        nccf = np.where(denom > 0, autocorr[:, lags] / denom, 0.0)
+        nccf = np.where(denom > NCCF_FLOOR * total[:, None],
+                        autocorr[:, lags] / denom, 0.0)
     return pick(nccf, total, lags, cfg)
 
 
@@ -572,6 +587,8 @@ class TestAliasFreePitchFFT:
         seed=st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=40)
+    # a whole-period sine: frame 0's silent edge once read 50 Hz in the oracle
+    @example(f0=250.0, amp=0.5, noise=0.0, n=640, silent=(0, 0), seed=0)
     def test_noisy_signals_keep_their_voicing(self, cfg, f0, amp, noise, n, silent, seed):
         # unlike the all-tonal minicorpus, these have unvoiced frames to flip
         from xling.features import _pick_pitch

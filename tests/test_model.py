@@ -126,6 +126,15 @@ class TestInitWeights:
             "ac48bf6b751bc76b22785035b000b0e6ba7e9a94e22153d028f6a45829bbfe11"
         )
 
+    def test_paper_config_layout_is_pinned(self):
+        # the bits pin above hashes names and bytes, not shapes, so a tensor
+        # reshaped to the same element count would still pass it
+        layout = parameter_shapes(ModelConfig(n_ipa_symbols=54, n_speakers=8))
+        assert len(layout) == 164
+        assert hashlib.sha256(repr(layout).encode("utf-8")).hexdigest() == (
+            "60edaec7b961e5d054c1cbe4caea23615dd67ad72d69c8563cfb5fa56e2c1f37"
+        )
+
     @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 7])
     def test_seed_outside_u64_rejected(self, seed):
         with pytest.raises(BadConfigError, match=r"seed must be in \[0, 2\*\*64\)"):

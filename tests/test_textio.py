@@ -59,6 +59,18 @@ class TestNotUtf8:
         with pytest.raises(ParseError, match=where):
             read_text(path)
 
+    @pytest.mark.parametrize("data, line", [
+        (b"\0a=1\n", 1),
+        (b"a=1\r\nb=x\0y\n", 2),
+        (b"a=1\rb=2\r\xe4\xbd\xa0\0", 3),
+    ])
+    def test_nul_byte_is_a_parse_error_at_its_line(self, tmp_path, data, line):
+        path = tmp_path / "r.txt"
+        path.write_bytes(data)
+        where = rf"^{re.escape(str(path))}:{line}: NUL byte at offset {data.index(0)}$"
+        with pytest.raises(ParseError, match=where):
+            read_text(path)
+
     def test_read_text_reads_every_line_break_as_newline(self, tmp_path):
         path = tmp_path / "t.txt"
         path.write_bytes("你\r\n好\rx\n".encode("utf-8"))

@@ -57,6 +57,12 @@ class TestWriteRecords:
             write_records(path, [["ok", "row"], row], "\t")
         assert not path.exists()
 
+    def test_nul_in_a_field_raises_at_path(self, tmp_path):
+        path = tmp_path / "r.txt"
+        with pytest.raises(ParseError, match=rf"^{re.escape(str(path))}: "):
+            write_records(path, [["ok", "a\0b"]], "\t")
+        assert not path.exists()
+
     def test_header_is_a_comment_line(self, tmp_path):
         path = tmp_path / "r.txt"
         write_records(path, [["k", "v=w"]], "=", 1, header="key=value")
