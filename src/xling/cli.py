@@ -52,7 +52,6 @@ from .errors import (
     XlingError,
 )
 from .features import (
-    ENERGY,
     LOG,
     FeatureConfig,
     QuantizerConfig,
@@ -108,11 +107,14 @@ def load_pipeline_config(path) -> dict:
     Every value is checked here, whether or not the subcommand reads it.
     """
     values = read_keys(path, _CONFIG_KINDS)
-    _feature_config(values)
-    _quantizer(values, 1.0, 2.0)  # any valid range: the real one comes from stats
+    try:
+        _feature_config(values)
+        _quantizer(values, 1.0, 2.0)  # any valid range: the real one comes from stats
+    except BadConfigError as exc:
+        raise BadConfigError(f"{path}: {exc}") from exc
     for key in _PATH_KEYS:
         if key in values and not Path(values[key]).is_file():
-            raise BadConfigError(f"{key} points to missing file {values[key]!r}")
+            raise BadConfigError(f"{path}: {key} points to missing file {values[key]!r}")
     return values
 
 
@@ -200,8 +202,10 @@ def _fit_durations_to_frames(durations: list, n_frames: int) -> list:
     """Absorb the aligner-vs-feature off-by-a-frame difference.
 
     Alignments are tolerant to +-2 frames against the audio; the feature
-    grid (center padding) has one extra frame.  The difference is folded
-    into the last phoneme so the averaged tracks stay total.
+    grid (center padding) has one extra frame.  The cumulative phoneme
+    bounds are clipped at ``n_frames`` and the last one set to it, so extra
+    frames go to the last phoneme and missing ones come off the trailing
+    phonemes; the averaged tracks stay total.
     """
     delta = n_frames - sum(durations)
     if delta == 0:
@@ -210,14 +214,9 @@ def _fit_durations_to_frames(durations: list, n_frames: int) -> list:
         raise LengthMismatchError(
             f"alignment covers {sum(durations)} frames but features have {n_frames}"
         )
-    adjusted = list(durations)
-    for i in range(len(adjusted) - 1, -1, -1):
-        if adjusted[i] + delta >= 0:
-            adjusted[i] += delta
-            return adjusted
-        delta += adjusted[i]
-        adjusted[i] = 0
-    raise LengthMismatchError("durations too short to absorb frame difference")
+    bounds = np.minimum(np.cumsum(durations), n_frames)
+    bounds[-1] = n_frames
+    return np.diff(bounds, prepend=0).tolist()
 
 
 @dataclass(frozen=True)

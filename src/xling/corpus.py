@@ -228,7 +228,13 @@ def read_manifest(path) -> list:
 class BalanceReport:
     hours: dict  # (language, gender) -> hours
     total_hours: float
-    flags: tuple  # e.g. ("language:CN",) when a share exceeds 60%
+
+    @property
+    def flags(self) -> tuple:
+        """E.g. ``("language:CN",)`` when a share exceeds :data:`IMBALANCE_SHARE`."""
+        axes = (("language", LANGUAGES), ("gender", GENDERS))
+        return tuple(f"{axis}:{value}" for axis, values in axes for value in values
+                     if self.share(axis, value) > IMBALANCE_SHARE)
 
     @property
     def flagged(self) -> bool:
@@ -259,12 +265,4 @@ def balance_report(entries) -> BalanceReport:
     for e in entries:
         key = (e.language, e.gender)
         hours[key] = hours.get(key, 0.0) + e.duration_sec / 3600.0
-    total = sum(hours.values())
-    flags = []
-    for language in LANGUAGES:
-        if sum(h for k, h in hours.items() if k[0] == language) / total > IMBALANCE_SHARE:
-            flags.append(f"language:{language}")
-    for gender in GENDERS:
-        if sum(h for k, h in hours.items() if k[1] == gender) / total > IMBALANCE_SHARE:
-            flags.append(f"gender:{gender}")
-    return BalanceReport(hours, total, tuple(flags))
+    return BalanceReport(hours, sum(hours.values()))

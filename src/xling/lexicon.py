@@ -1,11 +1,12 @@
 """Mixed Mandarin/English text to IPA phoneme sequences.
 
-The pipeline has three stages: script-aware tokenization, lookup of
-language-dependent phonemes (ARPABET for English words, one Pinyin
-syllable per hanzi), and decomposition of each language-dependent phoneme
-into IPA symbols.  The number of IPA symbols a phoneme decomposes into is
-its phoneme length; downstream aggregation relies on these lengths, so
-out-of-vocabulary input is a hard error rather than a silent fallback.
+The pipeline has three stages: script-aware tokenization by one regular
+expression (:func:`tokenize` states its rule), lookup of language-dependent
+phonemes (ARPABET for English words, one Pinyin syllable per hanzi), and
+decomposition of each language-dependent phoneme into IPA symbols.  The
+number of IPA symbols a phoneme decomposes into is its phoneme length;
+downstream aggregation relies on these lengths, so out-of-vocabulary input
+is a hard error rather than a silent fallback.
 Text is NFKC-normalised first, so full-width Latin reads as ASCII; only
 the characters in :data:`PUNCTUATION` are skipped, and any other character
 without a pronunciation (a digit, say) is an :class:`OOVError`.
@@ -19,6 +20,7 @@ and the IPA mapping ignores them.
 
 from __future__ import annotations
 
+import re
 import string
 import unicodedata
 from dataclasses import dataclass, field
@@ -34,15 +36,18 @@ PUNCT = "Punct"
 EN = "EN"
 CN = "CN"
 
-_LATIN_CHARS = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ'")
+# The token rule, one character class each; the named group is the script.
+_HAN_CLASS = "一-鿿"
+_LATIN_CLASS = "A-Za-z'"
+_TOKEN = re.compile(
+    rf"(?P<{HAN}>[{_HAN_CLASS}])"
+    rf"|(?P<{LATIN}>[{_LATIN_CLASS}]+)"
+    rf"|(?P<{PUNCT}>[^\s{_HAN_CLASS}{_LATIN_CLASS}]+)"
+)
 
 # Characters the frontend may skip: ASCII and CJK punctuation (after NFKC,
 # full-width forms such as "，" and "！" are already ASCII).
 PUNCTUATION = frozenset(string.punctuation + "、。〈〉《》「」『』【】〔〕〖〗〜・·‘’“”–—…")
-
-
-def _is_han(ch: str) -> bool:
-    return "一" <= ch <= "鿿"
 
 
 @dataclass(frozen=True)
@@ -131,7 +136,8 @@ class Lexicon:
 
         cn_entries = {}
         for key, symbols, line_no in _parse_dict_file(cn_path):
-            if len(key) != 1 or not _is_han(key):
+            match = _TOKEN.fullmatch(key)
+            if match is None or match.lastgroup != HAN:
                 raise ParseError(f"key {key!r} is not a single hanzi",
                                  path=cn_path, line=line_no)
             if len(symbols) != 1:
@@ -171,39 +177,23 @@ class Lexicon:
 
 
 def tokenize(text: str) -> list:
-    """Split text into Han (single hanzi), Latin (word), and Punct tokens.
+    """Split text into tokens by the pattern ``_TOKEN``, left to right.
 
-    Whitespace separates tokens and is never emitted; every other
-    character lands in some token, so token surfaces plus the skipped
-    whitespace reconstruct the input exactly.  Punct holds every other run
-    of characters, digits included; :func:`text_to_phoneme_sequence` skips
-    only the runs made of :data:`PUNCTUATION`.
+    The pattern matches one of three alternatives, named after the script:
+    a single hanzi (U+4E00-U+9FFF) is Han; a run of ASCII letters and
+    apostrophes is Latin, or Punct when it is all apostrophes; a run of
+    any other characters except whitespace is Punct, digits included.
+    Whitespace (``str.isspace``) separates tokens and is never emitted, so
+    token surfaces plus the skipped whitespace reconstruct the input
+    exactly.  :func:`text_to_phoneme_sequence` skips only the Punct runs
+    made of :data:`PUNCTUATION`.
     """
     tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif _is_han(ch):
-            tokens.append(Token(ch, HAN, (i, i + 1)))
-            i += 1
-        elif ch in _LATIN_CHARS:
-            j = i
-            while j < n and text[j] in _LATIN_CHARS:
-                j += 1
-            surface = text[i:j]
-            script = LATIN if any(c.isalpha() for c in surface) else PUNCT
-            tokens.append(Token(surface, script, (i, j)))
-            i = j
-        else:
-            j = i
-            while j < n and not (
-                text[j].isspace() or _is_han(text[j]) or text[j] in _LATIN_CHARS
-            ):
-                j += 1
-            tokens.append(Token(text[i:j], PUNCT, (i, j)))
-            i = j
+    for match in _TOKEN.finditer(text):
+        surface, script = match.group(), match.lastgroup
+        if script == LATIN and not surface.strip("'"):
+            script = PUNCT
+        tokens.append(Token(surface, script, match.span()))
     return tokens
 
 
@@ -237,12 +227,11 @@ def inventory_ids(lexicon: Lexicon) -> dict:
 
 def dump_phoneme_sequence(ps: PhonemeSequence, path) -> None:
     """One LDP per line: label, language, meta (- if none), length, IPA."""
-    rows = []
-    pos = 0
-    for sym, n in zip(ps.ldp, ps.lengths):
-        meta = "-" if sym.meta is None else str(sym.meta)
-        rows.append((sym.label, sym.language, meta, str(n), " ".join(ps.ipa[pos : pos + n])))
-        pos += n
+    rows = [
+        (sym.label, sym.language, "-" if sym.meta is None else str(sym.meta),
+         str(len(ipa)), " ".join(ipa))
+        for sym, ipa in zip(ps.ldp, ps.ipa_segments())
+    ]
     write_records(path, rows, "\t", header="label\tlanguage\tmeta\tlength\tipa")
 
 

@@ -2,6 +2,8 @@ import wave
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from xling.cli import _fit_durations_to_frames, build_parser, main
 from xling.errors import LengthMismatchError
@@ -137,6 +139,22 @@ class TestFitDurations:
     def test_large_difference_rejected(self):
         with pytest.raises(LengthMismatchError):
             _fit_durations_to_frames([3, 4], 12)
+
+    @given(st.lists(st.integers(0, 4), max_size=8), st.integers(-2, 2))
+    def test_difference_lands_on_a_trailing_run(self, durations, delta):
+        n_frames = sum(durations) + delta
+        assume(n_frames >= 0 and (durations or delta == 0))
+        fitted = _fit_durations_to_frames(durations, n_frames)
+        assert all(f >= 0 for f in fitted) and sum(fitted) == n_frames
+        # a surplus goes to the last phoneme; a shortfall comes off the
+        # phonemes from the end, each emptied before the one before it
+        k = next((i for i, (f, d) in enumerate(zip(fitted, durations)) if f != d),
+                 len(durations))
+        assert fitted[:k] == durations[:k] and not any(fitted[k + 1:])
+        if delta > 0:
+            assert k == len(durations) - 1
+        else:
+            assert all(f <= d for f, d in zip(fitted, durations))
 
 
 class TestStatsAndForward:
@@ -682,6 +700,7 @@ class TestConfigValuesCheckedAtLoad:
     @pytest.mark.parametrize("line", [
         "voicing_threshold=5", "voicing_threshold=1", "voicing_threshold=-0.1",
         "quantizer_scale=bogus", "quantizer_bins=-3", "quantizer_bins=0",
+        "stats=missing.stats",
     ])
     @pytest.mark.parametrize("command", ["features", "g2p"])
     def test_value_rejected(self, tmp_path, capsys, command, line):
@@ -697,6 +716,7 @@ class TestConfigValuesCheckedAtLoad:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1, err
         assert err.startswith("ERROR BAD_CONFIG: ")
+        assert str(config) in err
         assert not out.exists()
 
 

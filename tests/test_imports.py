@@ -1,0 +1,37 @@
+"""Every name a module of the package imports is used in that module."""
+
+import ast
+from pathlib import Path
+
+import xling
+
+
+def unused_imports(source: str) -> list:
+    """Names bound by imports in ``source`` that nothing reads; a name
+    listed in ``__all__`` is exported, so it counts as read."""
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.asname or a.name.partition(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names if a.name != "*")
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return sorted(imported - used)
+
+
+def test_unused_imports_are_found():
+    source = "import os, numpy.linalg\nfrom x import a, b as c\n__all__ = ['a']\nos.sep\n"
+    assert unused_imports(source) == ["c", "numpy"]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    unused = [f"{path.name}: {name}"
+              for path in sorted(Path(xling.__file__).parent.glob("*.py"))
+              for name in unused_imports(path.read_text(encoding="utf-8"))]
+    assert unused == []

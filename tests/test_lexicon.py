@@ -39,6 +39,54 @@ def bundled_file_entries(name):
     return entries
 
 
+def reference_tokenize(text):
+    """The token rule as a character-by-character scanner, giving
+    ``(surface, script, span)`` triples: the oracle for ``tokenize``."""
+    latin = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ'")
+
+    def is_han(ch):
+        return "一" <= ch <= "鿿"
+
+    tokens = []
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+        elif is_han(ch):
+            tokens.append((ch, HAN, (i, i + 1)))
+            i += 1
+        elif ch in latin:
+            j = i
+            while j < n and text[j] in latin:
+                j += 1
+            surface = text[i:j]
+            script = LATIN if any(c.isalpha() for c in surface) else PUNCT
+            tokens.append((surface, script, (i, j)))
+            i = j
+        else:
+            j = i
+            while j < n and not (text[j].isspace() or is_han(text[j]) or text[j] in latin):
+                j += 1
+            tokens.append((text[i:j], PUNCT, (i, j)))
+            i = j
+    return tokens
+
+
+# Letters, apostrophes and digits; whitespace that ``str.isspace`` and ``\s``
+# must agree on (U+001C-U+001F, U+0085, U+00A0, U+3000); the Han range's
+# edges inside and out; CJK and full-width punctuation; controls and
+# full-width letters that are not whitespace; an astral character.
+TOKEN_ALPHABET = (
+    "abzAMZ'0179"
+    " \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u2028\u3000"
+    "\u4dff\u4e00\u9fff\ua000"
+    "，。、「」！？（）　…—"
+    "\x00\x1b\u200bＡｚ"
+    "\U0001f600"
+)
+
+
 class TestTokenize:
     def test_single_latin_word(self):
         tokens = tokenize("hello")
@@ -85,6 +133,12 @@ class TestTokenize:
             assert text[start:end] == tok.surface
             pos = end
         assert text[pos:].isspace() or text[pos:] == ""
+
+    @given(st.text(alphabet=TOKEN_ALPHABET, max_size=40))
+    @settings(max_examples=1000, deadline=None)
+    def test_same_tokens_as_the_scanner(self, text):
+        got = [(t.surface, t.script, t.span) for t in tokenize(text)]
+        assert got == reference_tokenize(text)
 
 
 class TestLookupLdp:
