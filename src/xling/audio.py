@@ -94,12 +94,15 @@ def wav_duration_sec(path) -> float:
 
     That frame proves the data chunk holds every frame the header promises,
     so a cut file is a ParseError here rather than later in ``read_wav``.
+    A header of no frames is an EmptyAudioError that names ``path``, since
+    no feature can be computed from it.
     """
     with _open_wav(path) as w:
         n = w.getnframes()
-        if n:
-            w.setpos(n - 1)
-            if len(w.readframes(1)) != w.getsampwidth() * w.getnchannels():
-                raise ParseError(f"data chunk truncated: fewer than the {n} frames "
-                                 "its header promises", path=path)
+        if not n:
+            raise EmptyAudioError(f"{path}: WAV holds no samples")
+        w.setpos(n - 1)
+        if len(w.readframes(1)) != w.getsampwidth() * w.getnchannels():
+            raise ParseError(f"data chunk truncated: fewer than the {n} frames "
+                             "its header promises", path=path)
         return n / w.getframerate()

@@ -14,10 +14,18 @@ quantizer parameters, and default input paths; flags always win over config
 values.  It is typed when loaded, and every referenced file is checked
 before any work starts.  Failures print a single ``ERROR <code>: <detail>``
 line and exit nonzero; in ``features`` and ``stats`` the detail names the
-utterance and its WAV.  Every output is atomic because every writer of the
-package is (text through :mod:`xling.textio`, tensors through
-:mod:`xling.tensorio`), so parallel runs (``--jobs``) never produce partial
-files.  ``XLING_LOG`` in {error, info, debug} controls stderr logging.
+utterance and its WAV.
+
+``features --manifest`` and ``stats`` analyze their utterances on a pool
+of ``--jobs`` threads in this process, and ``manifest`` scans its
+speakers on one; no command starts a process.  Results keep manifest
+order, so every output is byte-identical for any ``--jobs``.  After a
+failed utterance, utterances that have not started are cancelled, so a
+failed ``features`` batch leaves some utterances unwritten.  Every output
+is atomic because every writer of the package is (text through
+:mod:`xling.textio`, tensors through :mod:`xling.tensorio`), so concurrent
+writers never produce partial files.  ``XLING_LOG`` in {error, info,
+debug} controls stderr logging.
 """
 
 from __future__ import annotations
@@ -27,7 +35,7 @@ import functools
 import logging
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import get_type_hints
@@ -141,10 +149,20 @@ def _out_dir(args, cfg: dict) -> Path:
 
 
 def _map(fn, tasks: list, jobs: int) -> list:
-    """``fn`` over ``tasks`` in order; a process pool runs them when jobs > 1."""
+    """``[fn(task) for task in tasks]``, on ``jobs`` threads when jobs > 1.
+
+    The results keep the order of ``tasks``.  The per-utterance work is
+    numpy FFT and ufunc code, which releases the GIL, so threads overlap it
+    without a second interpreter per worker.  The first failure in task
+    order is raised; tasks that have not started by then are cancelled,
+    and those already running finish before it propagates.
+    """
     if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        pool = ThreadPoolExecutor(max_workers=jobs)
+        try:
             return list(pool.map(fn, tasks))
+        finally:
+            pool.shutdown(cancel_futures=True)
     return [fn(task) for task in tasks]
 
 
@@ -454,7 +472,7 @@ def _positive_int(value: str) -> int:
 
 def _add_jobs(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--jobs", type=_positive_int, default=usable_cpus(),
-                        help="worker pool size (default: the CPUs this process may use)")
+                        help="worker threads (default: the CPUs this process may use)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,7 +1,10 @@
 """Exception hierarchy shared by all xling modules.
 
 Every error carries a short machine-readable ``code`` so the CLI can emit
-``ERROR <code>: <detail>`` lines without inspecting exception types.
+``ERROR <code>: <detail>`` lines without inspecting exception types.  An
+error whose constructor takes more than its message defines ``__reduce__``,
+so a library caller that pickles it (to send it between processes, say)
+gets back the same type, code, fields and message.
 """
 
 
@@ -15,7 +18,7 @@ class OOVError(XlingError):
     """A surface form is absent from the pronunciation lexicon.
 
     ``language`` is None for a character that no lexicon covers, such as a
-    digit.
+    digit.  Unpickling rebuilds the error from its fields.
     """
 
     code = "OOV"
@@ -72,6 +75,12 @@ class BadConfigError(XlingError):
     code = "BAD_CONFIG"
 
 
+class TooLargeError(XlingError):
+    """An input or config asks for more than a documented size cap allows."""
+
+    code = "TOO_LARGE"
+
+
 class ShapeMismatchError(XlingError):
     """Tensor shapes disagree where the dataflow requires agreement."""
 
@@ -119,8 +128,8 @@ class EmptyManifestError(XlingError):
 class UtteranceError(XlingError):
     """One utterance of a batch failed; carries the code of the cause.
 
-    The message names the utterance id and its WAV path.  The error is
-    rebuilt from its fields when it crosses a process pool.
+    The message names the utterance id and its WAV path; unpickling
+    rebuilds the error from its fields.
     """
 
     def __init__(self, utt_id, path, code, detail):

@@ -23,6 +23,7 @@ norm declares ``name.gamma`` and ``name.beta`` through ``_ln_params``.
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
@@ -32,7 +33,13 @@ from typing import get_type_hints
 import numpy as np
 
 from . import regulator, tensorio
-from .errors import BadConfigError, ParseError, ShapeMismatchError, UnknownSpeakerError
+from .errors import (
+    BadConfigError,
+    ParseError,
+    ShapeMismatchError,
+    TooLargeError,
+    UnknownSpeakerError,
+)
 from .prng import Xorshift64Star, uniform
 from .textio import read_keys, write_records
 
@@ -46,6 +53,21 @@ MAX_FRAMES_PER_PHONEME = 100
 Inference durations are ``round(exp(log-frames))``; an untrained or
 diverged duration predictor can ask for far more frames than any speech
 holds, and the decoder's attention grows with the square of the total.
+"""
+MAX_DECODER_FRAMES = 6000
+"""Upper bound on the decoder's frame total: 60 s of 10 ms frames.
+
+The attention scores of one decoder block hold ``ATTN_HEADS * T * T``
+float64 values: 576 MB at this cap, and 23.8 GiB at 40,000 frames.  A
+teacher-forced total above it is rejected by :func:`check_inputs` before
+any weight is made, an inferred one by :func:`forward` before the decoder.
+"""
+MAX_WEIGHT_BYTES = 1 << 30
+"""Upper bound on the float64 bytes of one set of weights (1 GiB).
+
+The paper config (hidden 256, 4 + 4 blocks) needs 329 MB; a config that
+asks for more than this cap is rejected when it is built, before any
+parameter is drawn.
 """
 
 
@@ -69,6 +91,10 @@ class ModelConfig:
             raise BadConfigError(f"hidden must be divisible by {ATTN_HEADS} heads")
         if self.conv_kernel % 2 == 0 or self.pitch_embed_kernel % 2 == 0:
             raise BadConfigError("convolution kernels must be odd")
+        n_bytes = 8 * sum(math.prod(shape) for _, shape in parameter_shapes(self))
+        if n_bytes > MAX_WEIGHT_BYTES:
+            raise TooLargeError(f"weights would take {n_bytes} bytes, "
+                                f"above the cap of {MAX_WEIGHT_BYTES}")
 
     def to_file(self, path) -> None:
         rows = [(f.name, str(getattr(self, f.name))) for f in fields(self)]
@@ -268,7 +294,8 @@ def positional_encoding(length: int, dim: int) -> np.ndarray:
 def check_inputs(cfg: ModelConfig, ipa_ids, phoneme_lengths, speaker: int, mode) -> tuple:
     """Check :func:`forward`'s inputs against ``cfg`` alone (no weights needed).
 
-    Returns the ids and phoneme lengths as int64 arrays.
+    A teacher-forced frame total above :data:`MAX_DECODER_FRAMES` is a
+    TooLargeError.  Returns the ids and phoneme lengths as int64 arrays.
     """
     ids = np.asarray(ipa_ids, dtype=np.int64).reshape(-1)
     lengths = np.asarray(phoneme_lengths, dtype=np.int64).reshape(-1)
@@ -295,9 +322,16 @@ def check_inputs(cfg: ModelConfig, ipa_ids, phoneme_lengths, speaker: int, mode)
                 raise ShapeMismatchError(
                     f"teacher-forced {name} has {len(seq)} values, expected {n_phonemes}"
                 )
+        _check_frames(sum(mode.durations), "teacher-forced")
     elif not isinstance(mode, Inference):
         raise BadConfigError(f"unknown forward mode {mode!r}")
     return ids, lengths
+
+
+def _check_frames(total: int, kind: str) -> None:
+    if total > MAX_DECODER_FRAMES:
+        raise TooLargeError(f"{kind} durations sum to {total} frames, "
+                            f"above the cap of {MAX_DECODER_FRAMES}")
 
 
 def forward(weights: Weights, ipa_ids, phoneme_lengths, speaker: int, mode) -> ForwardOutput:
@@ -339,6 +373,7 @@ def forward(weights: Weights, ipa_ids, phoneme_lengths, speaker: int, mode) -> F
         with np.errstate(over="ignore"):
             frames = np.round(np.exp(log_frames))
         durations = np.clip(frames, 0, MAX_FRAMES_PER_PHONEME).astype(np.int64)
+        _check_frames(int(durations.sum()), "inferred")
     y = y + _conv(pitch_values[:, None], p, "pitch_embed")
     trace.append(("pitch_embedding", y.shape))
 

@@ -26,7 +26,6 @@ Every output file of the package goes through :func:`atomic_path`.
 """
 
 import os
-import secrets
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -128,7 +127,7 @@ def atomic_path(path):
     never share it; on any failure it is removed and ``path`` is untouched.
     """
     path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.{secrets.token_hex(8)}.tmp")
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{os.urandom(8).hex()}.tmp")
     try:
         yield tmp
         os.replace(tmp, path)

@@ -21,6 +21,14 @@ def snapshot(directory):
     }
 
 
+def write_empty_wav(path):
+    """A well-formed 16 kHz mono WAV of no frames (``write_wav`` refuses one)."""
+    with wave.open(str(path), "wb") as w:
+        w.setnchannels(1)
+        w.setsampwidth(2)
+        w.setframerate(16000)
+
+
 class TestG2p:
     def test_writes_sequence_file(self, tmp_path):
         out = tmp_path / "out"
@@ -297,6 +305,21 @@ class TestManifestCommand:
             assert len(err.splitlines()) == 1
             assert not (out / "manifest.txt").exists()
 
+    def test_wav_without_samples_is_one_empty_audio_error(self, tmp_path, capsys):
+        speaker = tmp_path / "roots" / "s1"
+        speaker.mkdir(parents=True)
+        wav = speaker / "u1.wav"
+        write_empty_wav(wav)
+        (speaker / "u1.txt").write_text("你好\n", encoding="utf-8")
+        (speaker / "u1.align").write_text("ni\t1\n", encoding="utf-8")
+        spec = tmp_path / "one.spec"
+        spec.write_text("name\tone\ns1\tCN\tF\t1.0\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert run("manifest", "--spec", spec, "--roots", tmp_path / "roots",
+                   "--out", out) == 1
+        assert capsys.readouterr().err == f"ERROR EMPTY_AUDIO: {wav}: WAV holds no samples\n"
+        assert not (out / "manifest.txt").exists()
+
     def test_outputs_and_determinism(self, tmp_path, minicorpus):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):
@@ -441,6 +464,31 @@ class TestForwardChecksBeforeWeights:
                    "--model-config", cfg, "--out", tmp_path) == 1
         err = capsys.readouterr().err
         assert err.startswith("ERROR SHAPE_MISMATCH: ") and len(err.splitlines()) == 1
+
+    def test_decoder_frames_above_the_cap(self, tmp_path, capsys):
+        from xling.model import MAX_DECODER_FRAMES
+
+        run("g2p", "--text", "你好 world", "--out", tmp_path)
+        cfg = tmp_path / "model.cfg"
+        cfg.write_text("n_ipa_symbols=54\nn_speakers=1\nhidden=8\nenc_layers=1\n"
+                       "dec_layers=1\nff_channels=8\n", encoding="utf-8")
+        alignment = tmp_path / "text.align"
+        alignment.write_text("ni\t39995\nhao\t1\nW\t1\nER\t1\nL\t1\nD\t1\n", encoding="utf-8")
+        assert run("forward", "--phonemes", tmp_path / "text.phn", "--model-config", cfg,
+                   "--alignment", alignment, "--out", tmp_path) == 1
+        err = capsys.readouterr().err
+        assert err == ("ERROR TOO_LARGE: teacher-forced durations sum to 40000 frames, "
+                       f"above the cap of {MAX_DECODER_FRAMES}\n")
+
+    def test_weights_above_the_cap(self, tmp_path, capsys):
+        run("g2p", "--text", "你好 world", "--out", tmp_path)
+        cfg = tmp_path / "model.cfg"
+        cfg.write_text("n_ipa_symbols=54\nn_speakers=8\nhidden=1000000\n", encoding="utf-8")
+        assert run("forward", "--phonemes", tmp_path / "text.phn",
+                   "--model-config", cfg, "--out", tmp_path) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR TOO_LARGE: weights would take ")
+        assert len(err.splitlines()) == 1
 
 
 class TestMalformedRegulateAndManifest:
@@ -591,10 +639,7 @@ class TestBatchFailureNamesUtterance:
             "--out", tmp_path / "man", "--jobs", 1)
         lines = (tmp_path / "man" / "manifest.txt").read_text(encoding="utf-8").splitlines()
         entries = [line for line in lines if not line.startswith("#")]
-        with wave.open(str(tmp_path / "empty.wav"), "wb") as w:
-            w.setnchannels(1)
-            w.setsampwidth(2)
-            w.setframerate(16000)
+        write_empty_wav(tmp_path / "empty.wav")
         fields = entries[2].split("|")
         fields[1] = str(tmp_path / "empty.wav")
         entries[2] = "|".join(fields)
@@ -757,3 +802,73 @@ class TestJobs:
         assert usable_cpus() == cpus
         args = build_parser().parse_args(["stats", "--manifest", "m.txt"])
         assert args.jobs == cpus
+
+
+class TestBatchOnThreads:
+    """``stats`` and ``features --manifest`` analyze utterances on threads of
+    this process: no process starts, the outputs do not depend on
+    ``--jobs``, and a failure cancels the utterances that have not started."""
+
+    @pytest.fixture
+    def manifest(self, tmp_path, minicorpus):
+        run("manifest", "--spec", minicorpus / "d2.spec", "--roots", minicorpus,
+            "--out", tmp_path / "man", "--jobs", 1)
+        return tmp_path / "man" / "manifest.txt"
+
+    def test_no_process_and_outputs_independent_of_jobs(self, tmp_path, monkeypatch,
+                                                        manifest):
+        import os
+        import sys
+
+        def no_fork():
+            raise AssertionError("a process was started")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        outs = {jobs: tmp_path / f"jobs{jobs}" for jobs in (1, 2)}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, so a lost update would show
+        try:
+            for jobs, out in outs.items():
+                assert run("stats", "--manifest", manifest, "--jobs", jobs, "--out", out) == 0
+                assert run("features", "--manifest", manifest, "--stats",
+                           out / "stats.txt", "--jobs", jobs, "--out", out) == 0
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(snapshot(outs[1])) == 1 + 6 * 23
+        assert snapshot(outs[1]) == snapshot(outs[2])
+
+    def test_failure_cancels_utterances_not_started(self, tmp_path, capsys, monkeypatch,
+                                                    manifest):
+        import threading
+        import time
+
+        import xling.cli as cli_module
+
+        lines = manifest.read_text(encoding="utf-8").splitlines()
+        entries = [line for line in lines if not line.startswith("#")]
+        empty = tmp_path / "empty.wav"
+        write_empty_wav(empty)
+        fields = entries[0].split("|")
+        fields[1] = str(empty)
+        entries[0] = "|".join(fields)
+        broken = tmp_path / "broken.txt"
+        broken.write_text("\n".join(entries) + "\n", encoding="utf-8")
+
+        started, lock = [], threading.Lock()
+        read_wav = cli_module.read_wav
+
+        def counting_read_wav(path, **kwargs):
+            with lock:
+                started.append(path)
+            if path != str(empty):
+                time.sleep(0.3)  # keeps the workers busy while the failure lands
+            return read_wav(path, **kwargs)
+
+        monkeypatch.setattr(cli_module, "read_wav", counting_read_wav)
+        out = tmp_path / "out"
+        assert run("features", "--manifest", broken, "--jobs", 2, "--out", out) == 1
+        assert capsys.readouterr().err == (f"ERROR EMPTY_AUDIO: utterance {fields[0]} "
+                                           f"({empty}): no samples to analyze\n")
+        # the failed utterance, and at most one more on each of the two workers
+        assert started[0] == str(empty) and len(started) <= 3, started
+        assert len(list(out.glob("*.mel.xlf"))) == len(started) - 1

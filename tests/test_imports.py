@@ -35,3 +35,17 @@ def test_no_module_imports_a_name_it_never_uses():
               for path in sorted(Path(xling.__file__).parent.glob("*.py"))
               for name in unused_imports(path.read_text(encoding="utf-8"))]
     assert unused == []
+
+
+def test_cli_import_loads_no_process_or_hash_module():
+    import os
+    import subprocess
+    import sys
+
+    src = str(Path(xling.__file__).parent.parent)
+    code = ("import sys, xling.cli; "
+            "print(' '.join(m for m in ('multiprocessing', 'concurrent.futures.process', "
+            "'hashlib') if m in sys.modules))")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": src}, check=True, timeout=60)
+    assert result.stdout.split() == []

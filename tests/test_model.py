@@ -6,7 +6,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import event, given
 from hypothesis import strategies as st
 
 from xling import model, prng, regulator
@@ -14,11 +14,14 @@ from xling.errors import (
     BadConfigError,
     ParseError,
     ShapeMismatchError,
+    TooLargeError,
     UnknownSpeakerError,
 )
 from xling.model import (
     ATTN_HEADS,
+    MAX_DECODER_FRAMES,
     MAX_FRAMES_PER_PHONEME,
+    MAX_WEIGHT_BYTES,
     Inference,
     ModelConfig,
     TeacherForced,
@@ -72,6 +75,12 @@ class TestConfig:
         with pytest.raises(BadConfigError):
             ModelConfig(n_ipa_symbols=0, n_speakers=1)
 
+    def test_weight_bytes_capped(self):
+        paper = ModelConfig(n_ipa_symbols=54, n_speakers=8)
+        assert 8 * sum(np.prod(shape) for _, shape in parameter_shapes(paper)) < MAX_WEIGHT_BYTES
+        with pytest.raises(TooLargeError, match="weights would take"):
+            ModelConfig(n_ipa_symbols=54, n_speakers=8, hidden=1_000_000)
+
     def test_file_round_trip(self, tmp_path):
         cfg = ModelConfig(n_ipa_symbols=54, n_speakers=8)
         path = tmp_path / "model.cfg"
@@ -92,19 +101,29 @@ class TestConfig:
         with pytest.raises(ParseError, match=rf"^{re.escape(f'{path}:4: ')}.*'hidden'"):
             ModelConfig.from_file(path)
 
-    @given(cfg=st.builds(
-        ModelConfig,
+    @given(values=st.fixed_dictionaries(dict(
         n_ipa_symbols=st.integers(1, 10**6), n_speakers=st.integers(1, 10**6),
         hidden=st.integers(1, 10**4).map(lambda h: ATTN_HEADS * h),
         enc_layers=st.integers(1, 64), dec_layers=st.integers(1, 64),
         conv_kernel=st.integers(0, 32).map(lambda k: 2 * k + 1),
         ff_channels=st.integers(1, 10**5), n_mels=st.integers(1, 512),
         pitch_embed_kernel=st.integers(0, 32).map(lambda k: 2 * k + 1),
-    ))
-    def test_file_round_trip_over_valid_configs(self, tmp_path_factory, cfg):
+    )))
+    def test_file_round_trip_over_valid_configs(self, tmp_path_factory, values):
+        """A config under the weight cap reads back equal; one above it is
+        rejected whether it is built or read."""
         path = tmp_path_factory.mktemp("cfg") / "model.cfg"
-        cfg.to_file(path)
-        assert ModelConfig.from_file(path) == cfg
+        try:
+            cfg = ModelConfig(**values)
+        except TooLargeError:
+            event("above the weight cap")
+            path.write_text("".join(f"{key}={value}\n" for key, value in values.items()),
+                            encoding="utf-8")
+            with pytest.raises(TooLargeError):
+                ModelConfig.from_file(path)
+        else:
+            cfg.to_file(path)
+            assert ModelConfig.from_file(path) == cfg
 
 
 class TestInitWeights:
@@ -306,6 +325,21 @@ class TestForward:
         weights = self._with_duration_bias(small_weights, -800.0)
         out = forward(weights, [0, 1, 2], [2, 1], 0, Inference())
         assert out.durations_used == (0, 0)
+
+    def test_teacher_forced_frames_capped_before_weights(self):
+        def mode(total):
+            return TeacherForced((total - 1, 1), (0.0, 0.0), (0.0, 0.0))
+
+        model.check_inputs(SMALL, [0, 1, 2], [2, 1], 0, mode(MAX_DECODER_FRAMES))
+        with pytest.raises(TooLargeError, match=f"sum to {MAX_DECODER_FRAMES + 1} frames"):
+            model.check_inputs(SMALL, [0, 1, 2], [2, 1], 0, mode(MAX_DECODER_FRAMES + 1))
+
+    def test_inferred_frames_capped(self, small_weights):
+        n = MAX_DECODER_FRAMES // MAX_FRAMES_PER_PHONEME + 1
+        weights = self._with_duration_bias(small_weights, 800.0)
+        with pytest.raises(TooLargeError, match=f"inferred durations sum to "
+                                                f"{n * MAX_FRAMES_PER_PHONEME} frames"):
+            forward(weights, [0] * n, [1] * n, 0, Inference())
 
     @pytest.mark.parametrize("bias", [np.nan, np.inf])
     def test_inference_non_finite_durations_rejected(self, small_weights, bias):
