@@ -16,13 +16,13 @@ before any work starts.  Failures print a single ``ERROR <code>: <detail>``
 line and exit nonzero; in ``features`` and ``stats`` the detail names the
 utterance and its WAV.
 
-``features --manifest`` and ``stats`` analyze their utterances on a pool
-of ``--jobs`` threads in this process, and ``manifest`` scans its
-speakers on one; no command starts a process.  Results keep manifest
-order, so every output is byte-identical for any ``--jobs``.  After a
-failed utterance, utterances that have not started are cancelled, so a
-failed ``features`` batch leaves some utterances unwritten.  Every output
-is atomic because every writer of the package is (text through
+``features --manifest`` and ``stats`` analyze their utterances on ``--jobs``
+threads (:func:`xling.model.map_ordered`), and ``manifest`` scans its
+speakers in spec order on the calling thread; no command starts a process.
+Results keep manifest order, so every output is byte-identical for any
+``--jobs``.  A failure cancels the work that has not started, so a failed
+``features`` batch leaves some utterances unwritten.  Every output is
+atomic because every writer of the package is (text through
 :mod:`xling.textio`, tensors through :mod:`xling.tensorio`), so concurrent
 writers never produce partial files.  ``XLING_LOG`` in {error, info,
 debug} controls stderr logging.
@@ -35,7 +35,6 @@ import functools
 import logging
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import get_type_hints
@@ -83,6 +82,7 @@ from .model import (
     check_inputs,
     forward as model_forward,
     init_weights,
+    map_ordered,
     save_weights,
     usable_cpus,
 )
@@ -146,24 +146,6 @@ def _out_dir(args, cfg: dict) -> Path:
     path = Path(out)
     path.mkdir(parents=True, exist_ok=True)
     return path
-
-
-def _map(fn, tasks: list, jobs: int) -> list:
-    """``[fn(task) for task in tasks]``, on ``jobs`` threads when jobs > 1.
-
-    The results keep the order of ``tasks``.  The per-utterance work is
-    numpy FFT and ufunc code, which releases the GIL, so threads overlap it
-    without a second interpreter per worker.  The first failure in task
-    order is raised; tasks that have not started by then are cancelled,
-    and those already running finish before it propagates.
-    """
-    if jobs > 1 and len(tasks) > 1:
-        pool = ThreadPoolExecutor(max_workers=jobs)
-        try:
-            return list(pool.map(fn, tasks))
-        finally:
-            pool.shutdown(cancel_futures=True)
-    return [fn(task) for task in tasks]
 
 
 def _parse_int_list(value: str | None, file_value: str | None, what: str) -> list:
@@ -327,7 +309,7 @@ def _cmd_features(args, cfg: dict) -> int:
         utt_id = args.utt_id or Path(args.wav).stem
         tasks = [FeatureTask(utt_id, args.wav, args.alignment, str(out_dir),
                              feature_cfg, quantizer_cfg)]
-    for utt_id in _map(_extract_one, tasks, args.jobs):
+    for utt_id in map_ordered(_extract_one, args.jobs, tasks):
         log.info("extracted %s", utt_id)
     return 0
 
@@ -356,11 +338,9 @@ def _cmd_stats(args, cfg: dict) -> int:
     entries = read_manifest(args.manifest)
     if not entries:
         raise ParseError("manifest is empty", path=args.manifest)
-    tasks = [
-        FeatureTask(e.utt_id, e.audio_path, None, ".", feature_cfg, None)
-        for e in entries
-    ]
-    e_min, e_max, p_min, p_max, frames, voiced = zip(*_map(_stat_one, tasks, args.jobs))
+    tasks = [FeatureTask(e.utt_id, e.audio_path, None, ".", feature_cfg, None)
+             for e in entries]
+    e_min, e_max, p_min, p_max, frames, voiced = zip(*map_ordered(_stat_one, args.jobs, tasks))
     energy_min, energy_max = min(e_min), max(e_max)
     pitch_min, pitch_max = min(p_min), max(p_max)
     if not np.isfinite(energy_min) or not np.isfinite(energy_max):
@@ -441,7 +421,7 @@ def _cmd_manifest(args, cfg: dict) -> int:
     if spec_path is None:
         raise BadConfigError("provide --spec or dataset_spec in the config")
     spec = DatasetSpec.load(spec_path)
-    entries = build_manifest(spec, args.roots, jobs=args.jobs)
+    entries = build_manifest(spec, args.roots)
     out_dir = _out_dir(args, cfg)
     write_manifest(entries, out_dir / "manifest.txt")
     report = balance_report(entries)
@@ -528,7 +508,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("manifest", help="build a manifest and balance report")
     _add_common(p)
-    _add_jobs(p)
     p.add_argument("--spec", help="dataset spec file")
     p.add_argument("--roots", nargs="+", required=True, help="corpus scan roots")
     p.set_defaults(func=_cmd_manifest)

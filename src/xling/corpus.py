@@ -12,14 +12,14 @@ File formats (line rules in :mod:`xling.textio`):
   apart by their field count, so a speaker may be called ``name``.
 
 `build_manifest` scans per-speaker directories (``<root>/<speaker_id>/``
-holding ``<utt>.wav`` + ``<utt>.txt`` + ``<utt>.align``), validates every
-alignment, and truncates each speaker at its hour cap in lexicographic
-filename order.
+holding ``<utt>.wav`` + ``<utt>.txt`` + ``<utt>.align``) in spec order on
+the calling thread (the scan parses text, which holds the GIL), validates
+every alignment, and truncates each speaker at its hour cap in
+lexicographic filename order.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -188,16 +188,10 @@ def _scan_speaker(member: SpeakerSpec, roots) -> list:
     return entries
 
 
-def build_manifest(spec: DatasetSpec, scan_roots, jobs: int = 1) -> list:
-    """Scan roots for every member; deterministic merge in member order."""
+def build_manifest(spec: DatasetSpec, scan_roots) -> list:
+    """Every member's entries in member order; a failed member stops the scan."""
     roots = list(scan_roots)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            per_member = list(pool.map(lambda m: _scan_speaker(m, roots), spec.members))
-    else:
-        per_member = [_scan_speaker(m, roots) for m in spec.members]
-    entries = [entry for member_entries in per_member for entry in member_entries]
-    return entries
+    return [entry for member in spec.members for entry in _scan_speaker(member, roots)]
 
 
 def write_manifest(entries, path) -> None:

@@ -9,8 +9,8 @@ a 1024-point STFT (smallest power of two above the 640-sample window).
 The mel is summed filter by filter over each triangle's own run of FFT
 bins with numpy's fixed-order reduction, not by a matrix product: a BLAS
 product sums in an order that depends on its thread count, so mel bytes
-would change with the machine and with the size of the worker pool, and
-in forked pool workers its threads compete with the workers for the CPUs.
+would change with the machine, and its threads would compete with the
+``--jobs`` workers for the CPUs.
 
 Pitch uses a normalized cross-correlation estimator searching 50-600 Hz
 with parabolic peak interpolation; frames whose peak correlation falls

@@ -10,9 +10,11 @@ projection produce the mel frames.
 
 There is no training here: every parameter is drawn uniformly from
 [-0.1, 0.1] by the documented PRNG in :mod:`xling.prng`, so outputs are a
-pure deterministic function of (config, seed, inputs).  Each forward run
-records a trace of (stage, shape) pairs covering the whole dataflow,
-including a ``stopgrad:`` annotation on every variance-predictor input.
+pure deterministic function of (config, seed, inputs) at a fixed BLAS
+thread count; attention's batched products can round differently under
+``OPENBLAS_NUM_THREADS=1`` and ``=2``.  Each forward run records a trace of
+(stage, shape) pairs covering the whole dataflow, including a
+``stopgrad:`` annotation on every variance-predictor input.
 
 Every parameter name and shape is declared in :func:`parameter_shapes`.
 A conv, ``pitch_embed`` and ``mel_proj`` each declare ``name.weight`` and
@@ -61,7 +63,9 @@ The attention scores of one decoder block hold ``ATTN_HEADS * T * T``
 float64 values: 576 MB at this cap, and 23.8 GiB at 40,000 frames.  A
 teacher-forced total above it is rejected by :func:`check_inputs` before
 any weight is made, an inferred one by :func:`forward` before the decoder.
+No activation row of a valid config is wider than a row of these scores.
 """
+MAX_LAYERS = 64  # per stack; each block adds 18 tensors and a pass of Python per call
 MAX_WEIGHT_BYTES = 1 << 30
 """Upper bound on the float64 bytes of one set of weights (1 GiB).
 
@@ -91,10 +95,17 @@ class ModelConfig:
             raise BadConfigError(f"hidden must be divisible by {ATTN_HEADS} heads")
         if self.conv_kernel % 2 == 0 or self.pitch_embed_kernel % 2 == 0:
             raise BadConfigError("convolution kernels must be odd")
+        if max(self.enc_layers, self.dec_layers) > MAX_LAYERS:
+            raise TooLargeError(f"enc_layers and dec_layers must be at most {MAX_LAYERS}")
         n_bytes = 8 * sum(math.prod(shape) for _, shape in parameter_shapes(self))
         if n_bytes > MAX_WEIGHT_BYTES:
             raise TooLargeError(f"weights would take {n_bytes} bytes, "
                                 f"above the cap of {MAX_WEIGHT_BYTES}")
+        widest = max(self.ff_channels * self.conv_kernel, self.n_mels, self.pitch_embed_kernel,
+                     self.hidden * max(self.conv_kernel, PREDICTOR_KERNEL))
+        if widest > ATTN_HEADS * MAX_DECODER_FRAMES:
+            raise TooLargeError(f"activation rows would hold {widest} values, "
+                                f"above the cap of {ATTN_HEADS * MAX_DECODER_FRAMES}")
 
     def to_file(self, path) -> None:
         rows = [(f.name, str(getattr(self, f.name))) for f in fields(self)]
@@ -107,6 +118,8 @@ class ModelConfig:
             return cls(**values)
         except TypeError as exc:
             raise ParseError(str(exc), path=path) from exc
+        except (BadConfigError, TooLargeError) as exc:
+            raise type(exc)(f"{path}: {exc}") from exc
 
 
 def _affine_params(name: str, shape: tuple) -> list:
@@ -166,28 +179,41 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def map_ordered(fn, jobs: int, *iterables) -> list:
+    """``list(map(fn, *iterables))`` on ``jobs`` threads: the package's one pool.
+
+    Its tasks are numpy code that releases the GIL.  The first failure in
+    input order is raised after the running tasks finish and the rest are
+    cancelled, so no thread outlives the call.  A lone task runs on the caller.
+    """
+    tasks = list(zip(*iterables))
+    if len(tasks) <= 1:
+        return [fn(*task) for task in tasks]
+    pool = ThreadPoolExecutor(max_workers=jobs)
+    try:
+        return list(pool.map(fn, *zip(*tasks)))
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def init_weights(cfg: ModelConfig, seed: int) -> Weights:
     """Uniform [-0.1, 0.1] parameters, reproducible from (cfg, seed).
 
     ``seed`` is a u64; anything outside ``[0, 2**64)`` is a BadConfigError.
     A master xorshift64* stream hands one sub-seed to each tensor (in
     :func:`parameter_shapes` order), all drawn before any tensor is filled.
-    The tensors are then filled on a thread pool with one worker per CPU
-    this process may run on, each by the counter-based SplitMix64 stream in
-    cache-sized blocks, in place (see :mod:`xling.prng`); numpy releases
-    the GIL inside its ufuncs, so the fills run in parallel.  The bits
-    depend on neither the thread count nor the block size.  Nothing is
-    cached and nothing outlives the call: the pool is shut down before it
-    returns, and every call generates all parameters again.
+    :func:`map_ordered` then fills them on one thread per usable CPU, each by
+    the counter-based SplitMix64 stream in cache-sized blocks, in place (see
+    :mod:`xling.prng`); the bits depend on neither the thread count nor the
+    block size.  Nothing is cached: every call generates all parameters again.
     """
     if not 0 <= seed < 1 << 64:
         raise BadConfigError(f"seed must be in [0, 2**64), got {seed}")
     master = Xorshift64Star(seed)
     names, shapes = zip(*parameter_shapes(cfg))
     seeds = [master.next_u64() for _ in names]
-    with ThreadPoolExecutor(max_workers=usable_cpus()) as pool:
-        tensors = dict(zip(names, pool.map(uniform, seeds, shapes,
-                                           repeat(INIT_LOW), repeat(INIT_HIGH))))
+    tensors = dict(zip(names, map_ordered(uniform, usable_cpus(), seeds, shapes,
+                                          repeat(INIT_LOW), repeat(INIT_HIGH))))
     return Weights(cfg, tensors, seed)
 
 

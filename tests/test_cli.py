@@ -117,7 +117,7 @@ class TestFeatures:
         man_dir = tmp_path / "man"
         assert run(
             "manifest", "--spec", minicorpus / "d2.spec", "--roots", minicorpus,
-            "--out", man_dir, "--jobs", 1,
+            "--out", man_dir,
         ) == 0
         a, b = tmp_path / "a", tmp_path / "b"
         for out, jobs in ((a, 1), (b, 4)):
@@ -169,7 +169,7 @@ class TestStatsAndForward:
     def test_stats_then_quantized_features(self, tmp_path, minicorpus):
         man_dir = tmp_path / "man"
         run("manifest", "--spec", minicorpus / "d2.spec", "--roots", minicorpus,
-            "--out", man_dir, "--jobs", 1)
+            "--out", man_dir)
         stats_dir = tmp_path / "stats"
         assert run("stats", "--manifest", man_dir / "manifest.txt",
                    "--out", stats_dir, "--jobs", 2) == 0
@@ -297,13 +297,11 @@ class TestManifestCommand:
         spec = tmp_path / "one.spec"
         spec.write_text("name\tone\nd2_cnf\tCN\tF\t1.0\n", encoding="utf-8")
         out = tmp_path / "out"
-        for jobs in (1, 2):
-            assert run("manifest", "--spec", spec, "--roots", roots, "--out", out,
-                       "--jobs", jobs) == 1
-            err = capsys.readouterr().err
-            assert err.startswith(f"ERROR PARSE: {wav}: data chunk truncated")
-            assert len(err.splitlines()) == 1
-            assert not (out / "manifest.txt").exists()
+        assert run("manifest", "--spec", spec, "--roots", roots, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"ERROR PARSE: {wav}: data chunk truncated")
+        assert len(err.splitlines()) == 1
+        assert not (out / "manifest.txt").exists()
 
     def test_wav_without_samples_is_one_empty_audio_error(self, tmp_path, capsys):
         speaker = tmp_path / "roots" / "s1"
@@ -325,11 +323,36 @@ class TestManifestCommand:
         for out in (a, b):
             assert run(
                 "manifest", "--spec", minicorpus / "d123.spec",
-                "--roots", minicorpus, "--out", out, "--jobs", 2,
+                "--roots", minicorpus, "--out", out,
             ) == 0
         assert snapshot(a) == snapshot(b)
         balance = (a / "balance.txt").read_text("utf-8")
         assert "flags\tnone" in balance
+
+    def test_missing_first_speaker_stops_the_scan(self, tmp_path, minicorpus, capsys,
+                                                   monkeypatch):
+        import os
+
+        from xling import corpus
+        from xling.corpus import DatasetSpec
+
+        # two usable CPUs, so a per-speaker pool at the default --jobs would show
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        scanned, scan = [], corpus._scan_speaker
+
+        def counting_scan(member, roots):
+            scanned.append(member.speaker_id)  # list.append is atomic across threads
+            return scan(member, roots)
+
+        monkeypatch.setattr(corpus, "_scan_speaker", counting_scan)
+        members = DatasetSpec.load(minicorpus / "d123.spec").members
+        spec = tmp_path / "ghost.spec"
+        spec.write_text((minicorpus / "d123.spec").read_text("utf-8").replace(
+            members[0].speaker_id, "ghost"), encoding="utf-8")
+        assert run("manifest", "--spec", spec, "--roots", minicorpus,
+                   "--out", tmp_path / "out") == 1
+        assert capsys.readouterr().err.startswith("ERROR MISSING_SPEAKER: speaker 'ghost'")
+        assert scanned == ["ghost"] and len(members) == 8
 
     def test_missing_speaker_error(self, tmp_path, minicorpus, capsys):
         spec = tmp_path / "bad.spec"
@@ -342,7 +365,7 @@ class TestManifestCommand:
 class TestParser:
     def test_help_lists_flags_per_subcommand(self, capsys):
         parser = build_parser()
-        jobs = {"features", "stats", "manifest"}
+        jobs = {"features", "stats"}
         for command in ("g2p", "regulate", "features", "stats", "forward", "manifest"):
             with pytest.raises(SystemExit) as exc_info:
                 parser.parse_args([command, "--help"])
@@ -359,6 +382,7 @@ class TestParser:
         ["stats", "--manifest", "m.txt", "--seed", "1"],
         ["features", "--wav", "a.wav", "--seed", "1"],
         ["forward", "--phonemes", "a.phn", "--jobs", "2"],
+        ["manifest", "--spec", "d.spec", "--roots", "corpus", "--jobs", "2"],
     ])
     def test_flag_not_read_by_the_command_is_a_parser_error(self, capsys, argv):
         with pytest.raises(SystemExit) as exc_info:
@@ -487,8 +511,17 @@ class TestForwardChecksBeforeWeights:
         assert run("forward", "--phonemes", tmp_path / "text.phn",
                    "--model-config", cfg, "--out", tmp_path) == 1
         err = capsys.readouterr().err
-        assert err.startswith("ERROR TOO_LARGE: weights would take ")
+        assert err.startswith(f"ERROR TOO_LARGE: {cfg}: weights would take ")
         assert len(err.splitlines()) == 1
+
+    def test_value_the_config_rejects_names_the_file(self, tmp_path, capsys):
+        run("g2p", "--text", "你好 world", "--out", tmp_path)
+        cfg = tmp_path / "model.cfg"
+        cfg.write_text("n_ipa_symbols=54\nn_speakers=8\nhidden=255\n", encoding="utf-8")
+        assert run("forward", "--phonemes", tmp_path / "text.phn",
+                   "--model-config", cfg, "--out", tmp_path) == 1
+        assert capsys.readouterr().err == (f"ERROR BAD_CONFIG: {cfg}: hidden must be "
+                                           "divisible by 2 heads\n")
 
 
 class TestMalformedRegulateAndManifest:
@@ -621,7 +654,7 @@ class TestNulByteInput:
     @pytest.mark.parametrize("command", ["stats", "features"])
     def test_manifest_audio_path(self, tmp_path, capsys, minicorpus, command):
         run("manifest", "--spec", minicorpus / "d2.spec", "--roots", minicorpus,
-            "--out", tmp_path / "man", "--jobs", 1)
+            "--out", tmp_path / "man")
         data = (tmp_path / "man" / "manifest.txt").read_bytes()
         offset = data.index(b".wav")
         path = tmp_path / "nul.txt"
@@ -636,7 +669,7 @@ class TestBatchFailureNamesUtterance:
     @pytest.fixture
     def manifest(self, tmp_path, minicorpus):
         run("manifest", "--spec", minicorpus / "d2.spec", "--roots", minicorpus,
-            "--out", tmp_path / "man", "--jobs", 1)
+            "--out", tmp_path / "man")
         lines = (tmp_path / "man" / "manifest.txt").read_text(encoding="utf-8").splitlines()
         entries = [line for line in lines if not line.startswith("#")]
         write_empty_wav(tmp_path / "empty.wav")
@@ -690,7 +723,7 @@ class TestStatsFileKeys:
         from xling.cli import _STATS_KEYS
 
         run("manifest", "--spec", minicorpus / "d2.spec", "--roots", minicorpus,
-            "--out", tmp_path, "--jobs", 1)
+            "--out", tmp_path)
         assert run("stats", "--manifest", tmp_path / "manifest.txt", "--out", tmp_path,
                    "--jobs", 1) == 0
         lines = (tmp_path / "stats.txt").read_text("utf-8").splitlines()
@@ -784,7 +817,7 @@ class TestFeaturesUnreadFlags:
 
 class TestJobs:
     @pytest.mark.parametrize("jobs", ["0", "-1"])
-    @pytest.mark.parametrize("command", ["features", "stats", "manifest"])
+    @pytest.mark.parametrize("command", ["features", "stats"])
     def test_below_one_is_a_parser_error(self, capsys, command, jobs):
         with pytest.raises(SystemExit) as exc_info:
             build_parser().parse_args([command, "--jobs", jobs])
@@ -812,7 +845,7 @@ class TestBatchOnThreads:
     @pytest.fixture
     def manifest(self, tmp_path, minicorpus):
         run("manifest", "--spec", minicorpus / "d2.spec", "--roots", minicorpus,
-            "--out", tmp_path / "man", "--jobs", 1)
+            "--out", tmp_path / "man")
         return tmp_path / "man" / "manifest.txt"
 
     def test_no_process_and_outputs_independent_of_jobs(self, tmp_path, monkeypatch,

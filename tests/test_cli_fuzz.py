@@ -1,13 +1,14 @@
-"""No input file reaches a traceback: a property test over the d2 flow.
+"""No input file reaches a traceback: property tests over the d2 flow.
 
 Each valid input file of a small d2 minicorpus flow is mutated once (cut
 short, one bit flipped, bytes inserted, or a span repeated) and fed to the
 subcommand that reads it, through ``cli.main``.  The run must exit 0, or
 exit 1 with exactly one ``ERROR <code>:`` line on stderr.
 
-Inserted bytes are control or non-ASCII bytes, never digits, so no mutation
-can turn a model config or an alignment into one that asks for gigabytes:
-at most a repeated span doubles a number's digits.
+Inserted bytes are control or non-ASCII bytes, never digits, so those
+mutations scale no number beyond doubling its digits.  A second strategy
+does: it replaces one run of digits in the alignment, model config or
+dataset spec with 0 or 10**k for k in [1, 30], under the same rule.
 """
 
 import contextlib
@@ -46,7 +47,7 @@ def flow(tmp_path_factory):
     corpus = generate(root / "corpus", scale=3600)
     out = root / "flow"
     assert run("manifest", "--spec", corpus / "d2.spec", "--roots", corpus,
-               "--out", out, "--jobs", 1) == (0, "")
+               "--out", out) == (0, "")
     manifest = out / "manifest.txt"
     assert run("stats", "--manifest", manifest, "--out", out, "--jobs", 1) == (0, "")
     wav = Path(manifest.read_text("utf-8").split("|")[1])
@@ -72,7 +73,7 @@ def command(kind, f, path, out):
     single = ["features", "--wav", f["wav"], "--alignment", f["alignment"],
               "--stats", f["stats"], "--config", f["pipeline_config"]]
     argv = {
-        "spec": ["manifest", "--spec", f["spec"], "--roots", f["root"], "--jobs", 1],
+        "spec": ["manifest", "--spec", f["spec"], "--roots", f["root"]],
         "manifest": ["features", "--manifest", f["manifest"], "--stats", f["stats"],
                      "--jobs", 1],
         "stats": single, "wav": single, "alignment": single, "pipeline_config": single,
@@ -108,14 +109,33 @@ def test_unmutated_flow_exits_zero(flow, kind, tmp_path):
     assert run(*command(kind, flow, flow[kind], tmp_path)) == (0, "")
 
 
-@given(data=st.data())
-@settings(max_examples=1000, suppress_health_check=[HealthCheck.too_slow])
-def test_mutated_input_exits_zero_or_with_one_error_line(flow, data):
-    kind = data.draw(st.sampled_from(KINDS), label="kind")
-    original = flow[kind].read_bytes()
-    mutated = data.draw(mutation(original), label="mutated")
+@st.composite
+def scaled_number(draw, data: bytes) -> bytes:
+    """``data`` with one run of digits replaced by 0 or by 10**k, k in [1, 30]."""
+    digits = draw(st.sampled_from(list(re.finditer(rb"[0-9]+", data))))
+    value = draw(st.just(0) | st.integers(1, 30).map(lambda k: 10**k))
+    return data[:digits.start()] + str(value).encode() + data[digits.end():]
+
+
+def exits_zero_or_with_one_error_line(flow, kind, mutated):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / flow[kind].name
         path.write_bytes(mutated)
         code, err = run(*command(kind, flow, path, Path(tmp) / "out"))
     assert (code, err) == (0, "") or (code == 1 and ONE_ERROR.fullmatch(err)), (code, err)
+
+
+@given(data=st.data())
+@settings(max_examples=1000, suppress_health_check=[HealthCheck.too_slow])
+def test_mutated_input_exits_zero_or_with_one_error_line(flow, data):
+    kind = data.draw(st.sampled_from(KINDS), label="kind")
+    mutated = data.draw(mutation(flow[kind].read_bytes()), label="mutated")
+    exits_zero_or_with_one_error_line(flow, kind, mutated)
+
+
+@given(data=st.data())
+@settings(max_examples=300, suppress_health_check=[HealthCheck.too_slow])
+def test_scaled_number_exits_zero_or_with_one_error_line(flow, data):
+    kind = data.draw(st.sampled_from(["alignment", "model_config", "spec"]), label="kind")
+    mutated = data.draw(scaled_number(flow[kind].read_bytes()), label="mutated")
+    exits_zero_or_with_one_error_line(flow, kind, mutated)

@@ -138,8 +138,7 @@ class TestBuildManifest:
         spec = DatasetSpec.load(minicorpus / "d123.spec")
         a = build_manifest(spec, [minicorpus])
         b = build_manifest(spec, [minicorpus])
-        c = build_manifest(spec, [minicorpus], jobs=4)
-        assert a == b == c
+        assert a == b
 
     def test_paper_scale_structure(self, minicorpus):
         spec = DatasetSpec.load(minicorpus / "d123.spec")

@@ -49,3 +49,9 @@ def test_cli_import_loads_no_process_or_hash_module():
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                             env={**os.environ, "PYTHONPATH": src}, check=True, timeout=60)
     assert result.stdout.split() == []
+
+
+def test_one_module_owns_the_thread_pool():
+    owners = [path.name for path in sorted(Path(xling.__file__).parent.glob("*.py"))
+              if "ThreadPoolExecutor" in path.read_text(encoding="utf-8")]
+    assert owners == ["model.py"]

@@ -21,6 +21,7 @@ from xling.model import (
     ATTN_HEADS,
     MAX_DECODER_FRAMES,
     MAX_FRAMES_PER_PHONEME,
+    MAX_LAYERS,
     MAX_WEIGHT_BYTES,
     Inference,
     ModelConfig,
@@ -81,6 +82,37 @@ class TestConfig:
         with pytest.raises(TooLargeError, match="weights would take"):
             ModelConfig(n_ipa_symbols=54, n_speakers=8, hidden=1_000_000)
 
+    @pytest.mark.parametrize("field, value", [
+        ("enc_layers", MAX_LAYERS + 1), ("dec_layers", MAX_LAYERS + 1),
+        ("n_mels", 10**7), ("ff_channels", 10**6), ("conv_kernel", 5001),
+        ("pitch_embed_kernel", 10**5 + 1),
+    ])
+    def test_sizes_the_weight_cap_lets_through_are_capped(self, field, value):
+        """Each value keeps the weights under the cap, but would make a forward
+        call run a block per layer or hold one activation row per frame far
+        wider than a row of attention scores at the frame cap."""
+        tiny = dict(n_ipa_symbols=54, n_speakers=2, hidden=8, enc_layers=1, dec_layers=1,
+                    conv_kernel=3, ff_channels=4, n_mels=5)
+        ModelConfig(**tiny)
+        with pytest.raises(TooLargeError, match="above the cap|at most"):
+            ModelConfig(**{**tiny, field: value})
+
+    def test_widest_row_at_the_cap_is_allowed(self):
+        ModelConfig(n_ipa_symbols=4, n_speakers=1, hidden=8, enc_layers=MAX_LAYERS,
+                     dec_layers=MAX_LAYERS, conv_kernel=3, ff_channels=8,
+                     n_mels=ATTN_HEADS * MAX_DECODER_FRAMES)
+
+    @pytest.mark.parametrize("value, error, detail", [
+        ("hidden=255", BadConfigError, "hidden must be divisible by"),
+        ("hidden=1000000", TooLargeError, "weights would take"),
+    ])
+    def test_file_value_rejected_by_the_config_names_the_path(self, tmp_path, value,
+                                                               error, detail):
+        path = tmp_path / "model.cfg"
+        path.write_text(f"n_ipa_symbols=4\nn_speakers=1\n{value}\n", encoding="utf-8")
+        with pytest.raises(error, match=f"^{re.escape(f'{path}: {detail}')}"):
+            ModelConfig.from_file(path)
+
     def test_file_round_trip(self, tmp_path):
         cfg = ModelConfig(n_ipa_symbols=54, n_speakers=8)
         path = tmp_path / "model.cfg"
@@ -110,13 +142,13 @@ class TestConfig:
         pitch_embed_kernel=st.integers(0, 32).map(lambda k: 2 * k + 1),
     )))
     def test_file_round_trip_over_valid_configs(self, tmp_path_factory, values):
-        """A config under the weight cap reads back equal; one above it is
+        """A config within the size caps reads back equal; one beyond them is
         rejected whether it is built or read."""
         path = tmp_path_factory.mktemp("cfg") / "model.cfg"
         try:
             cfg = ModelConfig(**values)
         except TooLargeError:
-            event("above the weight cap")
+            event("beyond a size cap")
             path.write_text("".join(f"{key}={value}\n" for key, value in values.items()),
                             encoding="utf-8")
             with pytest.raises(TooLargeError):
@@ -255,6 +287,31 @@ class TestParallelInit:
             init_weights(CROSSES_BLOCKS, seed=1)
         assert threading.active_count() == before
 
+    def test_failed_fill_cancels_the_fills_not_started(self, monkeypatch):
+        import time
+
+        workers = 2
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)))
+        first_seed = Xorshift64Star(1).next_u64()
+        started, lock = [], threading.Lock()
+
+        def failing(seed, shape, low, high):
+            with lock:
+                started.append(seed)
+            if seed == first_seed:
+                raise RuntimeError("fill failed")
+            time.sleep(0.2)  # keeps the other worker busy while the failure lands
+            return np.zeros(shape)
+
+        before = set(threading.enumerate())
+        monkeypatch.setattr(model, "uniform", failing)
+        with pytest.raises(RuntimeError, match="fill failed"):
+            init_weights(SMALL, seed=1)
+        # the failed fill, the one the other worker had started, and at most
+        # one more that the failed worker took before the rest were cancelled
+        assert len(started) <= workers + 1 < len(parameter_shapes(SMALL)), started
+        assert set(threading.enumerate()) == before
+
 
 class TestForward:
     def test_teacher_forced_row_count(self, small_weights):
@@ -275,6 +332,35 @@ class TestForward:
         for name in ("mel_pred", "dur_pred", "pitch_pred", "energy_pred"):
             assert np.array_equal(getattr(a, name), getattr(b, name))
         assert a.trace == b.trace
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_bytes_repeat_across_interpreters_at_one_blas_thread_count(self, threads):
+        """Outputs are a pure function of (config, seed, inputs) at a fixed BLAS
+        thread count; attention's batched products may round differently at
+        another count, so only the same count is compared."""
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import xling
+
+        script = (
+            "import hashlib\n"
+            "from xling.model import ModelConfig, TeacherForced, forward, init_weights\n"
+            "cfg = ModelConfig(n_ipa_symbols=12, n_speakers=2, hidden=64, enc_layers=1,\n"
+            "                  dec_layers=1, conv_kernel=3, ff_channels=128, n_mels=16)\n"
+            "mode = TeacherForced((50,) * 6, (120.0,) * 6, (0.5,) * 6)\n"
+            "out = forward(init_weights(cfg, 5), list(range(12)), [2] * 6, 1, mode)\n"
+            "for part in (out.mel_pred, out.dur_pred):\n"
+            "    print(hashlib.sha256(part.tobytes()).hexdigest())\n"
+        )
+        src = str(Path(xling.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads)
+        digests = [subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                                  capture_output=True, text=True, timeout=120).stdout
+                   for _ in range(2)]
+        assert digests[0] == digests[1] and len(digests[0].split()) == 2
 
     def test_trace_enumerates_dataflow(self, small_weights):
         ids, lengths = [0, 1, 2], [2, 1]
