@@ -70,8 +70,10 @@ from .features import (
 )
 from .lexicon import (
     Lexicon,
+    default_paths,
     dump_phoneme_sequence,
     inventory_ids,
+    load_inventory,
     load_phoneme_sequence,
     text_to_phoneme_sequence,
 )
@@ -130,15 +132,14 @@ def _feature_config(cfg: dict) -> FeatureConfig:
     return FeatureConfig(**{key: cfg[key] for key in _FEATURE_KINDS if key in cfg})
 
 
-def _lexicon(cfg: dict) -> Lexicon:
-    if any(key in cfg for key in _LEXICON_KEYS):
-        missing = [key for key in _LEXICON_KEYS if key not in cfg]
-        if missing:
-            raise BadConfigError(f"config overrides lexicon paths but lacks {missing}")
-        return Lexicon.load(
-            cfg["en_dict"], cfg["cn_dict"], cfg["ipa_dict"], cfg["ipa_inventory"]
-        )
-    return Lexicon.load_default()
+def _lexicon_paths(cfg: dict) -> tuple:
+    """The config's lexicon files (all four keys or none), else the bundled ones."""
+    if not any(key in cfg for key in _LEXICON_KEYS):
+        return default_paths()
+    missing = [key for key in _LEXICON_KEYS if key not in cfg]
+    if missing:
+        raise BadConfigError(f"config overrides lexicon paths but lacks {missing}")
+    return tuple(cfg[key] for key in _LEXICON_KEYS)
 
 
 def _out_dir(args, cfg: dict) -> Path:
@@ -164,7 +165,7 @@ def _parse_int_list(value: str | None, file_value: str | None, what: str) -> lis
 # ----------------------------------------------------------------- g2p
 
 def _cmd_g2p(args, cfg: dict) -> int:
-    lexicon = _lexicon(cfg)
+    lexicon = Lexicon.load(*_lexicon_paths(cfg))
     if (args.text is None) == (args.text_file is None):
         raise BadConfigError("provide exactly one of --text / --text-file")
     if args.text is not None:
@@ -358,9 +359,8 @@ def _cmd_stats(args, cfg: dict) -> int:
 # -------------------------------------------------------------- forward
 
 def _cmd_forward(args, cfg: dict) -> int:
-    lexicon = _lexicon(cfg)
+    ids_map = inventory_ids(load_inventory(_lexicon_paths(cfg)[-1]))
     ps = load_phoneme_sequence(args.phonemes)
-    ids_map = inventory_ids(lexicon)
     try:
         ids = [ids_map[symbol] for symbol in ps.ipa]
     except KeyError as exc:

@@ -120,9 +120,7 @@ class Lexicon:
 
     @classmethod
     def load(cls, en_path, cn_path, ipa_path, inventory_path) -> "Lexicon":
-        inventory = frozenset(
-            symbol for _, (symbol,) in records(inventory_path, n_fields=1)
-        )
+        inventory = load_inventory(inventory_path)
 
         en_entries = {}
         for key, symbols, _ in _parse_dict_file(en_path):
@@ -167,13 +165,23 @@ class Lexicon:
     @classmethod
     def load_default(cls) -> "Lexicon":
         """Load the dictionaries bundled with the package."""
-        base = resources.files("xling").joinpath("data")
-        return cls.load(
-            base / "en_arpabet.dict",
-            base / "cn_pinyin.dict",
-            base / "ldp_to_ipa.dict",
-            base / "ipa_inventory.txt",
-        )
+        return cls.load(*default_paths())
+
+
+def default_paths() -> tuple:
+    """The bundled files, in :meth:`Lexicon.load` argument order."""
+    base = resources.files("xling").joinpath("data")
+    return (
+        base / "en_arpabet.dict",
+        base / "cn_pinyin.dict",
+        base / "ldp_to_ipa.dict",
+        base / "ipa_inventory.txt",
+    )
+
+
+def load_inventory(path) -> frozenset:
+    """The IPA symbols of an inventory file, one symbol per line."""
+    return frozenset(symbol for _, (symbol,) in records(path, n_fields=1))
 
 
 def tokenize(text: str) -> list:
@@ -220,9 +228,13 @@ def ldp_to_ipa(ldp: LDPSymbol, lexicon: Lexicon) -> tuple:
     return symbols, len(symbols)
 
 
-def inventory_ids(lexicon: Lexicon) -> dict:
-    """Stable symbol -> id mapping: sorted inventory order."""
-    return {symbol: i for i, symbol in enumerate(sorted(lexicon.inventory))}
+def inventory_ids(lexicon) -> dict:
+    """Stable symbol -> id mapping: sorted inventory order.
+
+    ``lexicon`` is a :class:`Lexicon` or an inventory from :func:`load_inventory`.
+    """
+    inventory = lexicon.inventory if isinstance(lexicon, Lexicon) else lexicon
+    return {symbol: i for i, symbol in enumerate(sorted(inventory))}
 
 
 def dump_phoneme_sequence(ps: PhonemeSequence, path) -> None:

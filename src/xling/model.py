@@ -8,6 +8,13 @@ edges, a 1-D convolution turns pitch values into an additive embedding,
 durations expand to frame resolution, and a 4-block decoder plus a linear
 projection produce the mel frames.
 
+A call holds its weights (one allocation, see :func:`init_weights`), its
+activations, and, while a convolution runs, a window scratch of at most
+:data:`CONV_SCRATCH_BYTES` (plus the padded input rows it is cut from)
+that does not grow with the sequence length.  Only the attention scores
+grow faster than the activations, with the square of the length, which
+:data:`MAX_DECODER_FRAMES` caps.
+
 There is no training here: every parameter is drawn uniformly from
 [-0.1, 0.1] by the documented PRNG in :mod:`xling.prng`, so outputs are a
 pure deterministic function of (config, seed, inputs) at a fixed BLAS
@@ -63,7 +70,22 @@ The attention scores of one decoder block hold ``ATTN_HEADS * T * T``
 float64 values: 576 MB at this cap, and 23.8 GiB at 40,000 frames.  A
 teacher-forced total above it is rejected by :func:`check_inputs` before
 any weight is made, an inferred one by :func:`forward` before the decoder.
-No activation row of a valid config is wider than a row of these scores.
+An encoder block's scores have the same shape over the IPA ids, so
+:func:`check_inputs` holds their count to the same cap.  No activation
+row of a valid config is wider than a row of these scores.
+"""
+CONV_SCRATCH_BYTES = 12 << 20
+"""Upper bound on the window matrix one :func:`_conv` product reads (12 MiB).
+
+A convolution over ``T`` rows splits them into ``ceil(T / rows)`` blocks
+of near-equal size, ``rows`` being the most window rows (``8 * C_in * k``
+bytes each) that fit here, and multiplies one block at a time.  At the
+paper config a decoder ``conv2`` row takes 72 KiB, so the split starts at
+171 frames, while ``conv1`` (18 KiB a row) stays one product up to 682
+frames: each product packs the whole 18.9 MB weight matrix again.  The
+blocks change no bit: BLAS sums every output element over the same
+``C_in * k`` products in the same order in any block of two rows or more
+(tested at the paper's conv shapes under one and two BLAS threads).
 """
 MAX_LAYERS = 64  # per stack; each block adds 18 tensors and a pass of Python per call
 MAX_WEIGHT_BYTES = 1 << 30
@@ -202,18 +224,24 @@ def init_weights(cfg: ModelConfig, seed: int) -> Weights:
     ``seed`` is a u64; anything outside ``[0, 2**64)`` is a BadConfigError.
     A master xorshift64* stream hands one sub-seed to each tensor (in
     :func:`parameter_shapes` order), all drawn before any tensor is filled.
-    :func:`map_ordered` then fills them on one thread per usable CPU, each by
-    the counter-based SplitMix64 stream in cache-sized blocks, in place (see
-    :mod:`xling.prng`); the bits depend on neither the thread count nor the
-    block size.  Nothing is cached: every call generates all parameters again.
+    Every tensor is a view into one float64 allocation made on the calling
+    thread, laid out in that order, so freeing the weights hands the whole
+    mapping back to the OS.  :func:`map_ordered` fills the views on one
+    thread per usable CPU, each by the counter-based SplitMix64 stream in
+    cache-sized blocks, in place (see :mod:`xling.prng`); the bits depend on
+    neither the thread count nor the block size.  Nothing is cached: every
+    call generates all parameters again.
     """
     if not 0 <= seed < 1 << 64:
         raise BadConfigError(f"seed must be in [0, 2**64), got {seed}")
     master = Xorshift64Star(seed)
     names, shapes = zip(*parameter_shapes(cfg))
     seeds = [master.next_u64() for _ in names]
+    sizes = [math.prod(shape) for shape in shapes]
+    chunks = np.split(np.empty(sum(sizes)), np.cumsum(sizes)[:-1])
+    views = [chunk.reshape(shape) for chunk, shape in zip(chunks, shapes)]
     tensors = dict(zip(names, map_ordered(uniform, usable_cpus(), seeds, shapes,
-                                          repeat(INIT_LOW), repeat(INIT_HIGH))))
+                                          repeat(INIT_LOW), repeat(INIT_HIGH), views)))
     return Weights(cfg, tensors, seed)
 
 
@@ -265,17 +293,40 @@ def _ln(x, p, name):
     return (x - mean) / np.sqrt(var + LAYERNORM_EPS) * p[f"{name}.gamma"] + p[f"{name}.beta"]
 
 
+def _row_blocks(n: int, rows: int) -> list:
+    """``[start, stop)`` bounds of ``ceil(n / rows)`` blocks of near-equal size."""
+    count = -(-n // rows)
+    bounds = [n * i // count for i in range(count + 1)]
+    return list(zip(bounds, bounds[1:]))
+
+
 def _conv(x, p, name):
-    """Same-padded 1-D convolution over time; x is (T, C_in)."""
+    """Same-padded 1-D convolution over time; x is (T, C_in).
+
+    The ``(rows, C_in * k)`` window matrix of each row block is copied into
+    one scratch of at most :data:`CONV_SCRATCH_BYTES` and multiplied into
+    its rows of the result; the bias is added once at the end.
+    """
     weight = p[f"{name}.weight"]
-    if x.shape[0] == 0:
-        return np.zeros((0, weight.shape[0]))
-    k = weight.shape[2]
+    T, (c_out, c_in, k) = x.shape[0], weight.shape
+    out = np.empty((T, c_out))
+    if T == 0:
+        return out
     pad = k // 2
-    padded = np.pad(x, ((pad, pad), (0, 0)))
-    windows = np.lib.stride_tricks.sliding_window_view(padded, k, axis=0)
-    flat = windows.reshape(x.shape[0], -1)  # (T, C_in * k)
-    return flat @ weight.reshape(weight.shape[0], -1).T + p[f"{name}.bias"]
+    kernel = weight.reshape(c_out, -1).T  # (C_in * k, C_out)
+    # with room for three rows or more, near-equal blocks never hold one
+    # row: numpy multiplies a one-row matrix by BLAS's matrix-vector path,
+    # which rounds differently
+    blocks = _row_blocks(T, max(3, CONV_SCRATCH_BYTES // (8 * c_in * k)))
+    scratch = np.empty((max(stop - start for start, stop in blocks), c_in, k))
+    for start, stop in blocks:
+        lo, hi = max(start - pad, 0), min(stop + pad, T)
+        windows = scratch[:stop - start]
+        windows[...] = np.lib.stride_tricks.sliding_window_view(
+            np.pad(x[lo:hi], ((lo - start + pad, stop + pad - hi), (0, 0))), k, axis=0)
+        np.matmul(windows.reshape(stop - start, -1), kernel, out=out[start:stop])
+    out += p[f"{name}.bias"]
+    return out
 
 
 def _attention(x, p, prefix):
@@ -320,11 +371,15 @@ def positional_encoding(length: int, dim: int) -> np.ndarray:
 def check_inputs(cfg: ModelConfig, ipa_ids, phoneme_lengths, speaker: int, mode) -> tuple:
     """Check :func:`forward`'s inputs against ``cfg`` alone (no weights needed).
 
-    A teacher-forced frame total above :data:`MAX_DECODER_FRAMES` is a
-    TooLargeError.  Returns the ids and phoneme lengths as int64 arrays.
+    More IPA ids, or a teacher-forced frame total, above
+    :data:`MAX_DECODER_FRAMES` is a TooLargeError.  Returns the ids and
+    phoneme lengths as int64 arrays.
     """
     ids = np.asarray(ipa_ids, dtype=np.int64).reshape(-1)
     lengths = np.asarray(phoneme_lengths, dtype=np.int64).reshape(-1)
+    if ids.size > MAX_DECODER_FRAMES:
+        raise TooLargeError(f"{ids.size} IPA symbols, above the encoder's cap of "
+                            f"{MAX_DECODER_FRAMES} rows")
     if ids.size and (ids.min() < 0 or ids.max() >= cfg.n_ipa_symbols):
         raise ShapeMismatchError(
             f"IPA ids must lie in [0, {cfg.n_ipa_symbols})"

@@ -256,6 +256,58 @@ class TestStatsAndForward:
         assert len(err.splitlines()) == 1
 
 
+class TestForwardReadsOnlyTheInventory:
+    @pytest.fixture
+    def phn(self, tmp_path):
+        run("g2p", "--text", "你好 world", "--out", tmp_path)
+        return tmp_path / "text.phn"
+
+    MODEL = "n_ipa_symbols=54\nn_speakers=1\nhidden=8\nenc_layers=1\ndec_layers=1\n"
+
+    def config(self, tmp_path, **paths):
+        (tmp_path / "model.cfg").write_text(self.MODEL, encoding="utf-8")
+        lines = [f"model_config={tmp_path / 'model.cfg'}"]
+        lines += [f"{key}={path}" for key, path in paths.items()]
+        path = tmp_path / "pipeline.cfg"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return path
+
+    def test_forward_does_not_load_the_lexicon(self, tmp_path, phn, monkeypatch):
+        import xling.cli as cli_module
+
+        def no_lexicon(*args, **kwargs):
+            raise AssertionError("forward loaded the whole lexicon")
+
+        monkeypatch.setattr(cli_module.Lexicon, "load", no_lexicon)
+        assert run("forward", "--phonemes", phn, "--config", self.config(tmp_path),
+                   "--out", tmp_path / "out") == 0
+
+    def test_configured_inventory_maps_the_ids(self, tmp_path, phn, capsys):
+        from xling.lexicon import default_paths
+
+        bundled = default_paths()
+        inventory = tmp_path / "inventory.txt"
+        symbols = load_phoneme_sequence(phn).ipa
+        kept = [line for line in bundled[-1].read_text("utf-8").splitlines()
+                if line != symbols[0]]
+        inventory.write_text("\n".join(kept) + "\n", encoding="utf-8")
+        paths = dict(zip(("en_dict", "cn_dict", "ipa_dict"), bundled[:3]))
+        cfg = self.config(tmp_path, **paths, ipa_inventory=inventory)
+        assert run("forward", "--phonemes", phn, "--config", cfg, "--out", tmp_path) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"ERROR PARSE: {phn}: IPA symbol {symbols[0]!r} not in ")
+        assert len(err.splitlines()) == 1
+
+    def test_lexicon_keys_are_all_set_or_none(self, tmp_path, phn, capsys):
+        from xling.lexicon import default_paths
+
+        cfg = self.config(tmp_path, ipa_inventory=default_paths()[-1])
+        assert run("forward", "--phonemes", phn, "--config", cfg, "--out", tmp_path) == 1
+        assert capsys.readouterr().err == (
+            "ERROR BAD_CONFIG: config overrides lexicon paths but lacks "
+            "['en_dict', 'cn_dict', 'ipa_dict']\n")
+
+
 class TestForwardSeedRange:
     @pytest.fixture
     def inputs(self, tmp_path):
@@ -503,6 +555,24 @@ class TestForwardChecksBeforeWeights:
         err = capsys.readouterr().err
         assert err == ("ERROR TOO_LARGE: teacher-forced durations sum to 40000 frames, "
                        f"above the cap of {MAX_DECODER_FRAMES}\n")
+
+    def test_encoder_rows_above_the_cap(self, tmp_path, capsys):
+        from xling.model import MAX_DECODER_FRAMES
+
+        run("g2p", "--text", "你好 world", "--out", tmp_path)
+        header, *rows = (tmp_path / "text.phn").read_text("utf-8").splitlines()
+        per_copy = sum(int(row.split("\t")[3]) for row in rows)
+        copies = MAX_DECODER_FRAMES // per_copy + 1
+        phn = tmp_path / "long.phn"
+        phn.write_text("\n".join([header] + rows * copies) + "\n", encoding="utf-8")
+        cfg = tmp_path / "model.cfg"
+        cfg.write_text("n_ipa_symbols=54\nn_speakers=1\nhidden=8\nenc_layers=1\n"
+                       "dec_layers=1\nff_channels=8\n", encoding="utf-8")
+        assert run("forward", "--phonemes", phn, "--model-config", cfg,
+                   "--out", tmp_path) == 1
+        assert capsys.readouterr().err == (
+            f"ERROR TOO_LARGE: {per_copy * copies} IPA symbols, above the encoder's "
+            f"cap of {MAX_DECODER_FRAMES} rows\n")
 
     def test_weights_above_the_cap(self, tmp_path, capsys):
         run("g2p", "--text", "你好 world", "--out", tmp_path)

@@ -7,8 +7,9 @@ exit 1 with exactly one ``ERROR <code>:`` line on stderr.
 
 Inserted bytes are control or non-ASCII bytes, never digits, so those
 mutations scale no number beyond doubling its digits.  A second strategy
-does: it replaces one run of digits in the alignment, model config or
-dataset spec with 0 or 10**k for k in [1, 30], under the same rule.
+does: it replaces one run of digits in the alignment, model config,
+phoneme file or dataset spec with 0 or 10**k for k in [1, 30], under the
+same rule.
 """
 
 import contextlib
@@ -136,6 +137,7 @@ def test_mutated_input_exits_zero_or_with_one_error_line(flow, data):
 @given(data=st.data())
 @settings(max_examples=300, suppress_health_check=[HealthCheck.too_slow])
 def test_scaled_number_exits_zero_or_with_one_error_line(flow, data):
-    kind = data.draw(st.sampled_from(["alignment", "model_config", "spec"]), label="kind")
+    kind = data.draw(st.sampled_from(["alignment", "model_config", "phn", "spec"]),
+                     label="kind")
     mutated = data.draw(scaled_number(flow[kind].read_bytes()), label="mutated")
     exits_zero_or_with_one_error_line(flow, kind, mutated)

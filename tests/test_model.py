@@ -216,6 +216,17 @@ class TestInitWeights:
         for name, shape in declared.items():
             assert small_weights.tensors[name].shape == shape
 
+    def test_tensors_are_disjoint_views_of_one_buffer(self, small_weights):
+        tensors = [small_weights.tensors[name] for name, _ in parameter_shapes(SMALL)]
+        buffer = tensors[0].base
+        assert buffer is not None and buffer.flags.owndata
+        assert sum(t.nbytes for t in tensors) == buffer.nbytes
+        address = buffer.__array_interface__["data"][0]
+        for tensor in tensors:  # laid out end to end in declaration order
+            assert tensor.base is buffer and tensor.flags.c_contiguous
+            assert tensor.__array_interface__["data"][0] == address
+            address += tensor.nbytes
+
 
 # conv1/conv2 weights hold 1400 * 16 * 3 = 67,200 values: two block edges each
 CROSSES_BLOCKS = ModelConfig(n_ipa_symbols=5, n_speakers=2, hidden=16, enc_layers=1,
@@ -257,8 +268,8 @@ class TestParallelInit:
     def test_every_draw_passes_through_splitmix64_fill(self, monkeypatch):
         fill, drawn = prng.splitmix64_fill, []
 
-        def counting(seed, n):
-            out = fill(seed, n)
+        def counting(seed, n, out=None):
+            out = fill(seed, n, out=out)
             drawn.append(out.size)  # list.append is atomic across threads
             return out
 
@@ -276,10 +287,10 @@ class TestParallelInit:
         assert threading.active_count() == before
 
     def test_worker_failure_reaches_the_caller(self, monkeypatch):
-        def failing(seed, shape, low, high):
+        def failing(seed, shape, low, high, out=None):
             if shape == (1400,):
                 raise MemoryError("no room")
-            return uniform(seed, shape, low, high)
+            return uniform(seed, shape, low, high, out=out)
 
         before = threading.active_count()
         monkeypatch.setattr(model, "uniform", failing)
@@ -295,7 +306,7 @@ class TestParallelInit:
         first_seed = Xorshift64Star(1).next_u64()
         started, lock = [], threading.Lock()
 
-        def failing(seed, shape, low, high):
+        def failing(seed, shape, low, high, out=None):
             with lock:
                 started.append(seed)
             if seed == first_seed:
@@ -420,6 +431,14 @@ class TestForward:
         with pytest.raises(TooLargeError, match=f"sum to {MAX_DECODER_FRAMES + 1} frames"):
             model.check_inputs(SMALL, [0, 1, 2], [2, 1], 0, mode(MAX_DECODER_FRAMES + 1))
 
+    @pytest.mark.parametrize("mode", [Inference(), TeacherForced((1,), (0.0,), (0.0,))])
+    def test_encoder_rows_capped_before_weights(self, mode):
+        model.check_inputs(SMALL, [0] * MAX_DECODER_FRAMES, [MAX_DECODER_FRAMES], 0, mode)
+        too_many = MAX_DECODER_FRAMES + 1
+        with pytest.raises(TooLargeError, match=f"^{too_many} IPA symbols, above the "
+                                                f"encoder's cap of {MAX_DECODER_FRAMES}"):
+            model.check_inputs(SMALL, [0] * too_many, [too_many], 0, mode)
+
     def test_inferred_frames_capped(self, small_weights):
         n = MAX_DECODER_FRAMES // MAX_FRAMES_PER_PHONEME + 1
         weights = self._with_duration_bias(small_weights, 800.0)
@@ -494,6 +513,116 @@ def einsum_attention(x, p, prefix):
     weights /= weights.sum(axis=-1, keepdims=True)
     mixed = np.einsum("hts,shd->thd", weights, v).reshape(T, H)
     return mixed @ p[f"{prefix}.wo"] + p[f"{prefix}.bo"]
+
+
+def single_product_conv(x, p, name):
+    """The convolution as one product over all ``T`` rows: the blocks' reference."""
+    weight = p[f"{name}.weight"]
+    k = weight.shape[2]
+    padded = np.pad(x, ((k // 2, k // 2), (0, 0)))
+    flat = np.lib.stride_tricks.sliding_window_view(padded, k, axis=0).reshape(len(x), -1)
+    return flat @ weight.reshape(weight.shape[0], -1).T + p[f"{name}.bias"]
+
+
+def paper_conv(c_in, c_out, k=9, seed=0):
+    rng = np.random.default_rng(seed)
+    return {"conv.weight": rng.uniform(-0.1, 0.1, (c_out, c_in, k)),
+            "conv.bias": rng.uniform(-0.1, 0.1, c_out)}
+
+
+def conv_rows(c_in, k=9):
+    return model.CONV_SCRATCH_BYTES // (8 * c_in * k)
+
+
+# decoder conv1 (256 -> 1024) and conv2 (1024 -> 256) at the paper's kernel of 9
+PAPER_CONVS = pytest.mark.parametrize("c_in, c_out", [(256, 1024), (1024, 256)],
+                                      ids=["conv1", "conv2"])
+
+
+class TestConvBlocks:
+    def test_row_blocks_cover_the_rows_with_none_of_one_row(self):
+        for rows in (3, 4, 170):
+            for n in range(1, 3 * rows + 3):
+                blocks = model._row_blocks(n, rows)
+                assert blocks[0][0] == 0 and blocks[-1][1] == n
+                assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
+                sizes = [stop - start for start, stop in blocks]
+                assert len(blocks) == -(-n // rows) and max(sizes) <= rows
+                assert max(sizes) - min(sizes) <= 1 and (n == 1 or min(sizes) > 1)
+
+    @PAPER_CONVS
+    def test_equals_the_single_product_for_every_length(self, monkeypatch, c_in, c_out):
+        # eight-row blocks, so that every T up to three blocks + 2 stays cheap
+        monkeypatch.setattr(model, "CONV_SCRATCH_BYTES", 8 * 8 * c_in * 9)
+        p = paper_conv(c_in, c_out)
+        x = np.random.default_rng(1).standard_normal((3 * 8 + 2, c_in))
+        for T in range(1, 3 * 8 + 3):
+            got = model._conv(x[:T], p, "conv")
+            assert got.tobytes() == single_product_conv(x[:T], p, "conv").tobytes(), T
+
+    @PAPER_CONVS
+    def test_equals_the_single_product_where_the_budget_splits(self, c_in, c_out):
+        rows = conv_rows(c_in)
+        p = paper_conv(c_in, c_out)
+        x = np.random.default_rng(2).standard_normal((3 * rows + 2, c_in))
+        for T in (rows, rows + 1, 2 * rows + 1, 3 * rows + 2):
+            got = model._conv(x[:T], p, "conv")
+            assert got.tobytes() == single_product_conv(x[:T], p, "conv").tobytes(), T
+
+    def test_conv1_stays_one_product_at_pipeline_lengths(self):
+        # the d2 pipeline's decoder runs at up to about 500 frames, and every
+        # extra block packs the whole weight matrix again
+        assert conv_rows(256) >= 600
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_equal_in_fresh_interpreters_at_each_blas_thread_count(self, threads):
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import xling
+
+        script = (
+            "import numpy as np, sys\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "from xling import model\n"
+            "from test_model import conv_rows, paper_conv, single_product_conv\n"
+            "budget = model.CONV_SCRATCH_BYTES\n"
+            "for c_in, c_out in ((256, 1024), (1024, 256)):\n"
+            "    p, rows = paper_conv(c_in, c_out), conv_rows(c_in)\n"
+            "    x = np.random.default_rng(3).standard_normal((3 * rows + 2, c_in))\n"
+            "    for scratch, lengths in ((8 * 8 * c_in * 9, range(1, 27)),\n"
+            "                             (budget, (rows + 1, 3 * rows + 2))):\n"
+            "        model.CONV_SCRATCH_BYTES = scratch\n"
+            "        for T in lengths:\n"
+            "            got = model._conv(x[:T], p, 'conv').tobytes()\n"
+            "            assert got == single_product_conv(x[:T], p, 'conv').tobytes(), T\n"
+            "print('ok')\n"
+        )
+        src = str(Path(xling.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads)
+        done = subprocess.run([sys.executable, "-c", script, str(Path(__file__).parent)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.stdout == "ok\n", done.stderr
+
+    def test_scratch_does_not_grow_with_length(self):
+        import tracemalloc
+
+        c_in, c_out, k = 1024, 256, 9
+        p = paper_conv(c_in, c_out, k)
+        x = np.random.default_rng(4).standard_normal((2000, c_in))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = model._conv(x, p, "conv")
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        # one block's windows, plus the padded rows they are cut from
+        scratch = model.CONV_SCRATCH_BYTES * (k + 1) // k + 8 * c_in * (k - 1)
+        assert peak - out.nbytes <= scratch
+        assert scratch < 2000 * c_in * k * 8 // 10  # a tenth of the single product's
 
 
 class TestAttention:

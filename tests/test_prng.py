@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
@@ -48,6 +49,15 @@ class TestSplitmixFill:
             got = splitmix64_fill(seed, BLOCK + 3)
             assert [int(v) for v in got] == reference_splitmix64(seed, BLOCK + 3)
 
+    def test_fills_out_in_place(self):
+        out = np.zeros(BLOCK + 3, dtype=np.uint64)
+        assert splitmix64_fill(11, BLOCK + 3, out=out) is out
+        assert np.array_equal(out, splitmix64_fill(11, BLOCK + 3))
+
+    def test_out_of_another_size_rejected(self):
+        with pytest.raises(ValueError, match=r"shape \(5,\)"):
+            splitmix64_fill(11, 5, out=np.empty(6, dtype=np.uint64))
+
     def test_counter_form_is_stateless(self):
         a = splitmix64_fill(7, 10)
         b = splitmix64_fill(7, 20)
@@ -80,6 +90,20 @@ class TestUniform:
 
     def test_deterministic(self):
         assert np.array_equal(uniform(9, (50,), 0.0, 1.0), uniform(9, (50,), 0.0, 1.0))
+
+    def test_fills_out_in_place(self):
+        n = 3 * (BLOCK + 1)  # a (3, BLOCK + 1) tensor in the middle of a buffer
+        buffer = np.zeros(3 * n)
+        out = buffer[n:2 * n].reshape(3, -1)
+        assert uniform(21, out.shape, -0.1, 0.1, out=out) is out
+        assert out.tobytes() == uniform(21, out.shape, -0.1, 0.1).tobytes()
+        assert not buffer[:n].any() and not buffer[2 * n:].any()
+
+    @pytest.mark.parametrize("out", [np.empty((3, 4)), np.empty((4, 3), dtype=np.float32),
+                                     np.empty((4, 6))[:, ::2]], ids=["shape", "dtype", "strided"])
+    def test_out_it_cannot_fill_rejected(self, out):
+        with pytest.raises(ValueError, match=r"contiguous float64 array of shape \(4, 3\)"):
+            uniform(1, (4, 3), 0.0, 1.0, out=out)
 
     def test_matches_unblocked_formula_across_blocks(self):
         bits = np.array(reference_splitmix64(21, BLOCK + 5), dtype=np.uint64)
