@@ -35,7 +35,6 @@ import functools
 import logging
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import get_type_hints
 
@@ -189,7 +188,7 @@ def _cmd_regulate(args, cfg: dict) -> int:
     Y = regulator.aggregate(X, lengths)
     tensorio.write_tensor(out_dir / "aggregated.xlf", Y)
     log.info("aggregated %s -> %s", X.shape, Y.shape)
-    if args.durations or args.durations_file:
+    if args.durations is not None or args.durations_file is not None:
         durations = _parse_int_list(args.durations, args.durations_file, "durations")
         F = regulator.expand(Y, durations)
         tensorio.write_tensor(out_dir / "expanded.xlf", F)
@@ -220,54 +219,45 @@ def _fit_durations_to_frames(durations: list, n_frames: int) -> list:
     return np.diff(bounds, prepend=0).tolist()
 
 
-@dataclass(frozen=True)
-class FeatureTask:
-    utt_id: str
-    wav_path: str
-    alignment_path: str | None
-    out_dir: str
-    feature_cfg: FeatureConfig
-    quantizer_cfg: QuantizerConfig | None
-
-
 def _naming_failures(fn):
-    """``fn(task)``, with a failure re-raised naming its utterance and WAV path."""
+    """``fn(utt_id, wav_path, *args, **shared)``, with a failure re-raised
+    naming its utterance and WAV path."""
 
     @functools.wraps(fn)
-    def run(task: FeatureTask):
+    def run(utt_id: str, wav_path: str, *args, **shared):
         try:
-            return fn(task)
+            return fn(utt_id, wav_path, *args, **shared)
         except XlingError as exc:
-            raise UtteranceError(task.utt_id, task.wav_path, exc.code, str(exc)) from exc
+            raise UtteranceError(utt_id, wav_path, exc.code, str(exc)) from exc
         except OSError as exc:
-            raise UtteranceError(task.utt_id, task.wav_path, "IO", str(exc)) from exc
+            raise UtteranceError(utt_id, wav_path, "IO", str(exc)) from exc
 
     return run
 
 
 @_naming_failures
-def _extract_one(task: FeatureTask) -> str:
-    audio = read_wav(task.wav_path, expected_rate=task.feature_cfg.sample_rate)
-    out_dir = Path(task.out_dir)
-    mel = mel_spectrogram(audio, task.feature_cfg)
-    energy = energy_per_frame(audio, task.feature_cfg)
-    pitch = pitch_per_frame(audio, task.feature_cfg)
-    tensorio.write_tensor(out_dir / f"{task.utt_id}.mel.xlf", mel.frames)
-    tensorio.write_tensor(out_dir / f"{task.utt_id}.energy.xlf", energy.values)
-    tensorio.write_tensor(out_dir / f"{task.utt_id}.pitch.xlf", pitch.values)
-    if task.alignment_path is not None:
-        record = parse_alignment(task.alignment_path, utt_id=task.utt_id)
+def _extract_one(utt_id: str, wav_path: str, alignment_path: str | None, *, out_dir: Path,
+                 feature_cfg: FeatureConfig, quantizer_cfg: QuantizerConfig | None) -> str:
+    audio = read_wav(wav_path, expected_rate=feature_cfg.sample_rate)
+    mel = mel_spectrogram(audio, feature_cfg)
+    energy = energy_per_frame(audio, feature_cfg)
+    pitch = pitch_per_frame(audio, feature_cfg)
+    tensorio.write_tensor(out_dir / f"{utt_id}.mel.xlf", mel)
+    tensorio.write_tensor(out_dir / f"{utt_id}.energy.xlf", energy.values)
+    tensorio.write_tensor(out_dir / f"{utt_id}.pitch.xlf", pitch.values)
+    if alignment_path is not None:
+        record = parse_alignment(alignment_path, utt_id=utt_id)
         durations = _fit_durations_to_frames(
             list(record.frame_durations), energy.values.size
         )
         energy_avg = average_by_phoneme(energy, durations)
         pitch_avg = average_by_phoneme(pitch, durations)
-        tensorio.write_tensor(out_dir / f"{task.utt_id}.energy_avg.xlf", energy_avg)
-        tensorio.write_tensor(out_dir / f"{task.utt_id}.pitch_avg.xlf", pitch_avg)
-        if task.quantizer_cfg is not None:
-            indices = quantize(energy_avg, task.quantizer_cfg)
-            tensorio.write_tensor(out_dir / f"{task.utt_id}.energy_q.xlf", indices)
-    return task.utt_id
+        tensorio.write_tensor(out_dir / f"{utt_id}.energy_avg.xlf", energy_avg)
+        tensorio.write_tensor(out_dir / f"{utt_id}.pitch_avg.xlf", pitch_avg)
+        if quantizer_cfg is not None:
+            indices = quantize(energy_avg, quantizer_cfg)
+            tensorio.write_tensor(out_dir / f"{utt_id}.energy_q.xlf", indices)
+    return utt_id
 
 
 def _read_stats(path) -> dict:
@@ -301,16 +291,14 @@ def _cmd_features(args, cfg: dict) -> int:
         raise BadConfigError("provide --wav or --manifest")
     feature_cfg = _feature_config(cfg)
     quantizer_cfg = _quantizer_from(args, cfg)
-    out_dir = _out_dir(args, cfg)
+    extract = functools.partial(_extract_one, out_dir=_out_dir(args, cfg),
+                                feature_cfg=feature_cfg, quantizer_cfg=quantizer_cfg)
     if args.manifest is not None:
-        tasks = [FeatureTask(entry.utt_id, entry.audio_path, entry.alignment_path,
-                             str(out_dir), feature_cfg, quantizer_cfg)
+        units = [(entry.utt_id, entry.audio_path, entry.alignment_path)
                  for entry in read_manifest(args.manifest)]
     else:
-        utt_id = args.utt_id or Path(args.wav).stem
-        tasks = [FeatureTask(utt_id, args.wav, args.alignment, str(out_dir),
-                             feature_cfg, quantizer_cfg)]
-    for utt_id in map_ordered(_extract_one, args.jobs, tasks):
+        units = [(args.utt_id or Path(args.wav).stem, args.wav, args.alignment)]
+    for utt_id in map_ordered(extract, args.jobs, *zip(*units)):
         log.info("extracted %s", utt_id)
     return 0
 
@@ -318,10 +306,10 @@ def _cmd_features(args, cfg: dict) -> int:
 # ---------------------------------------------------------------- stats
 
 @_naming_failures
-def _stat_one(task: FeatureTask) -> tuple:
-    audio = read_wav(task.wav_path, expected_rate=task.feature_cfg.sample_rate)
-    energy = energy_per_frame(audio, task.feature_cfg).values
-    pitch = pitch_per_frame(audio, task.feature_cfg).values
+def _stat_one(utt_id: str, wav_path: str, *, feature_cfg: FeatureConfig) -> tuple:
+    audio = read_wav(wav_path, expected_rate=feature_cfg.sample_rate)
+    energy = energy_per_frame(audio, feature_cfg).values
+    pitch = pitch_per_frame(audio, feature_cfg).values
     positive = energy[energy > 0]
     voiced = pitch[pitch > 0]
     return (
@@ -335,13 +323,12 @@ def _stat_one(task: FeatureTask) -> tuple:
 
 
 def _cmd_stats(args, cfg: dict) -> int:
-    feature_cfg = _feature_config(cfg)
+    stat = functools.partial(_stat_one, feature_cfg=_feature_config(cfg))
     entries = read_manifest(args.manifest)
     if not entries:
         raise ParseError("manifest is empty", path=args.manifest)
-    tasks = [FeatureTask(e.utt_id, e.audio_path, None, ".", feature_cfg, None)
-             for e in entries]
-    e_min, e_max, p_min, p_max, frames, voiced = zip(*map_ordered(_stat_one, args.jobs, tasks))
+    e_min, e_max, p_min, p_max, frames, voiced = zip(*map_ordered(
+        stat, args.jobs, [e.utt_id for e in entries], [e.audio_path for e in entries]))
     energy_min, energy_max = min(e_min), max(e_max)
     pitch_min, pitch_max = min(p_min), max(p_max)
     if not np.isfinite(energy_min) or not np.isfinite(energy_max):
@@ -359,6 +346,10 @@ def _cmd_stats(args, cfg: dict) -> int:
 # -------------------------------------------------------------- forward
 
 def _cmd_forward(args, cfg: dict) -> int:
+    teacher = {"--pitch-avg": args.pitch_avg, "--energy-avg": args.energy_avg}
+    unread = [flag for flag, value in teacher.items() if value is not None]
+    if unread and args.alignment is None:
+        raise BadConfigError(f"{', '.join(unread)} cannot be used without --alignment")
     ids_map = inventory_ids(load_inventory(_lexicon_paths(cfg)[-1]))
     ps = load_phoneme_sequence(args.phonemes)
     try:

@@ -113,11 +113,6 @@ class FeatureConfig:
 
 
 @dataclass(frozen=True)
-class MelSpectrogram:
-    frames: np.ndarray  # T_f x n_mels, natural log magnitude
-
-
-@dataclass(frozen=True)
 class FrameSeries:
     values: np.ndarray
     kind: str
@@ -220,8 +215,8 @@ def _mel_bands(cfg: FeatureConfig) -> tuple:
     return tuple(bands)
 
 
-def mel_spectrogram(audio: AudioBuffer, cfg: FeatureConfig) -> MelSpectrogram:
-    """Natural-log mel magnitude spectrogram, floored at cfg.log_floor.
+def mel_spectrogram(audio: AudioBuffer, cfg: FeatureConfig) -> np.ndarray:
+    """The ``(T_f, n_mels)`` natural-log mel magnitudes, floored at cfg.log_floor.
 
     Each filter is a weighted sum over its own band of bins, added bin by
     bin in a fixed order with no BLAS call (see the module docstring), so
@@ -232,7 +227,7 @@ def mel_spectrogram(audio: AudioBuffer, cfg: FeatureConfig) -> MelSpectrogram:
     mel = np.empty((len(bands), bins_by_frame.shape[1]))
     for m, (lo, hi, weights) in enumerate(bands):
         np.sum(bins_by_frame[lo:hi] * weights[:, None], axis=0, out=mel[m])
-    return MelSpectrogram(np.log(np.maximum(np.ascontiguousarray(mel.T), cfg.log_floor)))
+    return np.log(np.maximum(np.ascontiguousarray(mel.T), cfg.log_floor))
 
 
 def energy_per_frame(audio: AudioBuffer, cfg: FeatureConfig) -> FrameSeries:

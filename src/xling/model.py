@@ -44,6 +44,7 @@ import numpy as np
 from . import regulator, tensorio
 from .errors import (
     BadConfigError,
+    ConfigMismatchError,
     ParseError,
     ShapeMismatchError,
     TooLargeError,
@@ -372,8 +373,10 @@ def check_inputs(cfg: ModelConfig, ipa_ids, phoneme_lengths, speaker: int, mode)
     """Check :func:`forward`'s inputs against ``cfg`` alone (no weights needed).
 
     More IPA ids, or a teacher-forced frame total, above
-    :data:`MAX_DECODER_FRAMES` is a TooLargeError.  Returns the ids and
-    phoneme lengths as int64 arrays.
+    :data:`MAX_DECODER_FRAMES` is a TooLargeError; a negative teacher-forced
+    duration is a ShapeMismatchError, and a non-finite teacher-forced pitch
+    or energy a ConfigMismatchError.  Returns the ids and phoneme lengths as
+    int64 arrays.
     """
     ids = np.asarray(ipa_ids, dtype=np.int64).reshape(-1)
     lengths = np.asarray(phoneme_lengths, dtype=np.int64).reshape(-1)
@@ -403,6 +406,11 @@ def check_inputs(cfg: ModelConfig, ipa_ids, phoneme_lengths, speaker: int, mode)
                 raise ShapeMismatchError(
                     f"teacher-forced {name} has {len(seq)} values, expected {n_phonemes}"
                 )
+        if any(d < 0 for d in mode.durations):
+            raise ShapeMismatchError("teacher-forced durations must all be >= 0")
+        for name, seq in (("pitch", mode.pitch), ("energy", mode.energy)):
+            if not np.all(np.isfinite(np.asarray(seq, dtype=np.float64))):
+                raise ConfigMismatchError(f"teacher-forced {name} has non-finite values")
         _check_frames(sum(mode.durations), "teacher-forced")
     elif not isinstance(mode, Inference):
         raise BadConfigError(f"unknown forward mode {mode!r}")

@@ -157,7 +157,7 @@ def test_criterion_4_feature_configuration_fidelity():
         t = np.arange(SR) / SR
         audio = AudioBuffer(0.4 * np.sin(2 * np.pi * 220 * t), SR)
         mel = mel_spectrogram(audio, cfg)
-        assert mel.frames.shape == (101, 80)
+        assert mel.shape == (101, 80)
         rng = np.random.default_rng(1004)
         noisy = AudioBuffer(rng.uniform(-0.8, 0.8, 7200), SR)
         magnitude = stft_magnitude(noisy, cfg)

@@ -127,6 +127,15 @@ class TestFeatures:
             ) == 0
         assert snapshot(a) == snapshot(b)
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_empty_manifest_writes_nothing(self, tmp_path, capsys, jobs):
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text("# no entries\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert run("features", "--manifest", manifest, "--jobs", jobs, "--out", out) == 0
+        assert capsys.readouterr().err == ""
+        assert list(out.iterdir()) == []
+
     def test_wrong_rate_rejected(self, tmp_path, capsys):
         from xling.audio import write_wav
 
@@ -574,6 +583,32 @@ class TestForwardChecksBeforeWeights:
             f"ERROR TOO_LARGE: {per_copy * copies} IPA symbols, above the encoder's "
             f"cap of {MAX_DECODER_FRAMES} rows\n")
 
+    @pytest.mark.parametrize("flag, values, name", [
+        ("--pitch-avg", [120.0, np.nan, 0.0, 0.0, 0.0, 0.0], "pitch"),
+        ("--energy-avg", [1.0, 1.0, 1.0, np.inf, 1.0, 1.0], "energy"),
+    ])
+    def test_non_finite_teacher_forced_values(self, tmp_path, capsys, flag, values, name):
+        run("g2p", "--text", "你好 world", "--out", tmp_path)
+        alignment = tmp_path / "text.align"
+        alignment.write_text("ni\t3\nhao\t3\nW\t1\nER\t1\nL\t1\nD\t1\n", encoding="utf-8")
+        write_tensor(tmp_path / "values.xlf", np.array(values))
+        assert run("forward", "--phonemes", tmp_path / "text.phn", "--alignment", alignment,
+                   flag, tmp_path / "values.xlf", "--out", tmp_path) == 1
+        assert capsys.readouterr().err == (f"ERROR CONFIG_MISMATCH: teacher-forced {name} "
+                                           "has non-finite values\n")
+
+    @pytest.mark.parametrize("flags", [
+        ["--pitch-avg"], ["--energy-avg"], ["--pitch-avg", "--energy-avg"],
+    ])
+    def test_teacher_forced_values_need_an_alignment(self, tmp_path, capsys, flags):
+        run("g2p", "--text", "你好 world", "--out", tmp_path)
+        argv = [arg for flag in flags for arg in (flag, tmp_path / "missing.xlf")]
+        out = tmp_path / "out"
+        assert run("forward", "--phonemes", tmp_path / "text.phn", *argv, "--out", out) == 1
+        assert capsys.readouterr().err == (f"ERROR BAD_CONFIG: {', '.join(flags)} cannot "
+                                           "be used without --alignment\n")
+        assert not out.exists()
+
     def test_weights_above_the_cap(self, tmp_path, capsys):
         run("g2p", "--text", "你好 world", "--out", tmp_path)
         cfg = tmp_path / "model.cfg"
@@ -618,6 +653,13 @@ class TestMalformedRegulateAndManifest:
         assert run("regulate", "--embeddings", embeddings, "--lengths", "2,1,3",
                    "--durations", "2 -1 3", "--out", tmp_path / "out") == 1
         self.one_error_line(capsys, "LENGTH_MISMATCH")
+        assert not (tmp_path / "out" / "expanded.xlf").exists()
+
+    def test_empty_durations_are_read(self, tmp_path, capsys, embeddings):
+        assert run("regulate", "--embeddings", embeddings, "--lengths", "3,3",
+                   "--durations", "", "--out", tmp_path / "out") == 1
+        assert capsys.readouterr().err == ("ERROR LENGTH_MISMATCH: Y has 2 rows but "
+                                           "0 durations\n")
         assert not (tmp_path / "out" / "expanded.xlf").exists()
 
     def test_missing_embeddings_file(self, tmp_path, capsys):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from xling import model, prng, regulator
 from xling.errors import (
     BadConfigError,
+    ConfigMismatchError,
     ParseError,
     ShapeMismatchError,
     TooLargeError,
@@ -438,6 +439,21 @@ class TestForward:
         with pytest.raises(TooLargeError, match=f"^{too_many} IPA symbols, above the "
                                                 f"encoder's cap of {MAX_DECODER_FRAMES}"):
             model.check_inputs(SMALL, [0] * too_many, [too_many], 0, mode)
+
+    def test_negative_teacher_forced_duration_before_weights(self):
+        mode = TeacherForced((4, -1), (0.0, 0.0), (0.0, 0.0))
+        with pytest.raises(ShapeMismatchError, match="^teacher-forced durations must all "
+                                                     "be >= 0$"):
+            model.check_inputs(SMALL, [0, 1, 2], [2, 1], 0, mode)
+
+    @pytest.mark.parametrize("pitch, energy, name", [
+        ((0.0, np.nan), (0.0, 0.0), "pitch"), ((0.0, 0.0), (np.inf, 0.0), "energy"),
+    ])
+    def test_non_finite_teacher_forced_values_before_weights(self, pitch, energy, name):
+        mode = TeacherForced((2, 1), pitch, energy)
+        with pytest.raises(ConfigMismatchError,
+                           match=f"^teacher-forced {name} has non-finite values$"):
+            model.check_inputs(SMALL, [0, 1, 2], [2, 1], 0, mode)
 
     def test_inferred_frames_capped(self, small_weights):
         n = MAX_DECODER_FRAMES // MAX_FRAMES_PER_PHONEME + 1
