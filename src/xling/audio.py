@@ -73,7 +73,8 @@ def read_wav(path, expected_rate: int | None = None) -> AudioBuffer:
         raw = w.readframes(n)
     if len(raw) != 2 * n:
         raise ParseError(f"data chunk truncated: {len(raw)} of {2 * n} bytes", path=path)
-    samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
+    samples = np.frombuffer(raw, dtype="<i2").astype(np.float64)
+    samples /= 32768.0
     return AudioBuffer(samples, rate)
 
 

@@ -26,11 +26,23 @@ atomic because every writer of the package is (text through
 :mod:`xling.textio`, tensors through :mod:`xling.tensorio`), so concurrent
 writers never produce partial files.  ``XLING_LOG`` in {error, info,
 debug} controls stderr logging.
+
+:func:`main` owns its process, so once per process, before any work, it
+sets the C allocator's policy through glibc's ``mallopt``: one malloc arena
+for all threads, blocks below 32 MiB from the heap rather than fresh
+mappings, and free heap returned to the system only above 64 MiB.
+glibc's defaults move both thresholds as blocks are freed and give each
+``--jobs`` thread its own arena, so numpy's per-block temporaries were
+mapped, trimmed and faulted in again on every call, and the peak RSS
+depended on call order.  The values are constants.  Where the C library
+has no ``mallopt`` (anything but glibc), the policy is skipped; importing
+this module or calling the library sets nothing.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import functools
 import logging
 import os
@@ -98,6 +110,25 @@ _CONFIG_KINDS = {**_FEATURE_KINDS, "quantizer_bins": int,
                  **dict.fromkeys(_PATH_KEYS + ("out_dir", "quantizer_scale"), str)}
 _STATS_KEYS = ("energy_min", "energy_max", "pitch_min", "pitch_max",
                "n_frames", "n_voiced_frames")
+# glibc mallopt parameters: M_ARENA_MAX, M_MMAP_THRESHOLD and M_TRIM_THRESHOLD
+_MALLOC_POLICY = ((-8, 1), (-3, 32 << 20), (-1, 64 << 20))
+
+
+@functools.cache
+def _set_malloc_policy() -> None:
+    """Apply :data:`_MALLOC_POLICY` once per process (see the module docstring).
+
+    Both thresholds are set: fixing only the mmap one switches off glibc's
+    moving thresholds and leaves trimming at 128 KiB, so every call faults
+    its temporaries in again.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    for param, value in _MALLOC_POLICY:
+        mallopt(param, value)
 
 
 def _setup_logging() -> None:
@@ -289,6 +320,9 @@ def _cmd_features(args, cfg: dict) -> int:
             raise BadConfigError(f"--manifest cannot be combined with {', '.join(unread)}")
     elif args.wav is None:
         raise BadConfigError("provide --wav or --manifest")
+    elif args.stats is not None and args.alignment is None:
+        raise BadConfigError("--stats cannot be used without --alignment: "
+                             "energy is quantized per phoneme")
     feature_cfg = _feature_config(cfg)
     quantizer_cfg = _quantizer_from(args, cfg)
     extract = functools.partial(_extract_one, out_dir=_out_dir(args, cfg),
@@ -350,6 +384,9 @@ def _cmd_forward(args, cfg: dict) -> int:
     unread = [flag for flag, value in teacher.items() if value is not None]
     if unread and args.alignment is None:
         raise BadConfigError(f"{', '.join(unread)} cannot be used without --alignment")
+    missing = [flag for flag, value in teacher.items() if value is None]
+    if missing and args.alignment is not None:
+        raise BadConfigError(f"--alignment cannot be used without {', '.join(missing)}")
     ids_map = inventory_ids(load_inventory(_lexicon_paths(cfg)[-1]))
     ps = load_phoneme_sequence(args.phonemes)
     try:
@@ -395,8 +432,6 @@ def _cmd_forward(args, cfg: dict) -> int:
 
 
 def _read_vector(path, expected: int, what: str) -> np.ndarray:
-    if path is None:
-        return np.zeros(expected)
     values = tensorio.read_tensor(path).reshape(-1)
     if values.size != expected:
         raise LengthMismatchError(
@@ -474,7 +509,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--utt-id", help="utterance id for single-WAV mode")
     p.add_argument("--alignment", help="alignment file for single-WAV mode")
     p.add_argument("--manifest", help="batch over a manifest file")
-    p.add_argument("--stats", help="stats.txt from the stats command (enables quantization)")
+    p.add_argument("--stats", help="stats.txt from the stats command: quantizes the "
+                   "phoneme-averaged energy (needs --alignment or --manifest)")
     p.set_defaults(func=_cmd_features)
 
     p = sub.add_parser("stats", help="corpus-wide energy/pitch ranges")
@@ -491,7 +527,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--speaker", type=int, default=0)
     p.add_argument("--n-speakers", type=int, default=8,
                    help="speaker table size when no model config is given")
-    p.add_argument("--alignment", help="teacher-forced durations")
+    p.add_argument("--alignment", help="teacher-forced durations "
+                   "(needs --pitch-avg and --energy-avg)")
     p.add_argument("--pitch-avg", help="teacher-forced per-phoneme pitch (.xlf)")
     p.add_argument("--energy-avg", help="teacher-forced per-phoneme energy (.xlf)")
     p.add_argument("--dump-weights", help="also write the weight container here")
@@ -507,6 +544,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    _set_malloc_policy()
     try:
         _setup_logging()
         args = build_parser().parse_args(argv)

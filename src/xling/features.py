@@ -233,7 +233,8 @@ def mel_spectrogram(audio: AudioBuffer, cfg: FeatureConfig) -> np.ndarray:
 def energy_per_frame(audio: AudioBuffer, cfg: FeatureConfig) -> FrameSeries:
     """L2 norm of each magnitude STFT frame (same framing as the mel)."""
     magnitude = stft_magnitude(audio, cfg)
-    return FrameSeries(np.sqrt(np.sum(magnitude**2, axis=1)), ENERGY)
+    power = np.square(magnitude, out=magnitude)
+    return FrameSeries(np.sqrt(np.sum(power, axis=1)), ENERGY)
 
 
 def pitch_per_frame(audio: AudioBuffer, cfg: FeatureConfig) -> FrameSeries:

@@ -1,3 +1,4 @@
+import platform
 import wave
 
 import numpy as np
@@ -256,8 +257,10 @@ class TestStatsAndForward:
         monkeypatch.setattr(cli_module, "init_weights", no_weights)
         run("g2p", "--text", "你好 world", "--out", tmp_path)
         align = sorted((minicorpus / "d2_enm").glob("*.align"))[0]
+        write_tensor(tmp_path / "avg.xlf", np.ones(6))
         assert run(
             "forward", "--phonemes", tmp_path / "text.phn", "--alignment", align,
+            "--pitch-avg", tmp_path / "avg.xlf", "--energy-avg", tmp_path / "avg.xlf",
             "--out", tmp_path,
         ) == 1
         err = capsys.readouterr().err
@@ -490,7 +493,8 @@ class TestMalformedInput:
     def test_bad_stats_file(self, tmp_path, capsys, content, where, detail):
         stats = tmp_path / "stats.txt"
         stats.write_text(content, encoding="utf-8")
-        assert run("features", "--wav", tmp_path / "missing.wav", "--stats", stats,
+        assert run("features", "--wav", tmp_path / "missing.wav",
+                   "--alignment", tmp_path / "missing.align", "--stats", stats,
                    "--out", tmp_path) == 1
         err = self.one_error_line(capsys, "PARSE")
         assert f"{stats}{where}" in err and detail in err
@@ -513,7 +517,8 @@ class TestMalformedInput:
         config = tmp_path / "pipeline.cfg"
         config.write_text("quantizer_bins=abc\n", encoding="utf-8")
         assert run("features", "--config", config, "--wav", tmp_path / "missing.wav",
-                   "--stats", stats, "--out", tmp_path) == 1
+                   "--alignment", tmp_path / "missing.align", "--stats", stats,
+                   "--out", tmp_path) == 1
         assert "quantizer_bins" in self.one_error_line(capsys, "PARSE")
 
     def test_zero_length_window_in_config(self, tmp_path, capsys):
@@ -559,8 +564,10 @@ class TestForwardChecksBeforeWeights:
                        "dec_layers=1\nff_channels=8\n", encoding="utf-8")
         alignment = tmp_path / "text.align"
         alignment.write_text("ni\t39995\nhao\t1\nW\t1\nER\t1\nL\t1\nD\t1\n", encoding="utf-8")
+        write_tensor(tmp_path / "avg.xlf", np.ones(6))
         assert run("forward", "--phonemes", tmp_path / "text.phn", "--model-config", cfg,
-                   "--alignment", alignment, "--out", tmp_path) == 1
+                   "--alignment", alignment, "--pitch-avg", tmp_path / "avg.xlf",
+                   "--energy-avg", tmp_path / "avg.xlf", "--out", tmp_path) == 1
         err = capsys.readouterr().err
         assert err == ("ERROR TOO_LARGE: teacher-forced durations sum to 40000 frames, "
                        f"above the cap of {MAX_DECODER_FRAMES}\n")
@@ -588,12 +595,15 @@ class TestForwardChecksBeforeWeights:
         ("--energy-avg", [1.0, 1.0, 1.0, np.inf, 1.0, 1.0], "energy"),
     ])
     def test_non_finite_teacher_forced_values(self, tmp_path, capsys, flag, values, name):
+        other = "--energy-avg" if flag == "--pitch-avg" else "--pitch-avg"
         run("g2p", "--text", "你好 world", "--out", tmp_path)
         alignment = tmp_path / "text.align"
         alignment.write_text("ni\t3\nhao\t3\nW\t1\nER\t1\nL\t1\nD\t1\n", encoding="utf-8")
         write_tensor(tmp_path / "values.xlf", np.array(values))
+        write_tensor(tmp_path / "finite.xlf", np.ones(6))
         assert run("forward", "--phonemes", tmp_path / "text.phn", "--alignment", alignment,
-                   flag, tmp_path / "values.xlf", "--out", tmp_path) == 1
+                   flag, tmp_path / "values.xlf", other, tmp_path / "finite.xlf",
+                   "--out", tmp_path) == 1
         assert capsys.readouterr().err == (f"ERROR CONFIG_MISMATCH: teacher-forced {name} "
                                            "has non-finite values\n")
 
@@ -607,6 +617,18 @@ class TestForwardChecksBeforeWeights:
         assert run("forward", "--phonemes", tmp_path / "text.phn", *argv, "--out", out) == 1
         assert capsys.readouterr().err == (f"ERROR BAD_CONFIG: {', '.join(flags)} cannot "
                                            "be used without --alignment\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [[], ["--pitch-avg"], ["--energy-avg"]])
+    def test_alignment_needs_both_teacher_forced_values(self, tmp_path, capsys, flags):
+        run("g2p", "--text", "你好 world", "--out", tmp_path)
+        argv = [arg for flag in flags for arg in (flag, tmp_path / "missing.xlf")]
+        out = tmp_path / "out"
+        assert run("forward", "--phonemes", tmp_path / "text.phn", "--alignment",
+                   tmp_path / "missing.align", *argv, "--out", out) == 1
+        missing = [flag for flag in ("--pitch-avg", "--energy-avg") if flag not in flags]
+        assert capsys.readouterr().err == ("ERROR BAD_CONFIG: --alignment cannot be used "
+                                           f"without {', '.join(missing)}\n")
         assert not out.exists()
 
     def test_weights_above_the_cap(self, tmp_path, capsys):
@@ -825,7 +847,8 @@ class TestStatsFileKeys:
     def test_rejected_with_path_line(self, tmp_path, capsys, content, line, key):
         stats = tmp_path / "stats.txt"
         stats.write_text(content, encoding="utf-8")
-        assert run("features", "--wav", tmp_path / "missing.wav", "--stats", stats,
+        assert run("features", "--wav", tmp_path / "missing.wav",
+                   "--alignment", tmp_path / "missing.align", "--stats", stats,
                    "--out", tmp_path / "out") == 1
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1, err
@@ -926,6 +949,16 @@ class TestFeaturesUnreadFlags:
         assert all(flag in err for flag in flags if flag.startswith("--"))
         assert not out.exists()
 
+    def test_single_wav_stats_needs_an_alignment(self, tmp_path, capsys):
+        # neither file exists: the flags are refused before any is read
+        out = tmp_path / "out"
+        assert run("features", "--wav", tmp_path / "missing.wav", "--stats",
+                   tmp_path / "missing.txt", "--out", out) == 1
+        assert capsys.readouterr().err == ("ERROR BAD_CONFIG: --stats cannot be used "
+                                           "without --alignment: energy is quantized "
+                                           "per phoneme\n")
+        assert not out.exists()
+
 
 class TestJobs:
     @pytest.mark.parametrize("jobs", ["0", "-1"])
@@ -1017,3 +1050,68 @@ class TestBatchOnThreads:
         # the failed utterance, and at most one more on each of the two workers
         assert started[0] == str(empty) and len(started) <= 3, started
         assert len(list(out.glob("*.mel.xlf"))) == len(started) - 1
+
+
+FAULT_PROBE = """
+import resource, sys
+from pathlib import Path
+from xling import cli, minicorpus
+
+root = Path(sys.argv[1])
+minicorpus.generate(root / "corpus", scale=800, seed=7)
+assert cli.main(["manifest", "--spec", str(root / "corpus" / "d123.spec"),
+                 "--roots", str(root / "corpus"), "--out", str(root)]) == 0
+faults = []
+for n in range(3):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    assert cli.main(["features", "--manifest", str(root / "manifest.txt"),
+                     "--jobs", "2", "--out", str(root / f"run{n}")]) == 0
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(*faults)
+"""
+
+
+def _no_c_library(name):
+    raise OSError("no C library")
+
+
+class TestMallocPolicy:
+    """``main`` sets glibc's allocator policy once per process, so repeated
+    calls reuse the heap instead of faulting their temporaries in again."""
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="the policy is set through glibc's mallopt")
+    def test_repeated_features_runs_reuse_their_pages(self, tmp_path):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import xling
+
+        src = str(Path(xling.__file__).parent.parent)
+        result = subprocess.run([sys.executable, "-c", FAULT_PROBE, str(tmp_path)],
+                                capture_output=True, text=True, check=True, timeout=300,
+                                env={**os.environ, "PYTHONPATH": src})
+        faults = [int(n) for n in result.stdout.split()]
+        # 22 utterances: without the policy the third run takes 11-15 K minor
+        # faults, with it a few hundred at most
+        assert faults[2] < 1000, faults
+
+    @pytest.mark.parametrize("c_library", [_no_c_library, lambda name: object()],
+                             ids=["OSError", "AttributeError"])
+    def test_no_mallopt_changes_no_output(self, tmp_path, monkeypatch, minicorpus,
+                                          c_library):
+        import ctypes
+
+        import xling.cli as cli_module
+
+        wav = sorted((minicorpus / "d2_cnf").glob("*.wav"))[0]
+        argv = ("features", "--wav", wav, "--alignment", wav.with_suffix(".align"))
+        assert run(*argv, "--out", tmp_path / "policy") == 0
+        opened = []
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: opened.append(name) or c_library(name))
+        cli_module._set_malloc_policy.cache_clear()
+        assert run(*argv, "--out", tmp_path / "none") == 0
+        assert opened == [None]
+        assert snapshot(tmp_path / "policy") == snapshot(tmp_path / "none")

@@ -43,9 +43,13 @@ def test_cli_import_loads_no_process_or_hash_module():
     import sys
 
     src = str(Path(xling.__file__).parent.parent)
-    code = ("import sys, xling.cli; "
+    # numpy loads ctypes itself, so "ctypes" is reported when the import opens
+    # a C library through it: the allocator policy belongs to cli.main alone
+    code = ("import sys, ctypes, numpy; opened = []; "
+            "ctypes.CDLL = lambda *args, **kwargs: opened.append(args); "
+            "import xling.cli; "
             "print(' '.join(m for m in ('multiprocessing', 'concurrent.futures.process', "
-            "'hashlib') if m in sys.modules))")
+            "'hashlib') if m in sys.modules), 'ctypes' if opened else '')")
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                             env={**os.environ, "PYTHONPATH": src}, check=True, timeout=60)
     assert result.stdout.split() == []
