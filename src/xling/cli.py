@@ -274,21 +274,27 @@ def _extract_one(utt_id: str, wav_path: str, alignment_path: str | None, *, out_
     energy = energy_per_frame(audio, feature_cfg)
     pitch = pitch_per_frame(audio, feature_cfg)
     tensorio.write_tensor(out_dir / f"{utt_id}.mel.xlf", mel)
-    tensorio.write_tensor(out_dir / f"{utt_id}.energy.xlf", energy.values)
-    tensorio.write_tensor(out_dir / f"{utt_id}.pitch.xlf", pitch.values)
+    tensorio.write_tensor(out_dir / f"{utt_id}.energy.xlf", energy)
+    tensorio.write_tensor(out_dir / f"{utt_id}.pitch.xlf", pitch)
     if alignment_path is not None:
         record = parse_alignment(alignment_path, utt_id=utt_id)
-        durations = _fit_durations_to_frames(
-            list(record.frame_durations), energy.values.size
-        )
+        durations = _fit_durations_to_frames(list(record.frame_durations), energy.size)
         energy_avg = average_by_phoneme(energy, durations)
-        pitch_avg = average_by_phoneme(pitch, durations)
+        pitch_avg = average_by_phoneme(pitch, durations, voiced_only=True)
         tensorio.write_tensor(out_dir / f"{utt_id}.energy_avg.xlf", energy_avg)
         tensorio.write_tensor(out_dir / f"{utt_id}.pitch_avg.xlf", pitch_avg)
         if quantizer_cfg is not None:
             indices = quantize(energy_avg, quantizer_cfg)
             tensorio.write_tensor(out_dir / f"{utt_id}.energy_q.xlf", indices)
     return utt_id
+
+
+def _read_entries(manifest_path) -> list:
+    """The manifest's entries; an empty manifest is a ParseError at its path."""
+    entries = read_manifest(manifest_path)
+    if not entries:
+        raise ParseError("manifest is empty", path=manifest_path)
+    return entries
 
 
 def _read_stats(path) -> dict:
@@ -305,8 +311,10 @@ def _quantizer(cfg: dict, v_min: float, v_max: float) -> QuantizerConfig:
 
 
 def _quantizer_from(args, cfg: dict) -> QuantizerConfig | None:
+    """The energy quantizer of a run that quantizes: a batch, or one WAV
+    with its alignment, given a stats file."""
     stats_path = args.stats or cfg.get("stats")
-    if stats_path is None:
+    if stats_path is None or (args.manifest is None and args.alignment is None):
         return None
     stats = _read_stats(stats_path)
     return _quantizer(cfg, stats["energy_min"], stats["energy_max"])
@@ -325,13 +333,13 @@ def _cmd_features(args, cfg: dict) -> int:
                              "energy is quantized per phoneme")
     feature_cfg = _feature_config(cfg)
     quantizer_cfg = _quantizer_from(args, cfg)
-    extract = functools.partial(_extract_one, out_dir=_out_dir(args, cfg),
-                                feature_cfg=feature_cfg, quantizer_cfg=quantizer_cfg)
     if args.manifest is not None:
         units = [(entry.utt_id, entry.audio_path, entry.alignment_path)
-                 for entry in read_manifest(args.manifest)]
+                 for entry in _read_entries(args.manifest)]
     else:
         units = [(args.utt_id or Path(args.wav).stem, args.wav, args.alignment)]
+    extract = functools.partial(_extract_one, out_dir=_out_dir(args, cfg),
+                                feature_cfg=feature_cfg, quantizer_cfg=quantizer_cfg)
     for utt_id in map_ordered(extract, args.jobs, *zip(*units)):
         log.info("extracted %s", utt_id)
     return 0
@@ -342,8 +350,8 @@ def _cmd_features(args, cfg: dict) -> int:
 @_naming_failures
 def _stat_one(utt_id: str, wav_path: str, *, feature_cfg: FeatureConfig) -> tuple:
     audio = read_wav(wav_path, expected_rate=feature_cfg.sample_rate)
-    energy = energy_per_frame(audio, feature_cfg).values
-    pitch = pitch_per_frame(audio, feature_cfg).values
+    energy = energy_per_frame(audio, feature_cfg)
+    pitch = pitch_per_frame(audio, feature_cfg)
     positive = energy[energy > 0]
     voiced = pitch[pitch > 0]
     return (
@@ -358,9 +366,7 @@ def _stat_one(utt_id: str, wav_path: str, *, feature_cfg: FeatureConfig) -> tupl
 
 def _cmd_stats(args, cfg: dict) -> int:
     stat = functools.partial(_stat_one, feature_cfg=_feature_config(cfg))
-    entries = read_manifest(args.manifest)
-    if not entries:
-        raise ParseError("manifest is empty", path=args.manifest)
+    entries = _read_entries(args.manifest)
     e_min, e_max, p_min, p_max, frames, voiced = zip(*map_ordered(
         stat, args.jobs, [e.utt_id for e in entries], [e.audio_path for e in entries]))
     energy_min, energy_max = min(e_min), max(e_max)
@@ -448,9 +454,9 @@ def _cmd_manifest(args, cfg: dict) -> int:
         raise BadConfigError("provide --spec or dataset_spec in the config")
     spec = DatasetSpec.load(spec_path)
     entries = build_manifest(spec, args.roots)
+    report = balance_report(entries)  # before any output: an empty scan writes nothing
     out_dir = _out_dir(args, cfg)
     write_manifest(entries, out_dir / "manifest.txt")
-    report = balance_report(entries)
     write_text(out_dir / "balance.txt", report.render())
     log.info(
         "manifest %s: %d entries, %.4f h, flags=%s",

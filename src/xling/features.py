@@ -46,9 +46,6 @@ from .errors import (
     LengthMismatchError,
 )
 
-ENERGY = "Energy"
-PITCH_HZ = "PitchHz"
-
 LINEAR = "linear"
 LOG = "log"
 
@@ -110,19 +107,6 @@ class FeatureConfig:
     @property
     def hop_length(self) -> int:
         return self.hop_ms * self.sample_rate // 1000
-
-
-@dataclass(frozen=True)
-class FrameSeries:
-    values: np.ndarray
-    kind: str
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "values", np.asarray(self.values, dtype=np.float64).reshape(-1)
-        )
-        if self.kind not in (ENERGY, PITCH_HZ):
-            raise BadConfigError(f"unknown frame series kind {self.kind!r}")
 
 
 def _check_audio(audio: AudioBuffer, cfg: FeatureConfig) -> np.ndarray:
@@ -230,14 +214,14 @@ def mel_spectrogram(audio: AudioBuffer, cfg: FeatureConfig) -> np.ndarray:
     return np.log(np.maximum(np.ascontiguousarray(mel.T), cfg.log_floor))
 
 
-def energy_per_frame(audio: AudioBuffer, cfg: FeatureConfig) -> FrameSeries:
+def energy_per_frame(audio: AudioBuffer, cfg: FeatureConfig) -> np.ndarray:
     """L2 norm of each magnitude STFT frame (same framing as the mel)."""
     magnitude = stft_magnitude(audio, cfg)
     power = np.square(magnitude, out=magnitude)
-    return FrameSeries(np.sqrt(np.sum(power, axis=1)), ENERGY)
+    return np.sqrt(np.sum(power, axis=1))
 
 
-def pitch_per_frame(audio: AudioBuffer, cfg: FeatureConfig) -> FrameSeries:
+def pitch_per_frame(audio: AudioBuffer, cfg: FeatureConfig) -> np.ndarray:
     """Per-frame f0 in Hz; 0.0 marks unvoiced frames.
 
     Normalized cross-correlation over lags for f0_min..f0_max, rectangular
@@ -289,7 +273,7 @@ def pitch_per_frame(audio: AudioBuffer, cfg: FeatureConfig) -> FrameSeries:
     nccf, total = nccf_total[:, :-1], nccf_total[:, -1]
     lags = np.arange(lo, hi)
 
-    return FrameSeries(_pick_pitch(nccf, total, lags, cfg), PITCH_HZ)
+    return _pick_pitch(nccf, total, lags, cfg)
 
 
 def _pick_pitch(nccf: np.ndarray, total: np.ndarray, lags: np.ndarray,
@@ -320,24 +304,25 @@ def _pick_pitch(nccf: np.ndarray, total: np.ndarray, lags: np.ndarray,
     return values
 
 
-def average_by_phoneme(series: FrameSeries, durations) -> np.ndarray:
-    """Mean per duration segment; pitch averages voiced frames only.
+def average_by_phoneme(values, durations, voiced_only: bool = False) -> np.ndarray:
+    """Mean of the 1-D per-frame ``values`` over each duration segment.
 
-    Segments with no frames (or no voiced frames, for pitch) yield 0.0.
+    With ``voiced_only`` (pitch, where 0.0 marks an unvoiced frame) a
+    segment averages its frames above 0.0 only, as FastPitch does.  A
+    segment with no frames, or no voiced frames, yields 0.0.
     """
+    v = np.asarray(values, dtype=np.float64).reshape(-1)
     d = np.asarray(durations, dtype=np.int64).reshape(-1)
     if d.size and d.min() < 0:
         raise LengthMismatchError("durations must all be >= 0")
-    if d.sum() != series.values.size:
-        raise LengthMismatchError(
-            f"durations sum to {d.sum()} but series has {series.values.size} frames"
-        )
+    if d.sum() != v.size:
+        raise LengthMismatchError(f"durations sum to {d.sum()} but series has {v.size} frames")
     out = np.zeros(d.size)
     pos = 0
     for i, n in enumerate(d):
-        segment = series.values[pos : pos + n]
+        segment = v[pos : pos + n]
         pos += n
-        if series.kind == PITCH_HZ:
+        if voiced_only:
             segment = segment[segment > 0.0]
         if segment.size:
             out[i] = segment.mean()

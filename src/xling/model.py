@@ -468,8 +468,7 @@ def forward(weights: Weights, ipa_ids, phoneme_lengths, speaker: int, mode) -> F
 
     f = regulator.expand(y, durations)
     trace.append(("expand", f.shape))
-    if f.shape[0]:
-        f = f + positional_encoding(f.shape[0], cfg.hidden)
+    f = f + positional_encoding(f.shape[0], cfg.hidden)
     for i in range(cfg.dec_layers):
         f = _fft_block(f, p, f"decoder.{i}")
     trace.append(("decoder", f.shape))

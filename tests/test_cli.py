@@ -128,21 +128,24 @@ class TestFeatures:
             ) == 0
         assert snapshot(a) == snapshot(b)
 
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_empty_manifest_writes_nothing(self, tmp_path, capsys, jobs):
-        manifest = tmp_path / "manifest.txt"
-        manifest.write_text("# no entries\n", encoding="utf-8")
-        out = tmp_path / "out"
-        assert run("features", "--manifest", manifest, "--jobs", jobs, "--out", out) == 0
-        assert capsys.readouterr().err == ""
-        assert list(out.iterdir()) == []
-
     def test_wrong_rate_rejected(self, tmp_path, capsys):
         from xling.audio import write_wav
 
         write_wav(tmp_path / "a.wav", np.zeros(1000), 22050)
         assert run("features", "--wav", tmp_path / "a.wav", "--out", tmp_path) == 1
         assert capsys.readouterr().err.startswith("ERROR CONFIG_MISMATCH: ")
+
+
+class TestEmptyManifest:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("command", ["features", "stats"])
+    def test_one_parse_error_and_nothing_written(self, tmp_path, capsys, command, jobs):
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text("# no entries\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert run(command, "--manifest", manifest, "--jobs", jobs, "--out", out) == 1
+        assert capsys.readouterr().err == f"ERROR PARSE: {manifest}: manifest is empty\n"
+        assert not out.exists()
 
 
 class TestFitDurations:
@@ -417,6 +420,16 @@ class TestManifestCommand:
                    "--out", tmp_path / "out") == 1
         assert capsys.readouterr().err.startswith("ERROR MISSING_SPEAKER: speaker 'ghost'")
         assert scanned == ["ghost"] and len(members) == 8
+
+    def test_speaker_without_wavs_writes_nothing(self, tmp_path, capsys):
+        (tmp_path / "roots" / "s1").mkdir(parents=True)
+        spec = tmp_path / "one.spec"
+        spec.write_text("name\tone\ns1\tCN\tF\t1.0\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert run("manifest", "--spec", spec, "--roots", tmp_path / "roots",
+                   "--out", out) == 1
+        assert capsys.readouterr().err.startswith("ERROR EMPTY_MANIFEST: ")
+        assert not out.exists()
 
     def test_missing_speaker_error(self, tmp_path, minicorpus, capsys):
         spec = tmp_path / "bad.spec"
@@ -904,6 +917,28 @@ class TestConfigValuesChecked:
                    "--out", out) == 1
         self.one_bad_config_line(capsys)
         assert not (out / "tone.energy_q.xlf").exists()
+
+    @pytest.mark.parametrize("align", [False, True])
+    def test_stats_key_read_only_where_energy_is_quantized(self, tmp_path, capsys, tone,
+                                                           align):
+        stats = tmp_path / "stats.txt"
+        stats.write_text("energy_min=2.0\nenergy_max=1.0\n", encoding="utf-8")
+        config = tmp_path / "pipeline.cfg"
+        config.write_text(f"stats={stats}\n", encoding="utf-8")
+        alignment = tmp_path / "tone.align"
+        alignment.write_text("a\t50\nb\t51\n", encoding="utf-8")
+        source = ["--wav", tone] + (["--alignment", alignment] if align else [])
+        out = tmp_path / "out"
+        code = run("features", "--config", config, *source, "--out", out)
+        if align:
+            assert code == 1
+            assert capsys.readouterr().err == ("ERROR BAD_CONFIG: need finite v_min < "
+                                               "v_max, got [2.0, 1.0]\n")
+            assert not out.exists()
+        else:
+            assert code == 0 and capsys.readouterr().err == ""
+            assert sorted(p.name for p in out.iterdir()) == [
+                "tone.energy.xlf", "tone.mel.xlf", "tone.pitch.xlf"]
 
 
 class TestConfigValuesCheckedAtLoad:

@@ -11,14 +11,11 @@ from xling.errors import (
     LengthMismatchError,
 )
 from xling.features import (
-    ENERGY,
     FRAME_BLOCK,
     LINEAR,
     LOG,
     NCCF_FLOOR,
-    PITCH_HZ,
     FeatureConfig,
-    FrameSeries,
     QuantizerConfig,
     average_by_phoneme,
     dequantize,
@@ -112,14 +109,14 @@ class TestMelSpectrogram:
 class TestEnergy:
     def test_zero_audio_zero_energy(self, cfg):
         e = energy_per_frame(AudioBuffer(np.zeros(SR), SR), cfg)
-        assert e.kind == ENERGY
-        assert np.all(e.values == 0.0)
+        assert isinstance(e, np.ndarray) and e.dtype == np.float64 and e.ndim == 1
+        assert np.all(e == 0.0)
 
     def test_matches_direct_summation_oracle(self, cfg):
         rng = np.random.default_rng(17)
         audio = AudioBuffer(rng.uniform(-0.8, 0.8, 12345), SR)
         magnitude = stft_magnitude(audio, cfg)
-        got = energy_per_frame(audio, cfg).values
+        got = energy_per_frame(audio, cfg)
         for t in range(magnitude.shape[0]):
             acc = 0.0
             for b in range(magnitude.shape[1]):
@@ -135,42 +132,42 @@ class TestEnergy:
     def test_frame_grid_agreement(self, cfg):
         audio = tone(150, seconds=0.73)
         n_mel = mel_spectrogram(audio, cfg).shape[0]
-        n_energy = energy_per_frame(audio, cfg).values.size
-        n_pitch = pitch_per_frame(audio, cfg).values.size
+        n_energy = energy_per_frame(audio, cfg).size
+        n_pitch = pitch_per_frame(audio, cfg).size
         assert n_mel == n_energy == n_pitch
 
 
 class TestPitch:
     def test_pure_tone_220(self, cfg):
         p = pitch_per_frame(tone(220), cfg)
-        assert p.kind == PITCH_HZ
-        voiced = p.values[p.values > 0]
-        assert voiced.size >= 0.95 * p.values.size
+        assert isinstance(p, np.ndarray) and p.dtype == np.float64 and p.ndim == 1
+        voiced = p[p > 0]
+        assert voiced.size >= 0.95 * p.size
         assert np.mean(np.abs(voiced - 220) <= 2.0) >= 0.95
 
     def test_silence_all_unvoiced(self, cfg):
         p = pitch_per_frame(AudioBuffer(np.zeros(SR), SR), cfg)
-        assert np.all(p.values == 0.0)
+        assert np.all(p == 0.0)
 
     def test_half_padded_edge_frames_read_the_tone(self, cfg):
         # frame 0 is half zero padding; at its longest lags the leading
         # sub-frame is silent and its NCCF denominator is rounding noise
         p = pitch_per_frame(tone(200, seconds=0.1, amp=0.3), cfg)
-        assert p.values.size == 11
-        assert np.all(np.abs(p.values - 200.0) <= 0.1)
+        assert p.size == 11
+        assert np.all(np.abs(p - 200.0) <= 0.1)
 
     def test_chirp_monotone_within_jitter(self, cfg):
         t = np.arange(SR) / SR
         phase = 2 * np.pi * (100 * t + 50 * t * t)  # 100 -> 200 Hz
         p = pitch_per_frame(AudioBuffer(0.4 * np.sin(phase), SR), cfg)
-        voiced = p.values[p.values > 0]
+        voiced = p[p > 0]
         assert voiced.size > 50
         assert np.all(np.diff(voiced) >= -3.0)
 
     def test_voiced_range_contract(self, cfg):
         rng = np.random.default_rng(3)
         audio = AudioBuffer(rng.uniform(-0.9, 0.9, SR), SR)
-        values = pitch_per_frame(audio, cfg).values
+        values = pitch_per_frame(audio, cfg)
         voiced = values[values > 0]
         assert np.all((voiced >= cfg.f0_min) & (voiced <= cfg.f0_max))
 
@@ -181,31 +178,51 @@ class TestPitch:
 
 class TestAverageByPhoneme:
     def test_constant_series(self):
-        series = FrameSeries(np.full(10, 3.25), ENERGY)
-        out = average_by_phoneme(series, [4, 5, 1])
+        out = average_by_phoneme(np.full(10, 3.25), [4, 5, 1])
         assert np.array_equal(out, [3.25, 3.25, 3.25])
 
     def test_pitch_excludes_unvoiced(self):
-        series = FrameSeries([100.0, 110.0, 0.0, 120.0], PITCH_HZ)
-        assert average_by_phoneme(series, [2, 2]).tolist() == [105.0, 120.0]
+        pitch = [100.0, 110.0, 0.0, 120.0]
+        assert average_by_phoneme(pitch, [2, 2], voiced_only=True).tolist() == [105.0, 120.0]
 
     def test_all_unvoiced_segment_is_zero(self):
-        series = FrameSeries([0.0, 0.0, 0.0], PITCH_HZ)
-        assert average_by_phoneme(series, [3]).tolist() == [0.0]
+        assert average_by_phoneme([0.0, 0.0, 0.0], [3], voiced_only=True).tolist() == [0.0]
 
     def test_zero_duration_segment_is_zero(self):
-        series = FrameSeries([1.0, 2.0], ENERGY)
-        assert average_by_phoneme(series, [1, 0, 1]).tolist() == [1.0, 0.0, 2.0]
+        assert average_by_phoneme([1.0, 2.0], [1, 0, 1]).tolist() == [1.0, 0.0, 2.0]
 
     def test_all_ones_is_identity_on_energy(self):
         rng = np.random.default_rng(4)
         values = rng.uniform(0, 10, 20)
-        series = FrameSeries(values, ENERGY)
-        assert np.array_equal(average_by_phoneme(series, [1] * 20), values)
+        assert np.array_equal(average_by_phoneme(values, [1] * 20), values)
+
+    def test_energy_keeps_zero_frames(self):
+        assert average_by_phoneme([0.0, 2.0], [2]).tolist() == [1.0]
+        assert average_by_phoneme([0.0, 2.0], [2], voiced_only=True).tolist() == [2.0]
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatchError):
-            average_by_phoneme(FrameSeries([1.0, 2.0], ENERGY), [3])
+            average_by_phoneme([1.0, 2.0], [3])
+
+    @given(st.lists(st.integers(0, 12), max_size=10).flatmap(lambda durations: st.tuples(
+        st.just(durations),
+        st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1e3)),
+                 min_size=sum(durations), max_size=sum(durations)))),
+        st.booleans())
+    @example(([2, 0, 3], [0.0, 0.0, 0.0, 0.0, 5.0]), True)
+    @example(([2, 0, 3], [0.0, 0.0, 0.0, 0.0, 5.0]), False)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_a_frame_by_frame_loop(self, case, voiced_only):
+        durations, values = case
+        segments = [[] for _ in durations]
+        owner = [i for i, n in enumerate(durations) for _ in range(n)]
+        for i, value in zip(owner, values):
+            if value > 0.0 or not voiced_only:
+                segments[i].append(value)
+        expected = [np.mean(seg) if seg else 0.0 for seg in segments]
+        got = average_by_phoneme(values, durations, voiced_only=voiced_only)
+        assert got.dtype == np.float64
+        assert got.tobytes() == np.array(expected, dtype=np.float64).tobytes()
 
 
 class TestQuantizer:
@@ -366,7 +383,7 @@ class TestFraming:
         for n in (441, 3 * 441, 3 * 441 + 5):
             audio = AudioBuffer(rng.uniform(-0.5, 0.5, n), 11025)
             assert mel_spectrogram(audio, odd).shape == (n // 441 + 1, 80)
-            assert pitch_per_frame(audio, odd).values.size == n // 441 + 1
+            assert pitch_per_frame(audio, odd).size == n // 441 + 1
 
 
 class TestMelBands:
@@ -444,7 +461,7 @@ class TestPitchPicker:
         rng = np.random.default_rng(seed)
         x = amp * np.sin(2 * np.pi * f0 * t) + noise * rng.standard_normal(n)
         x[silent[0] : silent[0] + silent[1]] = 0.0
-        got = pitch_per_frame(AudioBuffer(x, SR), cfg).values
+        got = pitch_per_frame(AudioBuffer(x, SR), cfg)
         assert got.tobytes() == reference_pitch(x, cfg).tobytes()
 
     def test_fixed_cases_match_per_frame_loop(self, cfg):
@@ -566,7 +583,7 @@ class TestAliasFreePitchFFT:
         worst = 0.0
         for wav in sorted(minicorpus.rglob("*.wav")):
             samples = read_wav(wav).samples
-            got = pitch_per_frame(AudioBuffer(samples, SR), cfg).values
+            got = pitch_per_frame(AudioBuffer(samples, SR), cfg)
             # the vectorised picker: bitwise equal to loop_pick (TestPitchPicker)
             old = old_length_pitch(samples, cfg, pick=_pick_pitch)
             assert np.array_equal(got > 0, old > 0), wav  # no voicing flips
@@ -597,7 +614,7 @@ class TestAliasFreePitchFFT:
         rng = np.random.default_rng(seed)
         x = amp * np.sin(2 * np.pi * f0 * t) + noise * rng.standard_normal(n)
         x[silent[0] : silent[0] + silent[1]] = 0.0
-        got = pitch_per_frame(AudioBuffer(x, SR), cfg).values
+        got = pitch_per_frame(AudioBuffer(x, SR), cfg)
         old = old_length_pitch(x, cfg, pick=_pick_pitch)
         assert np.array_equal(got > 0, old > 0)
         assert np.all(np.abs(got - old) <= 1e-12 * old)
@@ -619,11 +636,11 @@ class TestFrameBlocks:
                             SR)
         blocked = [stft_magnitude(audio, cfg)]
         if n >= cfg.win_length:
-            blocked.append(pitch_per_frame(audio, cfg).values)
+            blocked.append(pitch_per_frame(audio, cfg))
         monkeypatch.setattr(features, "FRAME_BLOCK", 1 << 30)
         whole = [stft_magnitude(audio, cfg)]
         if n >= cfg.win_length:
-            whole.append(pitch_per_frame(audio, cfg).values)
+            whole.append(pitch_per_frame(audio, cfg))
         assert blocked[0].shape == (n_frames, cfg.fft_size // 2 + 1)
         for got, want in zip(blocked, whole):
             assert got.tobytes() == want.tobytes()
