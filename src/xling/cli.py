@@ -66,6 +66,7 @@ from .errors import (
     BadConfigError,
     LengthMismatchError,
     ParseError,
+    TooLargeError,
     UtteranceError,
     XlingError,
 )
@@ -150,8 +151,8 @@ def load_pipeline_config(path) -> dict:
     try:
         _feature_config(values)
         _quantizer(values, 1.0, 2.0)  # any valid range: the real one comes from stats
-    except BadConfigError as exc:
-        raise BadConfigError(f"{path}: {exc}") from exc
+    except (BadConfigError, TooLargeError) as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
     for key in _PATH_KEYS:
         if key in values and not Path(values[key]).is_file():
             raise BadConfigError(f"{path}: {key} points to missing file {values[key]!r}")

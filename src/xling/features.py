@@ -32,6 +32,7 @@ mean, power, cumulative sum, division) works row by row.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, fields
 from functools import lru_cache
 
@@ -44,6 +45,7 @@ from .errors import (
     ConfigMismatchError,
     EmptyAudioError,
     LengthMismatchError,
+    TooLargeError,
 )
 
 LINEAR = "linear"
@@ -53,6 +55,19 @@ FRAME_BLOCK = 64
 """Frames per block of the STFT and pitch kernels: at the defaults a
 block's 1024-point spectra and correlations are 0.5 MiB each, so one
 block's temporaries fit in a 2 MiB L2 cache."""
+
+MAX_FFT_SIZE = 8192
+"""Upper bound on ``FeatureConfig.fft_size`` (0.5 s at 16 kHz).
+
+The window may not exceed the FFT, so this also bounds the window and the
+pitch autocorrelation FFT (at most 16,384 points).  A block of
+:data:`FRAME_BLOCK` complex spectra then takes at most 4 MiB (8 MiB for the
+pitch FFT), and the filterbank, at most 4,097 filters over 4,097 bins,
+128 MiB."""
+
+MAX_QUANTIZER_BINS = 2**53
+"""Upper bound on ``QuantizerConfig.n_bins``: every bin index up to it is
+exact in the float64 ``.xlf`` files the indices are written to."""
 
 NCCF_FLOOR = 1e-9
 """An NCCF denominator at or below this fraction of the frame's energy counts
@@ -90,6 +105,11 @@ class FeatureConfig:
             raise BadConfigError("n_mels must be positive")
         if self.fft_size < self.win_length:
             raise BadConfigError("fft_size must cover the analysis window")
+        if self.fft_size > MAX_FFT_SIZE:
+            raise TooLargeError(f"fft_size must be at most {MAX_FFT_SIZE}")
+        if self.n_mels > self.fft_size // 2 + 1:
+            raise TooLargeError(f"n_mels must be at most fft_size // 2 + 1 = "
+                                f"{self.fft_size // 2 + 1}")
         if not (0 <= self.fmin < self.fmax <= self.sample_rate / 2):
             raise BadConfigError("need 0 <= fmin < fmax <= Nyquist")
         if self.log_floor <= 0:
@@ -186,6 +206,11 @@ def mel_filterbank(cfg: FeatureConfig) -> np.ndarray:
     return fb
 
 
+_MEL_BANDS_LOCK = threading.Lock()
+"""Held around :func:`_mel_bands`: ``lru_cache`` holds no lock while it
+builds, so threads that miss the cache together would each build."""
+
+
 @lru_cache(maxsize=8)
 def _mel_bands(cfg: FeatureConfig) -> tuple:
     """``(lo, hi, weights)`` per filter: its non-zero run of FFT bins."""
@@ -207,7 +232,8 @@ def mel_spectrogram(audio: AudioBuffer, cfg: FeatureConfig) -> np.ndarray:
     the bytes do not depend on the machine.
     """
     bins_by_frame = np.ascontiguousarray(stft_magnitude(audio, cfg).T)
-    bands = _mel_bands(cfg)
+    with _MEL_BANDS_LOCK:
+        bands = _mel_bands(cfg)
     mel = np.empty((len(bands), bins_by_frame.shape[1]))
     for m, (lo, hi, weights) in enumerate(bands):
         np.sum(bins_by_frame[lo:hi] * weights[:, None], axis=0, out=mel[m])
@@ -339,6 +365,8 @@ class QuantizerConfig:
     def __post_init__(self):
         if self.n_bins < 1:
             raise BadConfigError("n_bins must be positive")
+        if self.n_bins > MAX_QUANTIZER_BINS:
+            raise TooLargeError(f"n_bins must be at most 2**53 = {MAX_QUANTIZER_BINS}")
         if not (math.isfinite(self.v_min) and self.v_min < self.v_max
                 and math.isfinite(self.v_max)):
             raise BadConfigError(f"need finite v_min < v_max, got [{self.v_min}, {self.v_max}]")

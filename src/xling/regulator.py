@@ -8,7 +8,9 @@ repetition that lifts phoneme-resolution embeddings to frame resolution.
 
 All four operators here (aggregate, expand, stop-gradient, gradient
 reversal) are linear, so their backward passes are closed-form transposes
-exposed as :func:`linear_backward` -- no autodiff framework involved.
+exposed as :func:`linear_backward` -- no autodiff framework involved.  Each
+backward pass is the other operator: a segment sum's transpose is a row
+repeat over the same counts, and a repeat's is that segment sum.
 
 Everything is float64.  Segment sums accumulate rows strictly in index
 order, which makes results reproducible bit for bit and lets tests compare
@@ -45,17 +47,15 @@ def _as_matrix(values, name: str) -> np.ndarray:
     return arr
 
 
-def _as_lengths(lengths) -> np.ndarray:
-    arr = np.asarray(lengths, dtype=np.int64).reshape(-1)
-    if arr.size and arr.min() < 1:
-        raise LengthMismatchError("phoneme lengths must all be >= 1")
-    return arr
-
-
-def _as_durations(durations) -> np.ndarray:
-    arr = np.asarray(durations, dtype=np.int64).reshape(-1)
-    if arr.size and arr.min() < 0:
-        raise LengthMismatchError("durations must all be >= 0")
+def _as_counts(counts, least: int, what: str) -> np.ndarray:
+    """``counts`` as a 1-D int64 array of whole numbers, each >= ``least``."""
+    raw = np.asarray(counts).reshape(-1)
+    with np.errstate(invalid="ignore"):
+        arr = raw.astype(np.int64)
+    if not np.array_equal(arr, raw):
+        raise LengthMismatchError(f"{what} must be whole numbers")
+    if arr.size and arr.min() < least:
+        raise LengthMismatchError(f"{what} must all be >= {least}")
     return arr
 
 
@@ -66,8 +66,8 @@ class Aggregate:
     lengths: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "lengths", tuple(int(v) for v in self.lengths))
-        _as_lengths(self.lengths)
+        counts = _as_counts(self.lengths, 1, "phoneme lengths")
+        object.__setattr__(self, "lengths", tuple(counts.tolist()))
 
 
 @dataclass(frozen=True)
@@ -77,8 +77,8 @@ class Expand:
     durations: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "durations", tuple(int(v) for v in self.durations))
-        _as_durations(self.durations)
+        counts = _as_counts(self.durations, 0, "durations")
+        object.__setattr__(self, "durations", tuple(counts.tolist()))
 
 
 @dataclass(frozen=True)
@@ -97,16 +97,19 @@ class GRL:
             raise LengthMismatchError("GRL scale must be positive")
 
 
+def _bounds(counts) -> np.ndarray:
+    return np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
+
+
 def cumulative_lengths(lengths) -> np.ndarray:
     """Cumulative sums with a leading zero: c[0] = 0, c[t] = sum(L[:t])."""
-    arr = _as_lengths(lengths)
-    c = np.zeros(arr.size + 1, dtype=np.int64)
-    np.cumsum(arr, out=c[1:])
-    return c
+    return _bounds(_as_counts(lengths, 1, "phoneme lengths"))
 
 
-def _segment_sum(X: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+def _segment_sum(X, bounds, name: str, what: str) -> np.ndarray:
     """Sum rows of X per [bounds[i], bounds[i+1]) segment, in index order."""
+    if X.shape[0] != bounds[-1]:
+        raise LengthMismatchError(f"{name} has {X.shape[0]} rows but {what} sum to {bounds[-1]}")
     n = bounds.size - 1
     out = np.zeros((n, X.shape[1]), dtype=np.float64)
     for i in range(n):
@@ -116,24 +119,21 @@ def _segment_sum(X: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     return out
 
 
+def _repeat(Y, counts, name: str, what: str) -> np.ndarray:
+    """Repeat row i of Y counts[i] times."""
+    if Y.shape[0] != len(counts):
+        raise LengthMismatchError(f"{name} has {Y.shape[0]} rows but {len(counts)} {what}")
+    return np.repeat(Y, counts, axis=0)
+
+
 def aggregate(X, lengths) -> np.ndarray:
     """Collapse IPA-resolution rows to one summed row per phoneme."""
-    Xm = _as_matrix(X, "X")
-    c = cumulative_lengths(lengths)
-    if Xm.shape[0] != c[-1]:
-        raise LengthMismatchError(
-            f"X has {Xm.shape[0]} rows but lengths sum to {c[-1]}"
-        )
-    return _segment_sum(Xm, c)
+    return _segment_sum(_as_matrix(X, "X"), cumulative_lengths(lengths), "X", "lengths")
 
 
 def expand(Y, durations) -> np.ndarray:
     """Repeat row i of Y durations[i] times; zero durations drop the row."""
-    Ym = _as_matrix(Y, "Y")
-    d = _as_durations(durations)
-    if Ym.shape[0] != d.size:
-        raise LengthMismatchError(f"Y has {Ym.shape[0]} rows but {d.size} durations")
-    return np.repeat(Ym, d, axis=0)
+    return _repeat(_as_matrix(Y, "Y"), _as_counts(durations, 0, "durations"), "Y", "durations")
 
 
 def linear_forward(tag, X) -> np.ndarray:
@@ -156,21 +156,9 @@ def linear_backward(tag, upstream) -> np.ndarray:
     """
     g = _as_matrix(upstream, "upstream")
     if isinstance(tag, Aggregate):
-        lengths = _as_lengths(tag.lengths)
-        if g.shape[0] != lengths.size:
-            raise LengthMismatchError(
-                f"upstream has {g.shape[0]} rows but {lengths.size} lengths"
-            )
-        return np.repeat(g, lengths, axis=0)
+        return _repeat(g, tag.lengths, "upstream", "lengths")
     if isinstance(tag, Expand):
-        d = _as_durations(tag.durations)
-        bounds = np.zeros(d.size + 1, dtype=np.int64)
-        np.cumsum(d, out=bounds[1:])
-        if g.shape[0] != bounds[-1]:
-            raise LengthMismatchError(
-                f"upstream has {g.shape[0]} rows but durations sum to {bounds[-1]}"
-            )
-        return _segment_sum(g, bounds)
+        return _segment_sum(g, _bounds(tag.durations), "upstream", "durations")
     if isinstance(tag, StopGrad):
         return np.zeros_like(g)
     if isinstance(tag, GRL):

@@ -880,7 +880,8 @@ class TestStatsFileKeys:
 
 class TestConfigValuesChecked:
     """A feature or quantizer value that its config rejects is one
-    ``ERROR BAD_CONFIG`` line, exit 1, with nothing written."""
+    ``ERROR BAD_CONFIG`` line (``TOO_LARGE`` above a size cap), exit 1,
+    with nothing written."""
 
     @pytest.fixture
     def tone(self, tmp_path):
@@ -939,6 +940,25 @@ class TestConfigValuesChecked:
             assert code == 0 and capsys.readouterr().err == ""
             assert sorted(p.name for p in out.iterdir()) == [
                 "tone.energy.xlf", "tone.mel.xlf", "tone.pitch.xlf"]
+
+
+    @pytest.mark.parametrize("line", [
+        "fft_size=1073741824", "n_mels=100000000", "quantizer_bins=10000000000000000000",
+    ])
+    def test_size_above_cap(self, tmp_path, capsys, tone, line):
+        stats = tmp_path / "stats.txt"
+        stats.write_text("energy_min=0.001\nenergy_max=1.0\n", encoding="utf-8")
+        alignment = tmp_path / "tone.align"
+        alignment.write_text("a\t50\nb\t51\n", encoding="utf-8")
+        config = tmp_path / "pipeline.cfg"
+        config.write_text(line + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert run("features", "--wav", tone, "--alignment", alignment, "--stats", stats,
+                   "--config", config, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1, err
+        assert err.startswith(f"ERROR TOO_LARGE: {config}: "), err
+        assert not out.exists()
 
 
 class TestConfigValuesCheckedAtLoad:

@@ -8,8 +8,8 @@ exit 1 with exactly one ``ERROR <code>:`` line on stderr.
 Inserted bytes are control or non-ASCII bytes, never digits, so those
 mutations scale no number beyond doubling its digits.  A second strategy
 does: it replaces one run of digits in the alignment, model config,
-phoneme file or dataset spec with 0 or 10**k for k in [1, 30], under the
-same rule.
+pipeline config, phoneme file or dataset spec with 0 or 10**k for k in
+[1, 30], under the same rule.
 """
 
 import contextlib
@@ -29,7 +29,8 @@ ONE_ERROR = re.compile(r"ERROR [A-Z_]+: [^\n]*\n")
 # the model never falls back to its paper-sized defaults
 MODEL_CONFIG = ("hidden=8\nenc_layers=1\ndec_layers=1\nconv_kernel=3\nff_channels=4\n"
                 "n_mels=5\npitch_embed_kernel=3\nn_ipa_symbols=54\nn_speakers=2\n")
-PIPELINE_CONFIG = "win_ms=40\nhop_ms=10\nvoicing_threshold=0.3\nquantizer_bins=16\n"
+PIPELINE_CONFIG = ("win_ms=40\nhop_ms=10\nfft_size=1024\nn_mels=80\nvoicing_threshold=0.3\n"
+                   "quantizer_bins=16\n")
 
 
 def run(*argv):
@@ -137,7 +138,7 @@ def test_mutated_input_exits_zero_or_with_one_error_line(flow, data):
 @given(data=st.data())
 @settings(max_examples=300, suppress_health_check=[HealthCheck.too_slow])
 def test_scaled_number_exits_zero_or_with_one_error_line(flow, data):
-    kind = data.draw(st.sampled_from(["alignment", "model_config", "phn", "spec"]),
-                     label="kind")
+    kind = data.draw(st.sampled_from(["alignment", "model_config", "phn", "spec",
+                                      "pipeline_config"]), label="kind")
     mutated = data.draw(scaled_number(flow[kind].read_bytes()), label="mutated")
     exits_zero_or_with_one_error_line(flow, kind, mutated)

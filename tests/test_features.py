@@ -9,11 +9,14 @@ from xling.errors import (
     ConfigMismatchError,
     EmptyAudioError,
     LengthMismatchError,
+    TooLargeError,
 )
 from xling.features import (
     FRAME_BLOCK,
     LINEAR,
     LOG,
+    MAX_FFT_SIZE,
+    MAX_QUANTIZER_BINS,
     NCCF_FLOOR,
     FeatureConfig,
     QuantizerConfig,
@@ -63,6 +66,16 @@ class TestConfig:
     def test_at_least_one_mel_band(self, n_mels):
         with pytest.raises(BadConfigError, match="n_mels"):
             FeatureConfig(n_mels=n_mels)
+
+    def test_fft_size_capped(self):
+        assert FeatureConfig(fft_size=MAX_FFT_SIZE).fft_size == 8192
+        with pytest.raises(TooLargeError, match="fft_size must be at most 8192"):
+            FeatureConfig(fft_size=2 * MAX_FFT_SIZE)
+
+    def test_n_mels_at_most_the_bins(self):
+        assert FeatureConfig(n_mels=513).n_mels == 513
+        with pytest.raises(TooLargeError, match="n_mels must be at most"):
+            FeatureConfig(n_mels=514)
 
     @pytest.mark.parametrize("value", [-0.01, 1.0, 5.0])
     def test_voicing_threshold_below_one(self, value):
@@ -226,6 +239,12 @@ class TestAverageByPhoneme:
 
 
 class TestQuantizer:
+    def test_bins_capped_where_float64_is_exact(self):
+        q = QuantizerConfig(v_min=0.0, v_max=1.0, n_bins=MAX_QUANTIZER_BINS)
+        assert quantize([1.0], q)[0] == 2**53 - 1
+        with pytest.raises(TooLargeError, match="n_bins must be at most"):
+            QuantizerConfig(v_min=0.0, v_max=1.0, n_bins=MAX_QUANTIZER_BINS + 1)
+
     def test_boundaries(self):
         q = QuantizerConfig(v_min=0.0, v_max=4.0, n_bins=4)
         assert quantize([0.0], q)[0] == 0
@@ -416,6 +435,38 @@ class TestMelBands:
             assert weights.size == hi - lo and not weights.flags.writeable
             with pytest.raises(ValueError):
                 weights[0] = 1.0
+
+    def test_bands_built_once_by_racing_threads(self, monkeypatch):
+        import threading
+        import time
+
+        from xling import features
+
+        calls = []
+        build = features.mel_filterbank
+
+        def slow_filterbank(cfg):
+            calls.append(cfg)
+            time.sleep(0.05)  # every thread misses the cache while this one builds
+            return build(cfg)
+
+        monkeypatch.setattr(features, "mel_filterbank", slow_filterbank)
+        cfg = FeatureConfig(n_mels=37, fmin=31.0)  # bands no other test builds
+        audio = tone(200.0, seconds=0.1)
+        start = threading.Barrier(4)
+        mels = []
+
+        def worker():
+            start.wait()
+            mels.append(mel_spectrogram(audio, cfg))
+
+        threads = [threading.Thread(target=worker) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert calls == [cfg]
+        assert len(mels) == 4 and all(np.array_equal(m, mels[0]) for m in mels)
 
     def test_bytes_do_not_depend_on_blas_threads(self):
         import os

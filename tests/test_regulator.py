@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from xling.errors import LengthMismatchError
 from xling.regulator import (
@@ -247,3 +249,73 @@ class TestComposition:
         with pytest.raises(LengthMismatchError):
             GRL(0.0)
         Expand((0, 0))  # zero durations are legal for expansion
+
+
+class TestWholeNumberCounts:
+    """A count that is not a whole number is refused at every entry point,
+    never truncated; whole values of any dtype are read as ints."""
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: cumulative_lengths([2, 1.5]), "phoneme lengths must be whole numbers"),
+        (lambda: aggregate(np.ones((3, 2)), [1.5, 1.5]),
+         "phoneme lengths must be whole numbers"),
+        (lambda: expand(np.ones((2, 2)), [0.9, 1.2]), "durations must be whole numbers"),
+        (lambda: Aggregate((1.7, 1.2)), "phoneme lengths must be whole numbers"),
+        (lambda: Expand((0.5,)), "durations must be whole numbers"),
+        (lambda: Expand((np.nan,)), "durations must be whole numbers"),
+        (lambda: Aggregate((np.inf,)), "phoneme lengths must be whole numbers"),
+    ], ids=["cumulative_lengths", "aggregate", "expand", "Aggregate", "Expand", "nan",
+            "inf"])
+    def test_fraction_refused(self, call, message):
+        with pytest.raises(LengthMismatchError) as info:
+            call()
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("two", [2, np.int64(2), 2.0, np.float32(2.0)],
+                             ids=["int", "int64", "float", "float32"])
+    def test_whole_values_of_any_dtype(self, two):
+        X = np.arange(6.0).reshape(3, 2)
+        assert cumulative_lengths([1, two]).tolist() == [0, 1, 3]
+        assert np.array_equal(aggregate(X, [1, two]), aggregate(X, [1, 2]))
+        assert np.array_equal(expand(X, [two, 0, 1]), expand(X, [2, 0, 1]))
+        assert Aggregate((1, two)).lengths == (1, 2)
+        assert Expand((two,)).durations == (2,)
+        assert type(Expand((two,)).durations[0]) is int
+
+
+class TestMessages:
+    @pytest.mark.parametrize("call, message", [
+        (lambda: aggregate(np.zeros((5, 2)), [2, 2]), "X has 5 rows but lengths sum to 4"),
+        (lambda: expand(np.zeros((3, 2)), [1, 1]), "Y has 3 rows but 2 durations"),
+        (lambda: linear_backward(Aggregate((2, 1)), np.zeros((3, 2))),
+         "upstream has 3 rows but 2 lengths"),
+        (lambda: linear_backward(Expand((2, 1)), np.zeros((2, 2))),
+         "upstream has 2 rows but durations sum to 3"),
+        (lambda: cumulative_lengths([2, 0, 1]), "phoneme lengths must all be >= 1"),
+        (lambda: expand(np.zeros((2, 2)), [1, -1]), "durations must all be >= 0"),
+    ])
+    def test_message(self, call, message):
+        with pytest.raises(LengthMismatchError) as info:
+            call()
+        assert str(info.value) == message
+
+
+class TestBackwardBitwise:
+    """Each backward pass is bit for bit the other operator's reference."""
+
+    @given(lengths=st.lists(st.integers(1, 4), max_size=8), width=st.integers(1, 4),
+           seed=st.integers(0, 2**32 - 1))
+    def test_aggregate_backward_is_repeat(self, lengths, width, seed):
+        g = np.random.default_rng(seed).standard_normal((len(lengths), width))
+        out = linear_backward(Aggregate(tuple(lengths)), g)
+        assert out.tobytes() == np.repeat(g, lengths, axis=0).tobytes()
+        assert out.shape == (sum(lengths), width)
+
+    @given(durations=st.lists(st.integers(0, 4), max_size=8), width=st.integers(1, 4),
+           seed=st.integers(0, 2**32 - 1))
+    def test_expand_backward_is_segment_sum(self, durations, width, seed):
+        g = np.random.default_rng(seed).standard_normal((sum(durations), width))
+        out = linear_backward(Expand(tuple(durations)), g)
+        # brute_force_aggregate is a plain segment sum; empty segments give 0 rows
+        assert out.tobytes() == brute_force_aggregate(g, durations).tobytes()
+        assert out.shape == (len(durations), width)
