@@ -47,6 +47,7 @@ from .errors import (
     LengthMismatchError,
     TooLargeError,
 )
+from .regulator import as_counts
 
 LINEAR = "linear"
 LOG = "log"
@@ -338,9 +339,7 @@ def average_by_phoneme(values, durations, voiced_only: bool = False) -> np.ndarr
     segment with no frames, or no voiced frames, yields 0.0.
     """
     v = np.asarray(values, dtype=np.float64).reshape(-1)
-    d = np.asarray(durations, dtype=np.int64).reshape(-1)
-    if d.size and d.min() < 0:
-        raise LengthMismatchError("durations must all be >= 0")
+    d = as_counts(durations, 0, "durations")
     if d.sum() != v.size:
         raise LengthMismatchError(f"durations sum to {d.sum()} but series has {v.size} frames")
     out = np.zeros(d.size)
@@ -391,10 +390,15 @@ def quantize(values, q: QuantizerConfig) -> np.ndarray:
 
 
 def dequantize(indices, q: QuantizerConfig) -> np.ndarray:
-    """Bin centers (in the configured scale) for the given indices."""
-    idx = np.asarray(indices, dtype=np.int64)
-    if idx.size and (idx.min() < 0 or idx.max() >= q.n_bins):
+    """Bin centers (in the configured scale) for the given whole-number indices."""
+    raw = np.asarray(indices)
+    # the range test runs first, so the cast below cannot overflow
+    if raw.size and not (raw.min() >= 0 and raw.max() < q.n_bins):
         raise BadConfigError(f"indices outside [0, {q.n_bins - 1}]")
+    with np.errstate(invalid="ignore"):
+        idx = raw.astype(np.int64)
+    if not np.array_equal(idx, raw):
+        raise BadConfigError("indices must be whole numbers")
     lo, hi = q._transform(np.float64(q.v_min)), q._transform(np.float64(q.v_max))
     width = (hi - lo) / q.n_bins
     return q._inverse(lo + (idx + 0.5) * width)

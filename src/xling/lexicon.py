@@ -26,7 +26,8 @@ import unicodedata
 from dataclasses import dataclass, field
 from importlib import resources
 
-from .errors import OOVError, ParseError, UnmappedLDPError
+from .errors import LengthMismatchError, OOVError, ParseError, UnmappedLDPError
+from .regulator import as_counts
 from .textio import cast, records, write_records
 
 HAN = "Han"
@@ -78,12 +79,12 @@ class PhonemeSequence:
     lengths: tuple
 
     def __post_init__(self):
-        if len(self.ldp) != len(self.lengths):
-            raise ValueError("one length per language-dependent phoneme required")
-        if sum(self.lengths) != len(self.ipa):
-            raise ValueError("lengths must sum to the IPA symbol count")
-        if any(n < 1 for n in self.lengths):
-            raise ValueError("phoneme lengths must all be >= 1")
+        lengths = tuple(as_counts(self.lengths, 1, "phoneme lengths").tolist())
+        object.__setattr__(self, "lengths", lengths)
+        if len(self.ldp) != len(lengths):
+            raise LengthMismatchError("one length per language-dependent phoneme required")
+        if sum(lengths) != len(self.ipa):
+            raise LengthMismatchError("lengths must sum to the IPA symbol count")
 
     def __len__(self):
         return len(self.ldp)

@@ -372,21 +372,34 @@ def positional_encoding(length: int, dim: int) -> np.ndarray:
 def check_inputs(cfg: ModelConfig, ipa_ids, phoneme_lengths, speaker: int, mode) -> tuple:
     """Check :func:`forward`'s inputs against ``cfg`` alone (no weights needed).
 
-    More IPA ids, or a teacher-forced frame total, above
-    :data:`MAX_DECODER_FRAMES` is a TooLargeError; a negative teacher-forced
-    duration is a ShapeMismatchError, and a non-finite teacher-forced pitch
-    or energy a ConfigMismatchError.  Returns the ids and phoneme lengths as
-    int64 arrays.
+    Phoneme lengths, and teacher-forced durations, are read by
+    :func:`regulator.as_counts`: a fraction, a length below 1 or a duration
+    below 0 is a LengthMismatchError, and a total of 2**63 or more a
+    TooLargeError.  More IPA ids, or a teacher-forced frame total, above
+    :data:`MAX_DECODER_FRAMES` is a TooLargeError; an id that is not a
+    whole number in ``[0, n_ipa_symbols)``, lengths that do not sum to the
+    id count, or a teacher-forced sequence of the wrong size a
+    ShapeMismatchError; a speaker that is a bool, not an integer, or outside
+    the table an UnknownSpeakerError; a non-finite teacher-forced pitch or
+    energy a ConfigMismatchError.  Returns the ids, the phoneme lengths and
+    the teacher-forced durations (None under Inference) as int64 arrays.
     """
-    ids = np.asarray(ipa_ids, dtype=np.int64).reshape(-1)
-    lengths = np.asarray(phoneme_lengths, dtype=np.int64).reshape(-1)
-    if ids.size > MAX_DECODER_FRAMES:
-        raise TooLargeError(f"{ids.size} IPA symbols, above the encoder's cap of "
+    lengths = regulator.as_counts(phoneme_lengths, 1, "phoneme lengths")
+    raw_ids = np.asarray(ipa_ids).reshape(-1)
+    if raw_ids.size > MAX_DECODER_FRAMES:
+        raise TooLargeError(f"{raw_ids.size} IPA symbols, above the encoder's cap of "
                             f"{MAX_DECODER_FRAMES} rows")
-    if ids.size and (ids.min() < 0 or ids.max() >= cfg.n_ipa_symbols):
+    # the range test runs first, so the cast below cannot overflow
+    if raw_ids.size and not (raw_ids.min() >= 0 and raw_ids.max() < cfg.n_ipa_symbols):
         raise ShapeMismatchError(
             f"IPA ids must lie in [0, {cfg.n_ipa_symbols})"
         )
+    with np.errstate(invalid="ignore"):
+        ids = raw_ids.astype(np.int64)
+    if not np.array_equal(ids, raw_ids):
+        raise ShapeMismatchError("IPA ids must be whole numbers")
+    if isinstance(speaker, bool) or not isinstance(speaker, (int, np.integer)):
+        raise UnknownSpeakerError(f"speaker {speaker!r} is not an integer")
     if not (0 <= speaker < cfg.n_speakers):
         raise UnknownSpeakerError(
             f"speaker {speaker} outside table of {cfg.n_speakers}"
@@ -396,6 +409,7 @@ def check_inputs(cfg: ModelConfig, ipa_ids, phoneme_lengths, speaker: int, mode)
             f"phoneme lengths sum to {lengths.sum()} but there are {ids.size} IPA ids"
         )
     n_phonemes = lengths.size
+    durations = None
     if isinstance(mode, TeacherForced):
         for name, seq in (
             ("durations", mode.durations),
@@ -406,15 +420,14 @@ def check_inputs(cfg: ModelConfig, ipa_ids, phoneme_lengths, speaker: int, mode)
                 raise ShapeMismatchError(
                     f"teacher-forced {name} has {len(seq)} values, expected {n_phonemes}"
                 )
-        if any(d < 0 for d in mode.durations):
-            raise ShapeMismatchError("teacher-forced durations must all be >= 0")
+        durations = regulator.as_counts(mode.durations, 0, "teacher-forced durations")
         for name, seq in (("pitch", mode.pitch), ("energy", mode.energy)):
             if not np.all(np.isfinite(np.asarray(seq, dtype=np.float64))):
                 raise ConfigMismatchError(f"teacher-forced {name} has non-finite values")
-        _check_frames(sum(mode.durations), "teacher-forced")
+        _check_frames(int(durations.sum()), "teacher-forced")
     elif not isinstance(mode, Inference):
         raise BadConfigError(f"unknown forward mode {mode!r}")
-    return ids, lengths
+    return ids, lengths, durations
 
 
 def _check_frames(total: int, kind: str) -> None:
@@ -427,7 +440,7 @@ def forward(weights: Weights, ipa_ids, phoneme_lengths, speaker: int, mode) -> F
     """Run the full dataflow; see the module docstring for the wiring."""
     cfg = weights.config
     p = weights.tensors
-    ids, lengths = check_inputs(cfg, ipa_ids, phoneme_lengths, speaker, mode)
+    ids, lengths, durations = check_inputs(cfg, ipa_ids, phoneme_lengths, speaker, mode)
 
     trace = []
 
@@ -453,7 +466,6 @@ def forward(weights: Weights, ipa_ids, phoneme_lengths, speaker: int, mode) -> F
 
     if isinstance(mode, TeacherForced):
         pitch_values = np.asarray(mode.pitch, dtype=np.float64)
-        durations = np.asarray(mode.durations, dtype=np.int64)
     else:
         pitch_values = predictions["pitch"]
         log_frames = predictions["duration"]

@@ -15,6 +15,10 @@ repeat over the same counts, and a repeat's is that segment sum.
 Everything is float64.  Segment sums accumulate rows strictly in index
 order, which makes results reproducible bit for bit and lets tests compare
 against naive reference loops with ``==`` rather than tolerances.
+
+:func:`as_counts` is the package's one count rule: every phoneme-length and
+frame-duration sequence, here and in :mod:`xling.model`,
+:mod:`xling.features` and :mod:`xling.lexicon`, is read through it.
 """
 
 from __future__ import annotations
@@ -23,19 +27,30 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LengthMismatchError
+from .errors import LengthMismatchError, TooLargeError
 
 __all__ = [
+    "MAX_REPEAT_BYTES",
     "Aggregate",
     "Expand",
     "StopGrad",
     "GRL",
+    "as_counts",
     "cumulative_lengths",
     "aggregate",
     "expand",
     "linear_forward",
     "linear_backward",
 ]
+
+MAX_REPEAT_BYTES = 1 << 30
+"""Upper bound on the array one row repeat writes (1 GiB).
+
+A duration far above any speech would otherwise ask numpy for that many
+rows; :func:`expand` and the backward pass of :class:`Aggregate` refuse it
+with a TooLargeError before they allocate.  A row of a zero-width matrix
+counts as 8 bytes.
+"""
 
 
 def _as_matrix(values, name: str) -> np.ndarray:
@@ -47,16 +62,28 @@ def _as_matrix(values, name: str) -> np.ndarray:
     return arr
 
 
-def _as_counts(counts, least: int, what: str) -> np.ndarray:
-    """``counts`` as a 1-D int64 array of whole numbers, each >= ``least``."""
-    raw = np.asarray(counts).reshape(-1)
-    with np.errstate(invalid="ignore"):
-        arr = raw.astype(np.int64)
-    if not np.array_equal(arr, raw):
+def as_counts(counts, least: int, what: str) -> np.ndarray:
+    """``counts`` as a 1-D int64 array of whole numbers, each >= ``least``.
+
+    A fraction, NaN or inf is refused, and so is a count below ``least``
+    (LengthMismatchError).  A total of 2**63 or more is a TooLargeError: it
+    would wrap the int64 cumulative bounds.  ``least`` is 0 or more, so a
+    single count that large makes the total that large too.  Every test is
+    made on exact Python ints.
+    """
+    values = np.asarray(counts, dtype=object).reshape(-1).tolist()
+    try:
+        ints = [int(v) for v in values]
+    except (TypeError, ValueError, OverflowError):
+        ints = None
+    if ints != values:
         raise LengthMismatchError(f"{what} must be whole numbers")
-    if arr.size and arr.min() < least:
+    if ints and min(ints) < least:
         raise LengthMismatchError(f"{what} must all be >= {least}")
-    return arr
+    total = sum(ints)
+    if total >= 2**63:
+        raise TooLargeError(f"{what} sum to {total}, above the int64 cap of {2**63 - 1}")
+    return np.array(ints, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -66,7 +93,7 @@ class Aggregate:
     lengths: tuple
 
     def __post_init__(self):
-        counts = _as_counts(self.lengths, 1, "phoneme lengths")
+        counts = as_counts(self.lengths, 1, "phoneme lengths")
         object.__setattr__(self, "lengths", tuple(counts.tolist()))
 
 
@@ -77,7 +104,7 @@ class Expand:
     durations: tuple
 
     def __post_init__(self):
-        counts = _as_counts(self.durations, 0, "durations")
+        counts = as_counts(self.durations, 0, "durations")
         object.__setattr__(self, "durations", tuple(counts.tolist()))
 
 
@@ -103,7 +130,7 @@ def _bounds(counts) -> np.ndarray:
 
 def cumulative_lengths(lengths) -> np.ndarray:
     """Cumulative sums with a leading zero: c[0] = 0, c[t] = sum(L[:t])."""
-    return _bounds(_as_counts(lengths, 1, "phoneme lengths"))
+    return _bounds(as_counts(lengths, 1, "phoneme lengths"))
 
 
 def _segment_sum(X, bounds, name: str, what: str) -> np.ndarray:
@@ -120,9 +147,17 @@ def _segment_sum(X, bounds, name: str, what: str) -> np.ndarray:
 
 
 def _repeat(Y, counts, name: str, what: str) -> np.ndarray:
-    """Repeat row i of Y counts[i] times."""
+    """Repeat row i of Y counts[i] times, within :data:`MAX_REPEAT_BYTES`."""
     if Y.shape[0] != len(counts):
         raise LengthMismatchError(f"{name} has {Y.shape[0]} rows but {len(counts)} {what}")
+    # counts passed as_counts, so their int64 sum is exact; the product is
+    # not.  A zero-width row counts as one value: numpy refuses an array
+    # whose row count alone overflows its size arithmetic.
+    rows = int(np.sum(counts))
+    nbytes = rows * max(Y.shape[1], 1) * Y.itemsize
+    if nbytes > MAX_REPEAT_BYTES:
+        raise TooLargeError(f"{what} repeat {name} to {rows} rows, {nbytes} bytes, "
+                            f"above the cap of {MAX_REPEAT_BYTES}")
     return np.repeat(Y, counts, axis=0)
 
 
@@ -133,7 +168,7 @@ def aggregate(X, lengths) -> np.ndarray:
 
 def expand(Y, durations) -> np.ndarray:
     """Repeat row i of Y durations[i] times; zero durations drop the row."""
-    return _repeat(_as_matrix(Y, "Y"), _as_counts(durations, 0, "durations"), "Y", "durations")
+    return _repeat(_as_matrix(Y, "Y"), as_counts(durations, 0, "durations"), "Y", "durations")
 
 
 def linear_forward(tag, X) -> np.ndarray:

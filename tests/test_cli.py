@@ -697,6 +697,22 @@ class TestMalformedRegulateAndManifest:
                                            "0 durations\n")
         assert not (tmp_path / "out" / "expanded.xlf").exists()
 
+    @pytest.mark.parametrize("lengths, durations, width", [
+        ("2", "100000000000000000000000", 3),
+        ("9223372036854775807,9223372036854775807,4", None, 3),
+        ("2", "4000000000", 3),
+        ("2", "9223372036854775807", 3),
+        ("2", "4611686018427387904", 0),
+    ], ids=["duration-above-int64", "lengths-wrap-int64", "expand-above-cap",
+            "expand-at-int64-max", "zero-width"])
+    def test_huge_counts_are_too_large(self, tmp_path, capsys, lengths, durations, width):
+        write_tensor(tmp_path / "x.xlf", np.ones((2, width)))
+        argv = [] if durations is None else ["--durations", durations]
+        assert run("regulate", "--embeddings", tmp_path / "x.xlf", "--lengths", lengths,
+                   *argv, "--out", tmp_path / "out") == 1
+        self.one_error_line(capsys, "TOO_LARGE")
+        assert not (tmp_path / "out" / "expanded.xlf").exists()
+
     def test_missing_embeddings_file(self, tmp_path, capsys):
         missing = tmp_path / "missing.xlf"
         assert run("regulate", "--embeddings", missing, "--lengths", "2,1,3",

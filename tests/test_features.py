@@ -296,6 +296,19 @@ class TestQuantizer:
         with pytest.raises(BadConfigError):
             dequantize([5], QuantizerConfig(v_min=0.0, v_max=1.0, n_bins=4))
 
+    @pytest.mark.parametrize("index, message", [
+        (-0.5, "indices outside [0, 3]"), (0.5, "indices must be whole numbers"),
+        (np.nan, "indices outside [0, 3]"),
+    ])
+    def test_dequantize_refuses_a_non_whole_index(self, index, message):
+        with pytest.raises(BadConfigError) as info:
+            dequantize([1, index], QuantizerConfig(v_min=0.0, v_max=1.0, n_bins=4))
+        assert str(info.value) == message
+
+    def test_dequantize_reads_whole_floats(self):
+        q = QuantizerConfig(v_min=0.0, v_max=1.0, n_bins=4)
+        assert dequantize([[1.0, 3.0]], q).tobytes() == dequantize([[1, 3]], q).tobytes()
+
     @pytest.mark.parametrize("v_min, v_max", [
         (0.0, float("inf")), (float("-inf"), 1.0), (float("nan"), 1.0), (0.0, float("nan")),
     ])

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xling.errors import OOVError, ParseError, UnmappedLDPError
+from xling.errors import LengthMismatchError, OOVError, ParseError, UnmappedLDPError
 from xling.lexicon import (
     CN,
     EN,
@@ -263,11 +263,11 @@ class TestTextToPhonemeSequence:
 
 class TestPhonemeSequenceInvariants:
     def test_lengths_must_sum(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(LengthMismatchError):
             PhonemeSequence((LDPSymbol("K", EN),), ("k", "k"), (1,))
 
     def test_zero_length_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(LengthMismatchError):
             PhonemeSequence((LDPSymbol("K", EN),), (), (0,))
 
 

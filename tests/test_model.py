@@ -13,6 +13,7 @@ from xling import model, prng, regulator
 from xling.errors import (
     BadConfigError,
     ConfigMismatchError,
+    LengthMismatchError,
     ParseError,
     ShapeMismatchError,
     TooLargeError,
@@ -442,8 +443,8 @@ class TestForward:
 
     def test_negative_teacher_forced_duration_before_weights(self):
         mode = TeacherForced((4, -1), (0.0, 0.0), (0.0, 0.0))
-        with pytest.raises(ShapeMismatchError, match="^teacher-forced durations must all "
-                                                     "be >= 0$"):
+        with pytest.raises(LengthMismatchError, match="^teacher-forced durations must all "
+                                                      "be >= 0$"):
             model.check_inputs(SMALL, [0, 1, 2], [2, 1], 0, mode)
 
     @pytest.mark.parametrize("pitch, energy, name", [
@@ -505,6 +506,21 @@ class TestForward:
     def test_unknown_speaker(self, small_weights):
         with pytest.raises(UnknownSpeakerError):
             forward(small_weights, [0], [1], 17, Inference())
+
+    @pytest.mark.parametrize("speaker", [0.5, np.float64(1.0), True],
+                             ids=["fraction", "float64", "bool"])
+    def test_speaker_must_be_an_integer(self, small_weights, speaker):
+        with pytest.raises(UnknownSpeakerError, match=" is not an integer$"):
+            forward(small_weights, [0, 1], [1, 1], speaker, Inference())
+
+    def test_numpy_integer_speaker(self, small_weights):
+        one = forward(small_weights, [0, 1], [1, 1], 1, Inference())
+        other = forward(small_weights, [0, 1], [1, 1], np.int64(1), Inference())
+        assert one.mel_pred.tobytes() == other.mel_pred.tobytes()
+
+    def test_fractional_ids_refused(self, small_weights):
+        with pytest.raises(ShapeMismatchError, match="^IPA ids must be whole numbers$"):
+            forward(small_weights, [0.7, 1.9], [1, 1], 0, Inference())
 
     def test_length_id_disagreement(self, small_weights):
         with pytest.raises(ShapeMismatchError):

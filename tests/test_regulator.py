@@ -1,15 +1,23 @@
+import functools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from xling.errors import LengthMismatchError
+from xling import regulator
+from xling.errors import LengthMismatchError, TooLargeError
+from xling.features import average_by_phoneme
+from xling.lexicon import EN, LDPSymbol, PhonemeSequence
+from xling.model import Inference, ModelConfig, TeacherForced, check_inputs, forward, init_weights
 from xling.regulator import (
     GRL,
     Aggregate,
     Expand,
     StopGrad,
     aggregate,
+    as_counts,
     cumulative_lengths,
     expand,
     linear_backward,
@@ -298,6 +306,129 @@ class TestMessages:
         with pytest.raises(LengthMismatchError) as info:
             call()
         assert str(info.value) == message
+
+
+class TestRepeatCap:
+    def test_expand_above_the_cap(self):
+        too_many = regulator.MAX_REPEAT_BYTES // 8 + 1
+        with pytest.raises(TooLargeError) as info:
+            expand(np.ones((1, 1)), [too_many])
+        assert str(info.value) == (f"durations repeat Y to {too_many} rows, {too_many * 8} "
+                                   f"bytes, above the cap of {regulator.MAX_REPEAT_BYTES}")
+
+    def test_aggregate_backward_above_the_cap(self):
+        with pytest.raises(TooLargeError, match="^lengths repeat upstream to "):
+            linear_backward(Aggregate((2**40,)), np.ones((1, 3)))
+
+    def test_zero_width_rows_count(self):
+        with pytest.raises(TooLargeError, match="^durations repeat Y to 4611686018427387904 "):
+            expand(np.ones((1, 0)), [2**62])
+        assert expand(np.ones((2, 0)), [3, 1]).shape == (4, 0)
+
+    def test_cap_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(regulator, "MAX_REPEAT_BYTES", 48)
+        assert expand(np.ones((2, 3)), [1, 1]).shape == (2, 3)
+        with pytest.raises(TooLargeError):
+            expand(np.ones((2, 3)), [2, 1])
+
+
+SMALL = ModelConfig(n_ipa_symbols=11, n_speakers=3, hidden=8, enc_layers=1, dec_layers=1,
+                    conv_kernel=3, ff_channels=16, n_mels=5)
+
+
+@functools.cache
+def small_weights():
+    return init_weights(SMALL, seed=5)
+
+
+def teacher_forced(durations):
+    n = len(durations)
+    return TeacherForced(tuple(durations), (100.0,) * n, (0.1,) * n)
+
+
+# entry point -> (the name its messages use, the least count, a call that
+# reads ``counts`` as that entry point's lengths or durations)
+COUNT_READERS = {
+    "check_inputs-lengths": ("phoneme lengths", 1, lambda counts: check_inputs(
+        SMALL, [0, 1, 2], counts, 0, Inference())),
+    "check_inputs-durations": ("teacher-forced durations", 0, lambda counts: check_inputs(
+        SMALL, list(range(len(counts))), [1] * len(counts), 0, teacher_forced(counts))),
+    "forward": ("phoneme lengths", 1, lambda counts: forward(
+        small_weights(), [1, 2], counts, 0, teacher_forced([2.9, 1.5]))),
+    "average_by_phoneme": ("durations", 0, lambda counts: average_by_phoneme(
+        [1.0, 2.0, 3.0], counts)),
+    "PhonemeSequence": ("phoneme lengths", 1, lambda counts: PhonemeSequence(
+        (LDPSymbol("K", EN),) * len(counts), ("k",) * 3, tuple(counts))),
+    "cumulative_lengths": ("phoneme lengths", 1, cumulative_lengths),
+}
+WRAPS = [2**63 - 1, 2**63 - 1, 4]
+
+
+class TestCountRule:
+    """Every entry point that reads lengths or durations applies as_counts:
+    fractions and int64-wrapping totals are refused, never truncated or
+    wrapped, and a zero phoneme length is refused where it enters."""
+
+    @pytest.mark.parametrize("reader", COUNT_READERS)
+    @pytest.mark.parametrize("counts", [[1.7, 1.2], [1.5, 1.5]], ids=["tenths", "halves"])
+    def test_fraction_refused(self, reader, counts):
+        what, _, call = COUNT_READERS[reader]
+        with pytest.raises(LengthMismatchError) as info:
+            call(counts)
+        assert str(info.value) == f"{what} must be whole numbers"
+
+    @pytest.mark.parametrize("reader", COUNT_READERS)
+    def test_int64_wrap_refused(self, reader):
+        what, _, call = COUNT_READERS[reader]
+        with pytest.raises(TooLargeError) as info:
+            call(WRAPS)
+        assert str(info.value) == (f"{what} sum to {sum(WRAPS)}, above the int64 cap of "
+                                   f"{2**63 - 1}")
+
+    @pytest.mark.parametrize("reader", [r for r, (_, least, _) in COUNT_READERS.items()
+                                        if least == 1])
+    def test_zero_length_refused(self, reader):
+        what, _, call = COUNT_READERS[reader]
+        with pytest.raises(LengthMismatchError) as info:
+            call([2, 0])
+        assert str(info.value) == f"{what} must all be >= 1"
+
+
+def reference_counts(values, least):
+    """The count rule by hand on Python numbers; None where it refuses."""
+    if not all(math.isfinite(v) and v == math.floor(v) for v in values):
+        return None
+    ints = [int(v) for v in values]
+    if any(n < least for n in ints) or sum(ints) >= 2**63:
+        return None
+    return ints
+
+
+NUMBERS = st.one_of(
+    st.integers(-2, 2**64),
+    st.sampled_from([0, 1, 2**62, 2**63 - 1, 2**63]),
+    st.floats(),
+    st.integers(-2, 2**64).map(float),
+)
+COUNT_SEQUENCES = st.one_of(
+    st.lists(NUMBERS, max_size=6),
+    st.lists(NUMBERS, max_size=6).map(tuple),
+    st.lists(st.integers(-2, 2**62), max_size=6).map(lambda v: np.array(v, dtype=np.int64)),
+    st.lists(st.floats(), max_size=6).map(lambda v: np.array(v, dtype=np.float64)),
+)
+
+
+class TestAsCountsProperty:
+    @given(counts=COUNT_SEQUENCES, least=st.sampled_from([0, 1]))
+    def test_matches_a_reference_predicate(self, counts, least):
+        values = counts.tolist() if isinstance(counts, np.ndarray) else list(counts)
+        expected = reference_counts(values, least)
+        try:
+            got = as_counts(counts, least, "counts")
+        except (LengthMismatchError, TooLargeError):
+            assert expected is None
+        else:
+            assert got.dtype == np.int64 and got.tolist() == expected
 
 
 class TestBackwardBitwise:
