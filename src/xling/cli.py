@@ -20,8 +20,11 @@ utterance and its WAV.
 threads (:func:`xling.model.map_ordered`), and ``manifest`` scans its
 speakers in spec order on the calling thread; no command starts a process.
 Results keep manifest order, so every output is byte-identical for any
-``--jobs``.  A failure cancels the work that has not started, so a failed
-``features`` batch leaves some utterances unwritten.  Every output is
+``--jobs``.  A command writes its outputs only after all of its inputs
+are read and checked, so a bad input leaves no output file; a ``features``
+batch does so per utterance.  A failure cancels the work that has not
+started, so a failed batch leaves some utterances unwritten, and those that
+finished keep their files.  Every output is
 atomic because every writer of the package is (text through
 :mod:`xling.textio`, tensors through :mod:`xling.tensorio`), so concurrent
 writers never produce partial files.  ``XLING_LOG`` in {error, info,
@@ -216,15 +219,14 @@ def _cmd_g2p(args, cfg: dict) -> int:
 def _cmd_regulate(args, cfg: dict) -> int:
     X = tensorio.read_tensor(args.embeddings)
     lengths = _parse_int_list(args.lengths, args.lengths_file, "lengths")
-    out_dir = _out_dir(args, cfg)
-    Y = regulator.aggregate(X, lengths)
-    tensorio.write_tensor(out_dir / "aggregated.xlf", Y)
-    log.info("aggregated %s -> %s", X.shape, Y.shape)
+    outputs = {"aggregated": regulator.aggregate(X, lengths)}
     if args.durations is not None or args.durations_file is not None:
         durations = _parse_int_list(args.durations, args.durations_file, "durations")
-        F = regulator.expand(Y, durations)
-        tensorio.write_tensor(out_dir / "expanded.xlf", F)
-        log.info("expanded %s -> %s", Y.shape, F.shape)
+        outputs["expanded"] = regulator.expand(outputs["aggregated"], durations)
+    out_dir = _out_dir(args, cfg)
+    for name, tensor in outputs.items():
+        tensorio.write_tensor(out_dir / f"{name}.xlf", tensor)
+        log.info("%s %s", name, tensor.shape)
     return 0
 
 
@@ -271,22 +273,19 @@ def _naming_failures(fn):
 def _extract_one(utt_id: str, wav_path: str, alignment_path: str | None, *, out_dir: Path,
                  feature_cfg: FeatureConfig, quantizer_cfg: QuantizerConfig | None) -> str:
     audio = read_wav(wav_path, expected_rate=feature_cfg.sample_rate)
-    mel = mel_spectrogram(audio, feature_cfg)
-    energy = energy_per_frame(audio, feature_cfg)
-    pitch = pitch_per_frame(audio, feature_cfg)
-    tensorio.write_tensor(out_dir / f"{utt_id}.mel.xlf", mel)
-    tensorio.write_tensor(out_dir / f"{utt_id}.energy.xlf", energy)
-    tensorio.write_tensor(out_dir / f"{utt_id}.pitch.xlf", pitch)
+    tracks = {"mel": mel_spectrogram(audio, feature_cfg),
+              "energy": energy_per_frame(audio, feature_cfg),
+              "pitch": pitch_per_frame(audio, feature_cfg)}
     if alignment_path is not None:
         record = parse_alignment(alignment_path, utt_id=utt_id)
-        durations = _fit_durations_to_frames(list(record.frame_durations), energy.size)
-        energy_avg = average_by_phoneme(energy, durations)
-        pitch_avg = average_by_phoneme(pitch, durations, voiced_only=True)
-        tensorio.write_tensor(out_dir / f"{utt_id}.energy_avg.xlf", energy_avg)
-        tensorio.write_tensor(out_dir / f"{utt_id}.pitch_avg.xlf", pitch_avg)
+        durations = _fit_durations_to_frames(list(record.frame_durations),
+                                             tracks["energy"].size)
+        tracks["energy_avg"] = average_by_phoneme(tracks["energy"], durations)
+        tracks["pitch_avg"] = average_by_phoneme(tracks["pitch"], durations, voiced_only=True)
         if quantizer_cfg is not None:
-            indices = quantize(energy_avg, quantizer_cfg)
-            tensorio.write_tensor(out_dir / f"{utt_id}.energy_q.xlf", indices)
+            tracks["energy_q"] = quantize(tracks["energy_avg"], quantizer_cfg)
+    for name, track in tracks.items():
+        tensorio.write_tensor(out_dir / f"{utt_id}.{name}.xlf", track)
     return utt_id
 
 
@@ -333,6 +332,10 @@ def _cmd_features(args, cfg: dict) -> int:
         raise BadConfigError("--stats cannot be used without --alignment: "
                              "energy is quantized per phoneme")
     feature_cfg = _feature_config(cfg)
+    frame_ms = 1000 / corpus.FRAMES_PER_SECOND
+    if (args.manifest, args.alignment) != (None, None) and feature_cfg.hop_ms != frame_ms:
+        raise BadConfigError(f"alignments count {frame_ms:g} ms frames, so averaging per "
+                             f"phoneme needs hop_ms={frame_ms:g}, got {feature_cfg.hop_ms}")
     quantizer_cfg = _quantizer_from(args, cfg)
     if args.manifest is not None:
         units = [(entry.utt_id, entry.audio_path, entry.alignment_path)
@@ -416,8 +419,8 @@ def _cmd_forward(args, cfg: dict) -> int:
             raise LengthMismatchError(
                 "alignment phoneme labels do not match the phoneme sequence"
             )
-        pitch = _read_vector(args.pitch_avg, len(ps.ldp), "pitch")
-        energy = _read_vector(args.energy_avg, len(ps.ldp), "energy")
+        pitch, energy = (tensorio.read_tensor(path).reshape(-1)
+                         for path in (args.pitch_avg, args.energy_avg))
         mode = TeacherForced(record.frame_durations, tuple(pitch), tuple(energy))
     else:
         mode = Inference()
@@ -436,15 +439,6 @@ def _cmd_forward(args, cfg: dict) -> int:
         save_weights(args.dump_weights, weights)
     log.info("forward %s: mel %s", name, out.mel_pred.shape)
     return 0
-
-
-def _read_vector(path, expected: int, what: str) -> np.ndarray:
-    values = tensorio.read_tensor(path).reshape(-1)
-    if values.size != expected:
-        raise LengthMismatchError(
-            f"{what} vector has {values.size} values, expected {expected}"
-        )
-    return values
 
 
 # ------------------------------------------------------------- manifest
@@ -537,7 +531,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alignment", help="teacher-forced durations "
                    "(needs --pitch-avg and --energy-avg)")
     p.add_argument("--pitch-avg", help="teacher-forced per-phoneme pitch (.xlf)")
-    p.add_argument("--energy-avg", help="teacher-forced per-phoneme energy (.xlf)")
+    p.add_argument("--energy-avg", help="teacher-forced per-phoneme energy (.xlf): "
+                   "checked (one finite value per phoneme), not embedded")
     p.add_argument("--dump-weights", help="also write the weight container here")
     p.set_defaults(func=_cmd_forward)
 

@@ -6,7 +6,9 @@ collapses them to phoneme resolution, a speaker embedding is added, the
 duration/pitch/energy predictors read that sum through stop-gradient
 edges, a 1-D convolution turns pitch values into an additive embedding,
 durations expand to frame resolution, and a 4-block decoder plus a linear
-projection produce the mel frames.
+projection produce the mel frames.  As in FastPitch, only pitch is
+embedded: a teacher-forced energy is checked (one finite value per
+phoneme) but changes no output.
 
 A call holds its weights (one allocation, see :func:`init_weights`), its
 activations, and, while a convolution runs, a window scratch of at most
@@ -192,7 +194,6 @@ def parameter_shapes(cfg: ModelConfig) -> list:
 class Weights:
     config: ModelConfig
     tensors: dict = field(repr=False)
-    seed: int | None = None
 
 
 def usable_cpus() -> int:
@@ -243,7 +244,7 @@ def init_weights(cfg: ModelConfig, seed: int) -> Weights:
     views = [chunk.reshape(shape) for chunk, shape in zip(chunks, shapes)]
     tensors = dict(zip(names, map_ordered(uniform, usable_cpus(), seeds, shapes,
                                           repeat(INIT_LOW), repeat(INIT_HIGH), views)))
-    return Weights(cfg, tensors, seed)
+    return Weights(cfg, tensors)
 
 
 def save_weights(path, weights: Weights) -> None:
@@ -260,12 +261,16 @@ def load_weights(path, cfg: ModelConfig) -> Weights:
             raise ShapeMismatchError(
                 f"{path}: {name} has shape {tensors[name].shape}, expected {shape}"
             )
-    return Weights(cfg, tensors, None)
+    return Weights(cfg, tensors)
 
 
 @dataclass(frozen=True)
 class TeacherForced:
-    """Ground-truth per-phoneme durations (frames), pitch, and energy."""
+    """Ground-truth per-phoneme durations (frames), pitch, and energy.
+
+    :func:`check_inputs` checks all three; :func:`forward` expands by the
+    durations and embeds the pitch, but never embeds the energy.
+    """
 
     durations: tuple
     pitch: tuple

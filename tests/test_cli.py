@@ -620,6 +620,23 @@ class TestForwardChecksBeforeWeights:
         assert capsys.readouterr().err == (f"ERROR CONFIG_MISMATCH: teacher-forced {name} "
                                            "has non-finite values\n")
 
+    @pytest.mark.parametrize("flag, name", [("--pitch-avg", "pitch"),
+                                            ("--energy-avg", "energy")])
+    def test_wrong_size_teacher_forced_vector(self, tmp_path, capsys, flag, name):
+        other = "--energy-avg" if flag == "--pitch-avg" else "--pitch-avg"
+        run("g2p", "--text", "你好 world", "--out", tmp_path)
+        alignment = tmp_path / "text.align"
+        alignment.write_text("ni\t3\nhao\t3\nW\t1\nER\t1\nL\t1\nD\t1\n", encoding="utf-8")
+        write_tensor(tmp_path / "five.xlf", np.ones(5))
+        write_tensor(tmp_path / "six.xlf", np.ones(6))
+        out = tmp_path / "out"
+        assert run("forward", "--phonemes", tmp_path / "text.phn", "--alignment", alignment,
+                   flag, tmp_path / "five.xlf", other, tmp_path / "six.xlf",
+                   "--out", out) == 1
+        assert capsys.readouterr().err == (f"ERROR SHAPE_MISMATCH: teacher-forced {name} "
+                                           "has 5 values, expected 6\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("flags", [
         ["--pitch-avg"], ["--energy-avg"], ["--pitch-avg", "--energy-avg"],
     ])
@@ -712,6 +729,16 @@ class TestMalformedRegulateAndManifest:
                    *argv, "--out", tmp_path / "out") == 1
         self.one_error_line(capsys, "TOO_LARGE")
         assert not (tmp_path / "out" / "expanded.xlf").exists()
+
+    @pytest.mark.parametrize("durations, code", [("1,x", "BAD_CONFIG"),
+                                                 ("2 -1 3", "LENGTH_MISMATCH")])
+    def test_bad_durations_write_no_aggregate(self, tmp_path, capsys, embeddings,
+                                              durations, code):
+        out = tmp_path / "out"
+        assert run("regulate", "--embeddings", embeddings, "--lengths", "2,1,3",
+                   "--durations", durations, "--out", out) == 1
+        self.one_error_line(capsys, code)
+        assert not out.exists()
 
     def test_missing_embeddings_file(self, tmp_path, capsys):
         missing = tmp_path / "missing.xlf"
@@ -1029,6 +1056,78 @@ class TestFeaturesUnreadFlags:
                                            "without --alignment: energy is quantized "
                                            "per phoneme\n")
         assert not out.exists()
+
+
+class TestFeaturesWriteAfterChecks:
+    """A failed utterance writes none of its tracks, and a hop that does not
+    match the alignments' frames is refused before any WAV is read."""
+
+    @pytest.fixture
+    def utterance(self, minicorpus):
+        wav = sorted((minicorpus / "d3_cnf").glob("*.wav"))[0]
+        return wav, wav.with_suffix(".align")
+
+    @pytest.fixture
+    def hop_5(self, tmp_path):
+        config = tmp_path / "hop5.cfg"
+        config.write_text("hop_ms=5\n", encoding="utf-8")
+        return config
+
+    @pytest.fixture
+    def no_wav_read(self, monkeypatch):
+        import xling.cli as cli_module
+
+        def fail(*args, **kwargs):
+            raise AssertionError("WAV read before the hop was checked")
+
+        monkeypatch.setattr(cli_module, "read_wav", fail)
+
+    @pytest.mark.parametrize("keep, code", [
+        (lambda text: text[:text.index("\t") + 1], "PARSE"),
+        (lambda text: text[:text.index("\n") - 1], "LENGTH_MISMATCH"),
+    ], ids=["after-tab", "mid-number"])
+    def test_cut_alignment_writes_no_track(self, tmp_path, capsys, utterance, keep, code):
+        wav, alignment = utterance
+        cut = tmp_path / "cut.align"
+        cut.write_text(keep(alignment.read_text("utf-8")), encoding="utf-8")
+        out = tmp_path / "out"
+        assert run("features", "--wav", wav, "--alignment", cut, "--utt-id", "u",
+                   "--out", out) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith(f"ERROR {code}: "), err
+        assert not list(out.glob("u.*.xlf"))
+
+    def test_hop_refused_with_an_alignment(self, tmp_path, capsys, utterance, hop_5,
+                                           no_wav_read):
+        wav, alignment = utterance
+        out = tmp_path / "out"
+        assert run("features", "--config", hop_5, "--wav", wav, "--alignment", alignment,
+                   "--out", out) == 1
+        assert capsys.readouterr().err == ("ERROR BAD_CONFIG: alignments count 10 ms "
+                                           "frames, so averaging per phoneme needs "
+                                           "hop_ms=10, got 5\n")
+        assert not out.exists()
+
+    def test_hop_refused_in_a_batch(self, tmp_path, capsys, minicorpus, hop_5, no_wav_read):
+        assert run("manifest", "--spec", minicorpus / "d3.spec", "--roots", minicorpus,
+                   "--out", tmp_path) == 0
+        out = tmp_path / "out"
+        assert run("features", "--config", hop_5, "--manifest", tmp_path / "manifest.txt",
+                   "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR BAD_CONFIG: alignments count 10 ms frames")
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
+    def test_hop_runs_without_an_alignment(self, tmp_path, utterance, hop_5):
+        wav, _ = utterance
+        out = tmp_path / "out"
+        assert run("features", "--config", hop_5, "--wav", wav, "--utt-id", "u",
+                   "--out", out) == 0
+        ten = tmp_path / "ten"
+        assert run("features", "--wav", wav, "--utt-id", "u", "--out", ten) == 0
+        frames, ten_frames = (read_tensor(d / "u.energy.xlf").size for d in (out, ten))
+        assert 2 * ten_frames - 1 <= frames <= 2 * ten_frames
 
 
 class TestJobs:

@@ -4,7 +4,9 @@ Each valid input file of a small d2 minicorpus flow is mutated once (cut
 short, one bit flipped, bytes inserted, or a span repeated) and fed to the
 subcommand that reads it, through ``cli.main``; ``regulate`` reads a
 lengths and a durations file over a small embedding tensor.  The run must exit 0, or
-exit 1 with exactly one ``ERROR <code>:`` line on stderr.
+exit 1 with exactly one ``ERROR <code>:`` line on stderr and no file under
+its ``--out``; only a ``features --manifest`` batch keeps the files of the
+utterances that finished before the failure.
 
 Inserted bytes are control or non-ASCII bytes, never digits, so those
 mutations scale no number beyond doubling its digits.  A second strategy
@@ -134,11 +136,16 @@ def scaled_number(draw, data: bytes) -> bytes:
 
 
 def exits_zero_or_with_one_error_line(flow, kind, mutated):
+    """Run ``kind``'s command on ``mutated``: it exits 0, or 1 with one error
+    line and no file written (a batch keeps its finished utterances' files)."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / flow[kind].name
         path.write_bytes(mutated)
-        code, err = run(*command(kind, flow, path, Path(tmp) / "out"))
+        out = Path(tmp) / "out"
+        code, err = run(*command(kind, flow, path, out))
+        written = [p.name for p in out.rglob("*") if p.is_file()]
     assert (code, err) == (0, "") or (code == 1 and ONE_ERROR.fullmatch(err)), (code, err)
+    assert code == 0 or kind == "manifest" or not written, (err, written)
 
 
 @given(data=st.data())

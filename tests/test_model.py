@@ -411,7 +411,7 @@ class TestForward:
     def _with_duration_bias(self, weights, bias):
         tensors = dict(weights.tensors)
         tensors["duration_predictor.proj.bias"] = np.array([bias])
-        return Weights(weights.config, tensors, None)
+        return Weights(weights.config, tensors)
 
     def test_inference_durations_clamped(self, small_weights):
         for bias in (12.0, 800.0):
