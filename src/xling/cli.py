@@ -9,10 +9,12 @@ stage trace), and ``manifest`` (dataset spec + scan roots -> manifest and
 balance report).
 
 A ``--config`` file (``key=value`` lines under the rule of
-:func:`xling.textio.read_keys`) can set lexicon paths, feature parameters,
-quantizer parameters, and default input paths; flags always win over config
-values.  It is typed when loaded, and every referenced file is checked
-before any work starts.  Failures print a single ``ERROR <code>: <detail>``
+:func:`xling.textio.read_keys`) holds the pipeline's parameters: the
+feature parameters, the energy quantizer's ``quantizer_bins`` and
+``quantizer_scale``, and the four lexicon paths.  Every other file a run
+reads or writes is named by a flag, and only by a flag.  The config is
+typed when loaded, and every lexicon file it names is checked before any
+work starts.  Failures print a single ``ERROR <code>: <detail>``
 line and exit nonzero; in ``features`` and ``stats`` the detail names the
 utterance and its WAV.
 
@@ -109,9 +111,8 @@ log = logging.getLogger("xling")
 
 _FEATURE_KINDS = get_type_hints(FeatureConfig)
 _LEXICON_KEYS = ("en_dict", "cn_dict", "ipa_dict", "ipa_inventory")
-_PATH_KEYS = _LEXICON_KEYS + ("model_config", "dataset_spec", "stats")
 _CONFIG_KINDS = {**_FEATURE_KINDS, "quantizer_bins": int,
-                 **dict.fromkeys(_PATH_KEYS + ("out_dir", "quantizer_scale"), str)}
+                 **dict.fromkeys(_LEXICON_KEYS + ("quantizer_scale",), str)}
 _STATS_KEYS = ("energy_min", "energy_max", "pitch_min", "pitch_max",
                "n_frames", "n_voiced_frames")
 # glibc mallopt parameters: M_ARENA_MAX, M_MMAP_THRESHOLD and M_TRIM_THRESHOLD
@@ -146,7 +147,7 @@ def _setup_logging() -> None:
 
 
 def load_pipeline_config(path) -> dict:
-    """The typed ``key=value`` config at ``path``; referenced paths must exist.
+    """The typed ``key=value`` config at ``path``; its lexicon files must exist.
 
     Every value is checked here, whether or not the subcommand reads it.
     """
@@ -156,7 +157,7 @@ def load_pipeline_config(path) -> dict:
         _quantizer(values, 1.0, 2.0)  # any valid range: the real one comes from stats
     except (BadConfigError, TooLargeError) as exc:
         raise type(exc)(f"{path}: {exc}") from exc
-    for key in _PATH_KEYS:
+    for key in _LEXICON_KEYS:
         if key in values and not Path(values[key]).is_file():
             raise BadConfigError(f"{path}: {key} points to missing file {values[key]!r}")
     return values
@@ -176,9 +177,8 @@ def _lexicon_paths(cfg: dict) -> tuple:
     return tuple(cfg[key] for key in _LEXICON_KEYS)
 
 
-def _out_dir(args, cfg: dict) -> Path:
-    out = args.out or cfg.get("out_dir") or "."
-    path = Path(out)
+def _out_dir(args) -> Path:
+    path = Path(args.out or ".")
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -208,7 +208,7 @@ def _cmd_g2p(args, cfg: dict) -> int:
         text = read_text(args.text_file).strip()
         name = args.name or Path(args.text_file).stem
     ps = text_to_phoneme_sequence(text, lexicon)
-    out = _out_dir(args, cfg) / f"{name}.phn"
+    out = _out_dir(args) / f"{name}.phn"
     dump_phoneme_sequence(ps, out)
     log.info("wrote %s (%d phonemes, %d IPA symbols)", out, len(ps.ldp), len(ps.ipa))
     return 0
@@ -223,7 +223,7 @@ def _cmd_regulate(args, cfg: dict) -> int:
     if args.durations is not None or args.durations_file is not None:
         durations = _parse_int_list(args.durations, args.durations_file, "durations")
         outputs["expanded"] = regulator.expand(outputs["aggregated"], durations)
-    out_dir = _out_dir(args, cfg)
+    out_dir = _out_dir(args)
     for name, tensor in outputs.items():
         tensorio.write_tensor(out_dir / f"{name}.xlf", tensor)
         log.info("%s %s", name, tensor.shape)
@@ -311,12 +311,9 @@ def _quantizer(cfg: dict, v_min: float, v_max: float) -> QuantizerConfig:
 
 
 def _quantizer_from(args, cfg: dict) -> QuantizerConfig | None:
-    """The energy quantizer of a run that quantizes: a batch, or one WAV
-    with its alignment, given a stats file."""
-    stats_path = args.stats or cfg.get("stats")
-    if stats_path is None or (args.manifest is None and args.alignment is None):
+    if args.stats is None:
         return None
-    stats = _read_stats(stats_path)
+    stats = _read_stats(args.stats)
     return _quantizer(cfg, stats["energy_min"], stats["energy_max"])
 
 
@@ -342,7 +339,7 @@ def _cmd_features(args, cfg: dict) -> int:
                  for entry in _read_entries(args.manifest)]
     else:
         units = [(args.utt_id or Path(args.wav).stem, args.wav, args.alignment)]
-    extract = functools.partial(_extract_one, out_dir=_out_dir(args, cfg),
+    extract = functools.partial(_extract_one, out_dir=_out_dir(args),
                                 feature_cfg=feature_cfg, quantizer_cfg=quantizer_cfg)
     for utt_id in map_ordered(extract, args.jobs, *zip(*units)):
         log.info("extracted %s", utt_id)
@@ -377,7 +374,7 @@ def _cmd_stats(args, cfg: dict) -> int:
     pitch_min, pitch_max = min(p_min), max(p_max)
     if not np.isfinite(energy_min) or not np.isfinite(energy_max):
         raise BadConfigError("corpus has no nonzero energy frames")
-    out = _out_dir(args, cfg) / "stats.txt"
+    out = _out_dir(args) / "stats.txt"
     stats = (energy_min, energy_max,
              pitch_min if np.isfinite(pitch_min) else 0.0,
              pitch_max if np.isfinite(pitch_max) else 0.0,
@@ -405,9 +402,8 @@ def _cmd_forward(args, cfg: dict) -> int:
         raise ParseError(f"IPA symbol {exc.args[0]!r} not in inventory",
                          path=args.phonemes) from exc
 
-    model_cfg_path = args.model_config or cfg.get("model_config")
-    if model_cfg_path is not None:
-        model_cfg = ModelConfig.from_file(model_cfg_path)
+    if args.model_config is not None:
+        model_cfg = ModelConfig.from_file(args.model_config)
     else:
         model_cfg = ModelConfig(
             n_ipa_symbols=len(ids_map), n_speakers=args.n_speakers
@@ -428,7 +424,7 @@ def _cmd_forward(args, cfg: dict) -> int:
     check_inputs(model_cfg, ids, ps.lengths, args.speaker, mode)
     weights = init_weights(model_cfg, args.seed)
     out = model_forward(weights, ids, ps.lengths, args.speaker, mode)
-    out_dir = _out_dir(args, cfg)
+    out_dir = _out_dir(args)
     name = Path(args.phonemes).stem
     for part in ("mel_pred", "dur_pred", "pitch_pred", "energy_pred"):
         tensorio.write_tensor(out_dir / f"{name}.{part}.xlf", getattr(out, part))
@@ -444,13 +440,10 @@ def _cmd_forward(args, cfg: dict) -> int:
 # ------------------------------------------------------------- manifest
 
 def _cmd_manifest(args, cfg: dict) -> int:
-    spec_path = args.spec or cfg.get("dataset_spec")
-    if spec_path is None:
-        raise BadConfigError("provide --spec or dataset_spec in the config")
-    spec = DatasetSpec.load(spec_path)
+    spec = DatasetSpec.load(args.spec)
     entries = build_manifest(spec, args.roots)
     report = balance_report(entries)  # before any output: an empty scan writes nothing
-    out_dir = _out_dir(args, cfg)
+    out_dir = _out_dir(args)
     write_manifest(entries, out_dir / "manifest.txt")
     write_text(out_dir / "balance.txt", report.render())
     log.info(
@@ -463,7 +456,8 @@ def _cmd_manifest(args, cfg: dict) -> int:
 # ----------------------------------------------------------------- main
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="pipeline config file (key=value lines)")
+    parser.add_argument("--config", help="pipeline config file (key=value lines): "
+                        "feature and quantizer parameters and lexicon paths")
     parser.add_argument("--out", help="output directory")
 
 
@@ -538,7 +532,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("manifest", help="build a manifest and balance report")
     _add_common(p)
-    p.add_argument("--spec", help="dataset spec file")
+    p.add_argument("--spec", required=True, help="dataset spec file")
     p.add_argument("--roots", nargs="+", required=True, help="corpus scan roots")
     p.set_defaults(func=_cmd_manifest)
 

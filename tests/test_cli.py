@@ -280,12 +280,13 @@ class TestForwardReadsOnlyTheInventory:
     MODEL = "n_ipa_symbols=54\nn_speakers=1\nhidden=8\nenc_layers=1\ndec_layers=1\n"
 
     def config(self, tmp_path, **paths):
-        (tmp_path / "model.cfg").write_text(self.MODEL, encoding="utf-8")
-        lines = [f"model_config={tmp_path / 'model.cfg'}"]
-        lines += [f"{key}={path}" for key, path in paths.items()]
+        """``--config`` with the lexicon ``paths`` and ``--model-config``."""
+        model = tmp_path / "model.cfg"
+        model.write_text(self.MODEL, encoding="utf-8")
         path = tmp_path / "pipeline.cfg"
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        return path
+        path.write_text("".join(f"{key}={value}\n" for key, value in paths.items()),
+                        encoding="utf-8")
+        return ["--config", path, "--model-config", model]
 
     def test_forward_does_not_load_the_lexicon(self, tmp_path, phn, monkeypatch):
         import xling.cli as cli_module
@@ -294,7 +295,7 @@ class TestForwardReadsOnlyTheInventory:
             raise AssertionError("forward loaded the whole lexicon")
 
         monkeypatch.setattr(cli_module.Lexicon, "load", no_lexicon)
-        assert run("forward", "--phonemes", phn, "--config", self.config(tmp_path),
+        assert run("forward", "--phonemes", phn, *self.config(tmp_path),
                    "--out", tmp_path / "out") == 0
 
     def test_configured_inventory_maps_the_ids(self, tmp_path, phn, capsys):
@@ -308,7 +309,7 @@ class TestForwardReadsOnlyTheInventory:
         inventory.write_text("\n".join(kept) + "\n", encoding="utf-8")
         paths = dict(zip(("en_dict", "cn_dict", "ipa_dict"), bundled[:3]))
         cfg = self.config(tmp_path, **paths, ipa_inventory=inventory)
-        assert run("forward", "--phonemes", phn, "--config", cfg, "--out", tmp_path) == 1
+        assert run("forward", "--phonemes", phn, *cfg, "--out", tmp_path) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"ERROR PARSE: {phn}: IPA symbol {symbols[0]!r} not in ")
         assert len(err.splitlines()) == 1
@@ -317,7 +318,7 @@ class TestForwardReadsOnlyTheInventory:
         from xling.lexicon import default_paths
 
         cfg = self.config(tmp_path, ipa_inventory=default_paths()[-1])
-        assert run("forward", "--phonemes", phn, "--config", cfg, "--out", tmp_path) == 1
+        assert run("forward", "--phonemes", phn, *cfg, "--out", tmp_path) == 1
         assert capsys.readouterr().err == (
             "ERROR BAD_CONFIG: config overrides lexicon paths but lacks "
             "['en_dict', 'cn_dict', 'ipa_dict']\n")
@@ -772,7 +773,7 @@ class TestConfigKeys:
     """An unknown or repeated ``--config`` key is one ``ERROR PARSE``
     line naming the key and ``path:line``, exit 1."""
 
-    KNOWN = "out_dir=o\nquantizer_bins=128\nquantizer_scale=log\nwin_ms=40\n"
+    KNOWN = "hop_ms=10\nquantizer_bins=128\nquantizer_scale=log\nwin_ms=40\n"
 
     @pytest.mark.parametrize("content, line, key", [
         (KNOWN + "fmn=100\n", 5, "fmn"),
@@ -786,6 +787,22 @@ class TestConfigKeys:
         assert len(err.splitlines()) == 1, err
         assert err.startswith(f"ERROR PARSE: {config}:{line}: ")
         assert repr(key) in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key, argv", [
+        ("out_dir", ["g2p", "--text", "好"]),
+        ("model_config", ["forward", "--phonemes", "text.phn"]),
+        ("dataset_spec", ["manifest", "--spec", "d.spec", "--roots", "."]),
+        ("stats", ["features", "--wav", "tone.wav", "--alignment", "tone.align"]),
+    ], ids=["out_dir", "model_config", "dataset_spec", "stats"])
+    def test_file_key_is_unknown(self, tmp_path, capsys, key, argv):
+        """Files are named by flags only: a config key for one is refused
+        before the command reads any other input."""
+        config = tmp_path / "pipeline.cfg"
+        config.write_text(f"{self.KNOWN}{key}={config}\n", encoding="utf-8")
+        assert run(*argv, "--config", config, "--out", tmp_path / "out") == 1
+        assert capsys.readouterr().err == (
+            f"ERROR PARSE: {config}:5: unknown key {key!r}\n")
         assert not (tmp_path / "out").exists()
 
 
@@ -962,29 +979,6 @@ class TestConfigValuesChecked:
         self.one_bad_config_line(capsys)
         assert not (out / "tone.energy_q.xlf").exists()
 
-    @pytest.mark.parametrize("align", [False, True])
-    def test_stats_key_read_only_where_energy_is_quantized(self, tmp_path, capsys, tone,
-                                                           align):
-        stats = tmp_path / "stats.txt"
-        stats.write_text("energy_min=2.0\nenergy_max=1.0\n", encoding="utf-8")
-        config = tmp_path / "pipeline.cfg"
-        config.write_text(f"stats={stats}\n", encoding="utf-8")
-        alignment = tmp_path / "tone.align"
-        alignment.write_text("a\t50\nb\t51\n", encoding="utf-8")
-        source = ["--wav", tone] + (["--alignment", alignment] if align else [])
-        out = tmp_path / "out"
-        code = run("features", "--config", config, *source, "--out", out)
-        if align:
-            assert code == 1
-            assert capsys.readouterr().err == ("ERROR BAD_CONFIG: need finite v_min < "
-                                               "v_max, got [2.0, 1.0]\n")
-            assert not out.exists()
-        else:
-            assert code == 0 and capsys.readouterr().err == ""
-            assert sorted(p.name for p in out.iterdir()) == [
-                "tone.energy.xlf", "tone.mel.xlf", "tone.pitch.xlf"]
-
-
     @pytest.mark.parametrize("line", [
         "fft_size=1073741824", "n_mels=100000000", "quantizer_bins=10000000000000000000",
     ])
@@ -1011,7 +1005,7 @@ class TestConfigValuesCheckedAtLoad:
     @pytest.mark.parametrize("line", [
         "voicing_threshold=5", "voicing_threshold=1", "voicing_threshold=-0.1",
         "quantizer_scale=bogus", "quantizer_bins=-3", "quantizer_bins=0",
-        "stats=missing.stats",
+        "en_dict=missing.dict",
     ])
     @pytest.mark.parametrize("command", ["features", "g2p"])
     def test_value_rejected(self, tmp_path, capsys, command, line):
