@@ -83,7 +83,7 @@ def write_wav(path, samples, sample_rate: int) -> None:
     if samples.size == 0:
         raise EmptyAudioError("refusing to write an empty WAV file")
     pcm = np.clip(np.round(samples * 32768.0), -32768, 32767).astype("<i2")
-    with atomic_path(path) as tmp, wave.open(str(tmp), "wb") as w:
+    with atomic_path(path) as tmp, open(tmp, "wb") as f, wave.open(f, "wb") as w:
         w.setnchannels(1)
         w.setsampwidth(2)
         w.setframerate(sample_rate)

@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import errno
 import functools
 import logging
 import os
@@ -181,6 +182,20 @@ def _out_dir(args) -> Path:
     path = Path(args.out or ".")
     path.mkdir(parents=True, exist_ok=True)
     return path
+
+
+def _check_file_target(path, out_dir: Path) -> None:
+    """Refuse ``path`` as a file to write, before any work: it may not be a
+    directory, and its directory must exist or be one that ``--out`` makes."""
+    target = Path(path)
+    parent = target.parent.resolve()
+    if target.is_dir():
+        code = errno.EISDIR
+    elif parent.is_dir() or parent in (out_dir.resolve(), *out_dir.resolve().parents):
+        return
+    else:
+        code = errno.ENOTDIR if parent.exists() else errno.ENOENT
+    raise OSError(code, os.strerror(code), path)
 
 
 def _parse_int_list(value: str | None, file_value: str | None, what: str) -> list:
@@ -394,6 +409,9 @@ def _cmd_forward(args, cfg: dict) -> int:
     missing = [flag for flag, value in teacher.items() if value is None]
     if missing and args.alignment is not None:
         raise BadConfigError(f"--alignment cannot be used without {', '.join(missing)}")
+    if args.model_config is not None and args.n_speakers is not None:
+        raise BadConfigError("--n-speakers cannot be used with --model-config, "
+                             "which sets n_speakers")
     ids_map = inventory_ids(load_inventory(_lexicon_paths(cfg)[-1]))
     ps = load_phoneme_sequence(args.phonemes)
     try:
@@ -405,9 +423,8 @@ def _cmd_forward(args, cfg: dict) -> int:
     if args.model_config is not None:
         model_cfg = ModelConfig.from_file(args.model_config)
     else:
-        model_cfg = ModelConfig(
-            n_ipa_symbols=len(ids_map), n_speakers=args.n_speakers
-        )
+        n_speakers = 8 if args.n_speakers is None else args.n_speakers
+        model_cfg = ModelConfig(n_ipa_symbols=len(ids_map), n_speakers=n_speakers)
 
     if args.alignment is not None:
         record = parse_alignment(args.alignment)
@@ -422,17 +439,21 @@ def _cmd_forward(args, cfg: dict) -> int:
         mode = Inference()
 
     check_inputs(model_cfg, ids, ps.lengths, args.speaker, mode)
+    if args.dump_weights is not None:
+        _check_file_target(args.dump_weights, Path(args.out or "."))
     weights = init_weights(model_cfg, args.seed)
     out = model_forward(weights, ids, ps.lengths, args.speaker, mode)
     out_dir = _out_dir(args)
     name = Path(args.phonemes).stem
-    for part in ("mel_pred", "dur_pred", "pitch_pred", "energy_pred"):
-        tensorio.write_tensor(out_dir / f"{name}.{part}.xlf", getattr(out, part))
     lines = [f"{stage}\t{'x'.join(str(d) for d in shape)}" for stage, shape in out.trace]
     lines.append("durations_used\t" + " ".join(str(d) for d in out.durations_used))
-    write_text(out_dir / f"{name}.trace.txt", "\n".join(lines) + "\n")
-    if args.dump_weights:
-        save_weights(args.dump_weights, weights)
+    outputs = [(tensorio.write_tensor, out_dir / f"{name}.{part}.xlf", getattr(out, part))
+               for part in ("mel_pred", "dur_pred", "pitch_pred", "energy_pred")]
+    outputs.append((write_text, out_dir / f"{name}.trace.txt", "\n".join(lines) + "\n"))
+    if args.dump_weights is not None:  # first: the largest write fails before any other
+        outputs.insert(0, (save_weights, args.dump_weights, weights))
+    for write, path, value in outputs:
+        write(path, value)
     log.info("forward %s: mel %s", name, out.mel_pred.shape)
     return 0
 
@@ -520,8 +541,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phonemes", required=True, help=".phn file from g2p")
     p.add_argument("--model-config", help="ModelConfig key=value file")
     p.add_argument("--speaker", type=int, default=0)
-    p.add_argument("--n-speakers", type=int, default=8,
-                   help="speaker table size when no model config is given")
+    p.add_argument("--n-speakers", type=int,
+                   help="speaker table size of the default model (default: 8); "
+                   "refused with --model-config, which sets n_speakers")
     p.add_argument("--alignment", help="teacher-forced durations "
                    "(needs --pitch-avg and --energy-avg)")
     p.add_argument("--pitch-avg", help="teacher-forced per-phoneme pitch (.xlf)")

@@ -26,7 +26,7 @@ Every output file of the package goes through :func:`atomic_path`.
 """
 
 import os
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from pathlib import Path
 
 from .errors import ParseError
@@ -125,12 +125,17 @@ def atomic_path(path):
 
     The temp name is unique per process and per call, so concurrent writers
     never share it; on any failure it is removed and ``path`` is untouched.
+    An ``OSError`` on the temp file is raised again naming ``path``, the
+    file the caller asked for, not a temp name it never gave.
     """
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.{os.urandom(8).hex()}.tmp")
+    target = Path(path)
+    tmp = target.with_name(f".{target.name}.{os.getpid()}.{os.urandom(8).hex()}.tmp")
     try:
         yield tmp
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
+        os.replace(tmp, target)
+    except BaseException as exc:
+        with suppress(FileNotFoundError, NotADirectoryError):  # no temp was made
+            tmp.unlink()
+        if isinstance(exc, OSError) and exc.filename in (tmp, str(tmp)):
+            raise type(exc)(exc.errno, exc.strerror, os.fspath(path)) from exc
         raise

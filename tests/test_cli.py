@@ -662,6 +662,33 @@ class TestForwardChecksBeforeWeights:
                                            f"without {', '.join(missing)}\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("target, detail", [
+        ("missing/w.xlf", "[Errno 2] No such file or directory"),
+        ("adir", "[Errno 21] Is a directory"),
+    ], ids=["missing_directory", "directory"])
+    def test_dump_weights_target_that_cannot_be_written(self, tmp_path, capsys, monkeypatch,
+                                                        target, detail):
+        run("g2p", "--text", "你好 world", "--out", tmp_path)
+        (tmp_path / "adir").mkdir()
+        out = tmp_path / "out"
+        monkeypatch.chdir(tmp_path)
+        assert run("forward", "--phonemes", "text.phn", "--dump-weights", target,
+                   "--out", out) == 1
+        assert capsys.readouterr().err == f"ERROR IO: {detail}: {target!r}\n"
+        assert not out.exists()
+        assert not any((tmp_path / "adir").iterdir())
+
+    def test_n_speakers_with_a_model_config(self, tmp_path, capsys):
+        run("g2p", "--text", "你好 world", "--out", tmp_path)
+        cfg = tmp_path / "model.cfg"
+        cfg.write_text("n_ipa_symbols=54\nn_speakers=1\nhidden=8\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert run("forward", "--phonemes", tmp_path / "text.phn", "--model-config", cfg,
+                   "--n-speakers", 3, "--out", out) == 1
+        assert capsys.readouterr().err == ("ERROR BAD_CONFIG: --n-speakers cannot be used "
+                                           "with --model-config, which sets n_speakers\n")
+        assert not out.exists()
+
     def test_weights_above_the_cap(self, tmp_path, capsys):
         run("g2p", "--text", "你好 world", "--out", tmp_path)
         cfg = tmp_path / "model.cfg"

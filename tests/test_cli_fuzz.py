@@ -3,7 +3,8 @@
 Each valid input file of a small d2 minicorpus flow is mutated once (cut
 short, one bit flipped, bytes inserted, or a span repeated) and fed to the
 subcommand that reads it, through ``cli.main``; ``regulate`` reads a
-lengths and a durations file over a small embedding tensor.  The run must exit 0, or
+lengths and a durations file over a small embedding tensor, and ``forward``
+also dumps its weights under ``--out``.  The run must exit 0, or
 exit 1 with exactly one ``ERROR <code>:`` line on stderr and no file under
 its ``--out``; only a ``features --manifest`` batch keeps the files of the
 utterances that finished before the failure.
@@ -84,7 +85,8 @@ def flow(tmp_path_factory):
 def command(kind, f, path, out):
     """The argv of the subcommand that reads ``kind``, with ``path`` for it."""
     f = {**f, kind: path}
-    forward = ["forward", "--phonemes", f["phn"], "--model-config", f["model_config"]]
+    forward = ["forward", "--phonemes", f["phn"], "--model-config", f["model_config"],
+               "--dump-weights", out / "weights.xlf"]
     single = ["features", "--wav", f["wav"], "--alignment", f["alignment"],
               "--stats", f["stats"], "--config", f["pipeline_config"]]
     regulate = ["regulate", "--embeddings", f["embeddings"], "--lengths-file", f["lengths"],

@@ -157,6 +157,35 @@ class TestFailedWriteKeepsOldFile:
         assert read_wav(target).samples[0] == 0.25
 
 
+class TestFailedWriteNamesTheTarget:
+    """An ``OSError`` on a writer's temp file names the path its caller gave."""
+
+    WRITERS = {
+        "write_text": lambda path: write_text(path, "x"),
+        "write_records": lambda path: write_records(path, [["a", "b"]]),
+        "write_tensor": lambda path: tensorio.write_tensor(path, np.ones(2)),
+        "write_sections": lambda path: tensorio.write_sections(path, {"w": np.ones(2)}),
+        "write_wav": lambda path: write_wav(path, np.full(16, 0.25), 16000),
+    }
+
+    @pytest.mark.parametrize("write", WRITERS.values(), ids=WRITERS.keys())
+    @pytest.mark.parametrize("target, error", [
+        ("missing/x", FileNotFoundError), ("adir", IsADirectoryError),
+        ("afile/x", NotADirectoryError),
+    ], ids=["missing_directory", "directory", "file_as_directory"])
+    def test_error_names_the_given_path(self, tmp_path, monkeypatch, write, target, error):
+        (tmp_path / "adir").mkdir()
+        (tmp_path / "afile").write_bytes(b"old bytes")
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(error) as info:
+            write(target)
+        assert info.value.filename == target
+        assert str(info.value).endswith(f": {target!r}")
+        assert sorted(os.listdir(tmp_path)) == ["adir", "afile"]
+        assert os.listdir(tmp_path / "adir") == []
+        assert (tmp_path / "afile").read_bytes() == b"old bytes"
+
+
 class TestReadTensorMagic:
     @pytest.mark.parametrize("data", [b"", b"NOPE", b"NOPE" + struct.pack("<I", 0)],
                              ids=repr)
