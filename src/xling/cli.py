@@ -187,11 +187,11 @@ def _out_dir(args) -> Path:
 def _check_file_target(path, out_dir: Path) -> None:
     """Refuse ``path`` as a file to write, before any work: it may not be a
     directory, and its directory must exist or be one that ``--out`` makes."""
-    target = Path(path)
+    target, out = Path(path), out_dir.resolve()
     parent = target.parent.resolve()
     if target.is_dir():
         code = errno.EISDIR
-    elif parent.is_dir() or parent in (out_dir.resolve(), *out_dir.resolve().parents):
+    elif parent.is_dir() or parent in (out, *out.parents):
         return
     else:
         code = errno.ENOTDIR if parent.exists() else errno.ENOENT
