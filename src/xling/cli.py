@@ -72,6 +72,7 @@ from .errors import (
     BadConfigError,
     LengthMismatchError,
     ParseError,
+    ShapeMismatchError,
     TooLargeError,
     UtteranceError,
     XlingError,
@@ -312,23 +313,19 @@ def _read_entries(manifest_path) -> list:
     return entries
 
 
-def _read_stats(path) -> dict:
-    stats = read_keys(path, dict.fromkeys(_STATS_KEYS, float))
-    missing = [key for key in _STATS_KEYS[:2] if key not in stats]
-    if missing:
-        raise ParseError(f"stats file lacks {missing}", path=path)
-    return stats
-
-
 def _quantizer(cfg: dict, v_min: float, v_max: float) -> QuantizerConfig:
     return QuantizerConfig(v_min, v_max, n_bins=cfg.get("quantizer_bins", 256),
                            scale=cfg.get("quantizer_scale", LOG))
 
 
 def _quantizer_from(args, cfg: dict) -> QuantizerConfig | None:
+    """The energy quantizer over the range of the ``--stats`` file, if any."""
     if args.stats is None:
         return None
-    stats = _read_stats(args.stats)
+    stats = read_keys(args.stats, dict.fromkeys(_STATS_KEYS, float))
+    missing = [key for key in _STATS_KEYS[:2] if key not in stats]
+    if missing:
+        raise ParseError(f"stats file lacks {missing}", path=args.stats)
     return _quantizer(cfg, stats["energy_min"], stats["energy_max"])
 
 
@@ -365,19 +362,15 @@ def _cmd_features(args, cfg: dict) -> int:
 
 @_naming_failures
 def _stat_one(utt_id: str, wav_path: str, *, feature_cfg: FeatureConfig) -> tuple:
+    """Nonzero-energy min, energy max (the analysis refuses empty audio), voiced
+    pitch min and max (inf, -inf if none), frame count and voiced count."""
     audio = read_wav(wav_path, expected_rate=feature_cfg.sample_rate)
     energy = energy_per_frame(audio, feature_cfg)
     pitch = pitch_per_frame(audio, feature_cfg)
-    positive = energy[energy > 0]
-    voiced = pitch[pitch > 0]
-    return (
-        float(positive.min()) if positive.size else np.inf,
-        float(energy.max()) if energy.size else -np.inf,
-        float(voiced.min()) if voiced.size else np.inf,
-        float(voiced.max()) if voiced.size else -np.inf,
-        energy.size,
-        voiced.size,
-    )
+    voiced = pitch > 0
+    return (energy.min(initial=np.inf, where=energy > 0), energy.max(),
+            pitch.min(initial=np.inf, where=voiced), pitch.max(initial=-np.inf, where=voiced),
+            energy.size, np.count_nonzero(voiced))
 
 
 def _cmd_stats(args, cfg: dict) -> int:
@@ -385,15 +378,12 @@ def _cmd_stats(args, cfg: dict) -> int:
     entries = _read_entries(args.manifest)
     e_min, e_max, p_min, p_max, frames, voiced = zip(*map_ordered(
         stat, args.jobs, [e.utt_id for e in entries], [e.audio_path for e in entries]))
-    energy_min, energy_max = min(e_min), max(e_max)
-    pitch_min, pitch_max = min(p_min), max(p_max)
-    if not np.isfinite(energy_min) or not np.isfinite(energy_max):
+    ranges = (min(e_min), max(e_max), min(p_min), max(p_max))
+    if ranges[0] == np.inf:
         raise BadConfigError("corpus has no nonzero energy frames")
+    stats = ([float(x) if np.isfinite(x) else 0.0 for x in ranges]
+             + [int(sum(frames)), int(sum(voiced))])
     out = _out_dir(args) / "stats.txt"
-    stats = (energy_min, energy_max,
-             pitch_min if np.isfinite(pitch_min) else 0.0,
-             pitch_max if np.isfinite(pitch_max) else 0.0,
-             sum(frames), sum(voiced))
     write_records(out, zip(_STATS_KEYS, map(repr, stats)), "=", 1)
     log.info("wrote %s over %d utterances", out, len(entries))
     return 0
@@ -432,8 +422,11 @@ def _cmd_forward(args, cfg: dict) -> int:
             raise LengthMismatchError(
                 "alignment phoneme labels do not match the phoneme sequence"
             )
-        pitch, energy = (tensorio.read_tensor(path).reshape(-1)
-                         for path in (args.pitch_avg, args.energy_avg))
+        pitch, energy = map(tensorio.read_tensor, (args.pitch_avg, args.energy_avg))
+        for name, track in (("pitch", pitch), ("energy", energy)):
+            if track.ndim != 1:
+                raise ShapeMismatchError(f"teacher-forced {name} has shape {track.shape}, "
+                                         "expected one axis")
         mode = TeacherForced(record.frame_durations, tuple(pitch), tuple(energy))
     else:
         mode = Inference()

@@ -382,8 +382,15 @@ class QuantizerConfig:
 
 
 def quantize(values, q: QuantizerConfig) -> np.ndarray:
-    """Map values to bin indices, clamping to [v_min, v_max] first."""
-    v = np.clip(np.asarray(values, dtype=np.float64), q.v_min, q.v_max)
+    """Map values to bin indices, clamping to [v_min, v_max] first.
+
+    +-inf clamp to the end bins; a NaN has no bin and is a
+    ConfigMismatchError.
+    """
+    v = np.asarray(values, dtype=np.float64)
+    if np.isnan(v).any():
+        raise ConfigMismatchError("cannot quantize NaN values")
+    v = np.clip(v, q.v_min, q.v_max)
     lo, hi = q._transform(np.float64(q.v_min)), q._transform(np.float64(q.v_max))
     fraction = (q._transform(v) - lo) / (hi - lo)
     return np.minimum((fraction * q.n_bins).astype(np.int64), q.n_bins - 1)

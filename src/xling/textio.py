@@ -5,6 +5,8 @@ alignment, manifest, dataset spec, model and pipeline configs, stats)
 shares these line rules, applied by :func:`records` and nowhere else:
 files are UTF-8 and hold no NUL byte, and :func:`read_text` reports a
 byte that breaks either rule as a :class:`ParseError` at ``path:line``;
+one leading byte order mark is no content, so it neither starts the first
+record nor hides a ``#`` comment;
 ``\\n``, ``\\r\\n`` and ``\\r`` end a line, numbered from 1; each line is
 stripped, and blank lines and ``#`` comment lines are skipped; the rest
 splits on ``sep`` (whitespace runs when ``None``) at most ``maxsplit``
@@ -21,7 +23,8 @@ Writing mirrors reading: :func:`write_records` joins each row's fields
 with ``sep`` (a space for ``None``) into one ``\\n``-ended line, and a row
 that :func:`records` would not read back as the same fields (a field with
 ``sep``, a line break or a NUL, surrounding whitespace, a leading ``#``, a
-blank line) raises :class:`ParseError` at ``path`` before anything is written.
+blank line, a byte order mark that would start the file) raises
+:class:`ParseError` at ``path`` before anything is written.
 Every output file of the package goes through :func:`atomic_path`.
 """
 
@@ -61,10 +64,12 @@ def read_keys(path, kinds: dict) -> dict:
 
 
 def read_text(path) -> str:
-    """The UTF-8 text of ``path`` with every line break read as ``\\n``.
+    """The UTF-8 text of ``path`` with every line break read as ``\\n``,
+    less one leading byte order mark.
 
     A byte sequence that is not UTF-8, or a NUL byte, raises
-    :class:`ParseError` at the ``path:line`` that holds it.
+    :class:`ParseError` at the ``path:line`` that holds it; its offset
+    counts the file's bytes, the mark included.
     """
     data = Path(path).read_bytes()
     try:
@@ -76,7 +81,7 @@ def read_text(path) -> str:
         # no path or name of any format may hold one: the OS refuses it
         offset = data.index(b"\0")
         raise ParseError(f"NUL byte at offset {offset}", path=path, line=_line_at(data, offset))
-    return text.replace("\r\n", "\n").replace("\r", "\n")
+    return text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _line_at(data: bytes, offset: int) -> int:
@@ -98,7 +103,8 @@ def write_records(path, rows, sep=None, maxsplit=-1, header=None) -> None:
     lines = [] if header is None else [f"# {header}"]
     for row in rows:
         line = (sep or " ").join(row)
-        if any(c in line for c in "\n\r\0") or _fields(line, sep, maxsplit) != list(row):
+        if (any(c in line for c in "\n\r\0") or _fields(line, sep, maxsplit) != list(row)
+                or not lines and line.startswith("\ufeff")):
             raise ParseError(f"row {list(row)!r} would not read back", path=path)
         lines.append(line)
     write_text(path, "".join(line + "\n" for line in lines))

@@ -621,21 +621,27 @@ class TestForwardChecksBeforeWeights:
         assert capsys.readouterr().err == (f"ERROR CONFIG_MISMATCH: teacher-forced {name} "
                                            "has non-finite values\n")
 
+    @pytest.mark.parametrize("shape, detail", [
+        ((5,), "has 5 values, expected 6"),
+        ((1, 6), "has shape (1, 6), expected one axis"),
+        ((6, 1), "has shape (6, 1), expected one axis"),
+    ], ids=["wrong_size", "row", "column"])
     @pytest.mark.parametrize("flag, name", [("--pitch-avg", "pitch"),
                                             ("--energy-avg", "energy")])
-    def test_wrong_size_teacher_forced_vector(self, tmp_path, capsys, flag, name):
+    def test_wrong_shape_teacher_forced_vector(self, tmp_path, capsys, flag, name, shape,
+                                               detail):
         other = "--energy-avg" if flag == "--pitch-avg" else "--pitch-avg"
         run("g2p", "--text", "你好 world", "--out", tmp_path)
         alignment = tmp_path / "text.align"
         alignment.write_text("ni\t3\nhao\t3\nW\t1\nER\t1\nL\t1\nD\t1\n", encoding="utf-8")
-        write_tensor(tmp_path / "five.xlf", np.ones(5))
+        write_tensor(tmp_path / "wrong.xlf", np.ones(shape))
         write_tensor(tmp_path / "six.xlf", np.ones(6))
         out = tmp_path / "out"
         assert run("forward", "--phonemes", tmp_path / "text.phn", "--alignment", alignment,
-                   flag, tmp_path / "five.xlf", other, tmp_path / "six.xlf",
+                   flag, tmp_path / "wrong.xlf", other, tmp_path / "six.xlf",
                    "--out", out) == 1
-        assert capsys.readouterr().err == (f"ERROR SHAPE_MISMATCH: teacher-forced {name} "
-                                           "has 5 values, expected 6\n")
+        err = capsys.readouterr().err
+        assert err == f"ERROR SHAPE_MISMATCH: teacher-forced {name} {detail}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("flags", [
@@ -884,6 +890,42 @@ class TestNotUtf8Input:
         self.one_parse_error(capsys, bad, 3)
 
 
+class TestByteOrderMark:
+    """A manifest, a lexicon or a pipeline config that starts with a UTF-8
+    byte order mark reads as the same file without one."""
+
+    BOM = "\ufeff".encode("utf-8")
+
+    def test_manifest(self, tmp_path, minicorpus):
+        run("manifest", "--spec", minicorpus / "d2.spec", "--roots", minicorpus,
+            "--out", tmp_path)
+        lines = (tmp_path / "manifest.txt").read_bytes().splitlines(keepends=True)
+        rows = [line for line in lines if not line.startswith(b"#")][:2]
+        plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+        plain.write_bytes(b"".join(rows))
+        marked.write_bytes(self.BOM + b"".join(rows))
+        for manifest in (plain, marked):
+            assert run("features", "--manifest", manifest, "--jobs", 1,
+                       "--out", tmp_path / manifest.stem) == 0
+        assert snapshot(tmp_path / "marked") == snapshot(tmp_path / "plain")
+
+    def test_lexicon_files_and_config(self, tmp_path):
+        from xling.cli import _LEXICON_KEYS
+        from xling.lexicon import default_paths
+
+        cfg_lines = []
+        for key, bundled in zip(_LEXICON_KEYS, default_paths()):
+            copy = tmp_path / f"{key}.txt"
+            copy.write_bytes(self.BOM + bundled.read_bytes())
+            cfg_lines.append(f"{key}={copy}\n")
+        cfg = tmp_path / "pipeline.cfg"
+        cfg.write_bytes(self.BOM + "# lexicons\n{}".format("".join(cfg_lines)).encode())
+        text = "你好 world"
+        assert run("g2p", "--text", text, "--out", tmp_path / "plain") == 0
+        assert run("g2p", "--text", text, "--config", cfg, "--out", tmp_path / "marked") == 0
+        assert snapshot(tmp_path / "marked") == snapshot(tmp_path / "plain")
+
+
 class TestNulByteInput:
     @pytest.mark.parametrize("command", ["stats", "features"])
     def test_manifest_audio_path(self, tmp_path, capsys, minicorpus, command):
@@ -963,6 +1005,72 @@ class TestStatsFileKeys:
                    "--jobs", 1) == 0
         lines = (tmp_path / "stats.txt").read_text("utf-8").splitlines()
         assert tuple(line.split("=")[0] for line in lines) == _STATS_KEYS
+
+
+class TestStatsRanges:
+    """``stats`` over silent, unvoiced and mixed utterances: a corpus without
+    a nonzero energy frame is one ``ERROR`` line, a pitch range without a
+    voiced frame is written as 0.0, and the file holds the ranges of the
+    per-utterance tracks taken together."""
+
+    @pytest.fixture
+    def rows(self, tmp_path, minicorpus):
+        """The d2 manifest's rows, and a writer of a manifest of some of them
+        with the given rows' audio replaced."""
+        run("manifest", "--spec", minicorpus / "d2.spec", "--roots", minicorpus,
+            "--out", tmp_path / "man")
+        lines = (tmp_path / "man" / "manifest.txt").read_text("utf-8").splitlines()
+        rows = [line.split("|") for line in lines if not line.startswith("#")]
+
+        def manifest(count, audio):
+            from xling.audio import write_wav
+
+            chosen = [list(row) for row in rows[:count]]
+            for index, samples in audio.items():
+                wav = tmp_path / f"replaced{index}.wav"
+                write_wav(wav, samples, 16000)
+                chosen[index][1] = str(wav)
+            path = tmp_path / "manifest.txt"
+            path.write_text("".join("|".join(row) + "\n" for row in chosen), "utf-8")
+            return path, [row[1] for row in chosen]
+
+        return manifest
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_all_silent_corpus(self, tmp_path, capsys, rows, jobs):
+        manifest, _ = rows(2, {0: np.zeros(16000), 1: np.zeros(8000)})
+        out = tmp_path / "out"
+        assert run("stats", "--manifest", manifest, "--jobs", jobs, "--out", out) == 1
+        assert capsys.readouterr().err == ("ERROR BAD_CONFIG: corpus has no nonzero "
+                                           "energy frames\n")
+        assert not out.exists()
+
+    def test_white_noise_has_no_voiced_frame(self, tmp_path, rows):
+        noise = np.random.default_rng(0).uniform(-0.3, 0.3, 16000)
+        manifest, _ = rows(1, {0: noise})
+        assert run("stats", "--manifest", manifest, "--out", tmp_path) == 0
+        stats = dict(line.split("=") for line in
+                     (tmp_path / "stats.txt").read_text("utf-8").splitlines())
+        assert (stats["pitch_min"], stats["pitch_max"]) == ("0.0", "0.0")
+        assert (stats["n_frames"], stats["n_voiced_frames"]) == ("101", "0")
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_silent_among_voiced_matches_an_oracle(self, tmp_path, rows, jobs):
+        from xling.audio import read_wav
+        from xling.cli import _STATS_KEYS
+        from xling.features import FeatureConfig, energy_per_frame, pitch_per_frame
+
+        manifest, wavs = rows(4, {1: np.zeros(12345)})
+        cfg = FeatureConfig()
+        audio = [read_wav(wav) for wav in wavs]
+        energy = np.concatenate([energy_per_frame(a, cfg) for a in audio])
+        pitch = np.concatenate([pitch_per_frame(a, cfg) for a in audio])
+        voiced = pitch[pitch > 0]
+        ranges = (energy[energy > 0].min(), energy.max(), voiced.min(), voiced.max())
+        expected = [*map(float, ranges), energy.size, voiced.size]
+        assert run("stats", "--manifest", manifest, "--jobs", jobs, "--out", tmp_path) == 0
+        assert (tmp_path / "stats.txt").read_text("utf-8") == "".join(
+            f"{key}={value!r}\n" for key, value in zip(_STATS_KEYS, expected))
 
 
 class TestConfigValuesChecked:

@@ -251,6 +251,13 @@ class TestQuantizer:
         assert quantize([4.0], q)[0] == 3
         assert quantize([-7.0], q)[0] == 0
         assert quantize([99.0], q)[0] == 3
+        assert quantize([-np.inf, np.inf], q).tolist() == [0, 3]
+
+    @pytest.mark.parametrize("scale", [LINEAR, LOG])
+    def test_nan_is_refused(self, scale):
+        q = QuantizerConfig(v_min=1.0, v_max=4.0, n_bins=4, scale=scale)
+        with pytest.raises(ConfigMismatchError, match="^cannot quantize NaN values$"):
+            quantize([2.0, np.nan], q)
 
     def test_even_linear_spacing(self):
         q = QuantizerConfig(v_min=0.0, v_max=4.0, n_bins=4)

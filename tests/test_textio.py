@@ -49,6 +49,7 @@ class TestNotUtf8:
         (b"a=1\r\nb=2\r\n# c\r\nd=\xc3(\n", 4),
         (b"a=1\rb=2\r\x80", 3),
         (b"a=\xe4\xbd\xa0\n\n\xe4\xbd\n", 3),  # a valid CJK char, then a cut one
+        (b"\xef\xbb\xbfa=1\n\xff", 2),  # after a byte order mark
     ])
     def test_bad_byte_is_a_parse_error_at_its_line(self, tmp_path, data, line):
         path = tmp_path / "r.txt"
@@ -63,6 +64,7 @@ class TestNotUtf8:
         (b"\0a=1\n", 1),
         (b"a=1\r\nb=x\0y\n", 2),
         (b"a=1\rb=2\r\xe4\xbd\xa0\0", 3),
+        (b"\xef\xbb\xbfa=1\nb\0", 2),  # the offset counts the byte order mark
     ])
     def test_nul_byte_is_a_parse_error_at_its_line(self, tmp_path, data, line):
         path = tmp_path / "r.txt"
@@ -75,6 +77,29 @@ class TestNotUtf8:
         path = tmp_path / "t.txt"
         path.write_bytes("你\r\n好\rx\n".encode("utf-8"))
         assert read_text(path) == "你\n好\nx\n"
+
+
+class TestByteOrderMark:
+    """One leading UTF-8 byte order mark is read as no content; line numbers
+    and byte offsets still count from the file's first byte."""
+
+    BOM = "\ufeff".encode("utf-8")
+
+    def test_one_leading_mark_is_dropped(self, tmp_path):
+        path = tmp_path / "r.txt"
+        path.write_bytes(self.BOM + self.BOM + b"a\n")
+        assert read_text(path) == "\ufeffa\n"
+
+    def test_comment_after_the_mark_stays_a_comment(self, tmp_path):
+        path = tmp_path / "r.txt"
+        path.write_bytes(self.BOM + b"# header\nk=v\n")
+        assert list(records(path, "=", 1, n_fields=2)) == [(2, ["k", "v"])]
+        assert read_keys(path, {"k": str}) == {"k": "v"}
+
+    def test_first_record_after_the_mark(self, tmp_path):
+        path = tmp_path / "r.txt"
+        path.write_bytes(self.BOM + b"a|b\n")
+        assert list(records(path, "|")) == [(1, ["a", "b"])]
 
 
 class TestCast:

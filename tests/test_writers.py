@@ -25,8 +25,9 @@ from xling.textio import records, write_records, write_text
 # the manifest, key=value files, and whitespace-separated lexicons
 SEPARATORS = [("\t", -1), ("|", -1), ("=", 1), (None, -1)]
 
-# separators, line ends, comment marks and whitespace that str.strip removes
-SPECIAL = "\t|= #\n\r\x0b\x85"
+# separators, line ends, comment marks, whitespace that str.strip removes,
+# and the byte order mark that a file may start with
+SPECIAL = "\t|= #\n\r\x0b\x85\ufeff"
 FIELD = st.one_of(
     st.text(SPECIAL + "ab", max_size=6),  # at a field edge, too
     st.tuples(st.text("ab", min_size=1, max_size=2), st.text(SPECIAL, max_size=2),
@@ -56,6 +57,15 @@ class TestWriteRecords:
         with pytest.raises(ParseError, match=rf"^{re.escape(str(path))}: "):
             write_records(path, [["ok", "row"], row], "\t")
         assert not path.exists()
+
+    def test_byte_order_mark_that_would_start_the_file(self, tmp_path):
+        path = tmp_path / "r.txt"
+        with pytest.raises(ParseError, match="would not read back"):
+            write_records(path, [["\ufeffk", "v"]], "\t")
+        assert not path.exists()
+        write_records(path, [["k", "v"], ["\ufeffk", "v"]], "\t")
+        write_records(path, [["\ufeffk", "v"]], "\t", header="h")
+        assert [fields for _, fields in records(path, "\t")] == [["\ufeffk", "v"]]
 
     def test_nul_in_a_field_raises_at_path(self, tmp_path):
         path = tmp_path / "r.txt"
