@@ -11,12 +11,13 @@ balance report).
 A ``--config`` file (``key=value`` lines under the rule of
 :func:`xling.textio.read_keys`) holds the pipeline's parameters: the
 feature parameters, the energy quantizer's ``quantizer_bins`` and
-``quantizer_scale``, and the four lexicon paths.  Every other file a run
-reads or writes is named by a flag, and only by a flag.  The config is
-typed when loaded, and every lexicon file it names is checked before any
-work starts.  Failures print a single ``ERROR <code>: <detail>``
-line and exit nonzero; in ``features`` and ``stats`` the detail names the
-utterance and its WAV.
+``quantizer_scale``, and the four lexicon paths (all four or none).  Every
+other file a run reads or writes is named by a flag, and only by a flag.
+:func:`load_pipeline_config` types the config, fills in every default and
+runs every config rule when it loads, for every command alike, so no
+command accepts a config that another refuses.  Failures print a single
+``ERROR <code>: <detail>`` line and exit nonzero; in ``features`` and
+``stats`` the detail names the utterance and its WAV.
 
 ``features --manifest`` and ``stats`` analyze their utterances on ``--jobs``
 threads (:func:`xling.model.map_ordered`), and ``manifest`` scans its
@@ -54,7 +55,7 @@ import logging
 import os
 import sys
 from pathlib import Path
-from typing import get_type_hints
+from typing import NamedTuple, get_type_hints
 
 import numpy as np
 
@@ -148,35 +149,38 @@ def _setup_logging() -> None:
     )
 
 
-def load_pipeline_config(path) -> dict:
-    """The typed ``key=value`` config at ``path``; its lexicon files must exist.
+class PipelineConfig(NamedTuple):
+    """A typed ``--config`` with every default filled in."""
 
-    Every value is checked here, whether or not the subcommand reads it.
+    features: FeatureConfig
+    lexicon: tuple  # in :meth:`Lexicon.load` argument order
+    quantizer_bins: int
+    quantizer_scale: str
+
+
+def load_pipeline_config(path=None) -> PipelineConfig:
+    """The typed ``key=value`` config at ``path``; no path gives the defaults.
+
+    Every rule runs here, whether or not the subcommand reads the value:
+    the lexicon files it names must exist, and it names all four or none.
     """
-    values = read_keys(path, _CONFIG_KINDS)
+    values = {} if path is None else read_keys(path, _CONFIG_KINDS)
+    lexicon = tuple(values[key] for key in _LEXICON_KEYS if key in values)
     try:
-        _feature_config(values)
-        _quantizer(values, 1.0, 2.0)  # any valid range: the real one comes from stats
+        cfg = PipelineConfig(
+            FeatureConfig(**{key: values[key] for key in _FEATURE_KINDS if key in values}),
+            lexicon or default_paths(), values.get("quantizer_bins", 256),
+            values.get("quantizer_scale", LOG))
+        _quantizer(cfg, 1.0, 2.0)  # any valid range: the real one comes from stats
+        for key in _LEXICON_KEYS:
+            if key in values and not Path(values[key]).is_file():
+                raise BadConfigError(f"{key} points to missing file {values[key]!r}")
+        if 0 < len(lexicon) < len(_LEXICON_KEYS):
+            missing = [key for key in _LEXICON_KEYS if key not in values]
+            raise BadConfigError(f"config overrides lexicon paths but lacks {missing}")
     except (BadConfigError, TooLargeError) as exc:
         raise type(exc)(f"{path}: {exc}") from exc
-    for key in _LEXICON_KEYS:
-        if key in values and not Path(values[key]).is_file():
-            raise BadConfigError(f"{path}: {key} points to missing file {values[key]!r}")
-    return values
-
-
-def _feature_config(cfg: dict) -> FeatureConfig:
-    return FeatureConfig(**{key: cfg[key] for key in _FEATURE_KINDS if key in cfg})
-
-
-def _lexicon_paths(cfg: dict) -> tuple:
-    """The config's lexicon files (all four keys or none), else the bundled ones."""
-    if not any(key in cfg for key in _LEXICON_KEYS):
-        return default_paths()
-    missing = [key for key in _LEXICON_KEYS if key not in cfg]
-    if missing:
-        raise BadConfigError(f"config overrides lexicon paths but lacks {missing}")
-    return tuple(cfg[key] for key in _LEXICON_KEYS)
+    return cfg
 
 
 def _out_dir(args) -> Path:
@@ -203,7 +207,10 @@ def _parse_int_list(value: str | None, file_value: str | None, what: str) -> lis
     if (value is None) == (file_value is None):
         raise BadConfigError(f"provide exactly one of --{what} / --{what}-file")
     if value is not None:
-        parts = [p for p in value.replace(",", " ").split() if p]
+        fields = value.split(",")
+        if len(fields) > 1 and not all(field.strip() for field in fields):
+            raise BadConfigError(f"empty field in --{what} {value!r}")
+        parts = value.replace(",", " ").split()
     else:
         parts = read_text(file_value).split()
     try:
@@ -214,8 +221,8 @@ def _parse_int_list(value: str | None, file_value: str | None, what: str) -> lis
 
 # ----------------------------------------------------------------- g2p
 
-def _cmd_g2p(args, cfg: dict) -> int:
-    lexicon = Lexicon.load(*_lexicon_paths(cfg))
+def _cmd_g2p(args, cfg: PipelineConfig) -> int:
+    lexicon = Lexicon.load(*cfg.lexicon)
     if (args.text is None) == (args.text_file is None):
         raise BadConfigError("provide exactly one of --text / --text-file")
     if args.text is not None:
@@ -232,7 +239,7 @@ def _cmd_g2p(args, cfg: dict) -> int:
 
 # ------------------------------------------------------------- regulate
 
-def _cmd_regulate(args, cfg: dict) -> int:
+def _cmd_regulate(args, cfg: PipelineConfig) -> int:
     X = tensorio.read_tensor(args.embeddings)
     lengths = _parse_int_list(args.lengths, args.lengths_file, "lengths")
     outputs = {"aggregated": regulator.aggregate(X, lengths)}
@@ -248,22 +255,15 @@ def _cmd_regulate(args, cfg: dict) -> int:
 
 # ------------------------------------------------------------- features
 
-def _fit_durations_to_frames(durations: list, n_frames: int) -> list:
-    """Absorb the aligner-vs-feature off-by-a-frame difference.
+def _fit_durations_to_frames(durations, n_frames: int) -> list:
+    """Fit an alignment that :func:`corpus.check_duration` accepted to the
+    ``n_frames`` of the feature grid, which center padding makes one frame
+    longer than the audio.
 
-    Alignments are tolerant to +-2 frames against the audio; the feature
-    grid (center padding) has one extra frame.  The cumulative phoneme
-    bounds are clipped at ``n_frames`` and the last one set to it, so extra
-    frames go to the last phoneme and missing ones come off the trailing
-    phonemes; the averaged tracks stay total.
+    The cumulative phoneme bounds are clipped at ``n_frames`` and the last
+    one set to it, so extra frames go to the last phoneme and missing ones
+    come off the trailing phonemes; the averaged tracks stay total.
     """
-    delta = n_frames - sum(durations)
-    if delta == 0:
-        return durations
-    if abs(delta) > corpus.DURATION_TOLERANCE_FRAMES or not durations:
-        raise LengthMismatchError(
-            f"alignment covers {sum(durations)} frames but features have {n_frames}"
-        )
     bounds = np.minimum(np.cumsum(durations), n_frames)
     bounds[-1] = n_frames
     return np.diff(bounds, prepend=0).tolist()
@@ -294,8 +294,8 @@ def _extract_one(utt_id: str, wav_path: str, alignment_path: str | None, *, out_
               "pitch": pitch_per_frame(audio, feature_cfg)}
     if alignment_path is not None:
         record = parse_alignment(alignment_path, utt_id=utt_id)
-        durations = _fit_durations_to_frames(list(record.frame_durations),
-                                             tracks["energy"].size)
+        corpus.check_duration(record, audio.duration_sec)
+        durations = _fit_durations_to_frames(record.frame_durations, tracks["energy"].size)
         tracks["energy_avg"] = average_by_phoneme(tracks["energy"], durations)
         tracks["pitch_avg"] = average_by_phoneme(tracks["pitch"], durations, voiced_only=True)
         if quantizer_cfg is not None:
@@ -313,12 +313,11 @@ def _read_entries(manifest_path) -> list:
     return entries
 
 
-def _quantizer(cfg: dict, v_min: float, v_max: float) -> QuantizerConfig:
-    return QuantizerConfig(v_min, v_max, n_bins=cfg.get("quantizer_bins", 256),
-                           scale=cfg.get("quantizer_scale", LOG))
+def _quantizer(cfg: PipelineConfig, v_min: float, v_max: float) -> QuantizerConfig:
+    return QuantizerConfig(v_min, v_max, n_bins=cfg.quantizer_bins, scale=cfg.quantizer_scale)
 
 
-def _quantizer_from(args, cfg: dict) -> QuantizerConfig | None:
+def _quantizer_from(args, cfg: PipelineConfig) -> QuantizerConfig | None:
     """The energy quantizer over the range of the ``--stats`` file, if any."""
     if args.stats is None:
         return None
@@ -329,7 +328,7 @@ def _quantizer_from(args, cfg: dict) -> QuantizerConfig | None:
     return _quantizer(cfg, stats["energy_min"], stats["energy_max"])
 
 
-def _cmd_features(args, cfg: dict) -> int:
+def _cmd_features(args, cfg: PipelineConfig) -> int:
     single = {"--wav": args.wav, "--utt-id": args.utt_id, "--alignment": args.alignment}
     if args.manifest is not None:
         unread = [flag for flag, value in single.items() if value is not None]
@@ -340,7 +339,7 @@ def _cmd_features(args, cfg: dict) -> int:
     elif args.stats is not None and args.alignment is None:
         raise BadConfigError("--stats cannot be used without --alignment: "
                              "energy is quantized per phoneme")
-    feature_cfg = _feature_config(cfg)
+    feature_cfg = cfg.features
     frame_ms = 1000 / corpus.FRAMES_PER_SECOND
     if (args.manifest, args.alignment) != (None, None) and feature_cfg.hop_ms != frame_ms:
         raise BadConfigError(f"alignments count {frame_ms:g} ms frames, so averaging per "
@@ -373,8 +372,8 @@ def _stat_one(utt_id: str, wav_path: str, *, feature_cfg: FeatureConfig) -> tupl
             energy.size, np.count_nonzero(voiced))
 
 
-def _cmd_stats(args, cfg: dict) -> int:
-    stat = functools.partial(_stat_one, feature_cfg=_feature_config(cfg))
+def _cmd_stats(args, cfg: PipelineConfig) -> int:
+    stat = functools.partial(_stat_one, feature_cfg=cfg.features)
     entries = _read_entries(args.manifest)
     e_min, e_max, p_min, p_max, frames, voiced = zip(*map_ordered(
         stat, args.jobs, [e.utt_id for e in entries], [e.audio_path for e in entries]))
@@ -391,7 +390,7 @@ def _cmd_stats(args, cfg: dict) -> int:
 
 # -------------------------------------------------------------- forward
 
-def _cmd_forward(args, cfg: dict) -> int:
+def _cmd_forward(args, cfg: PipelineConfig) -> int:
     teacher = {"--pitch-avg": args.pitch_avg, "--energy-avg": args.energy_avg}
     unread = [flag for flag, value in teacher.items() if value is not None]
     if unread and args.alignment is None:
@@ -402,7 +401,7 @@ def _cmd_forward(args, cfg: dict) -> int:
     if args.model_config is not None and args.n_speakers is not None:
         raise BadConfigError("--n-speakers cannot be used with --model-config, "
                              "which sets n_speakers")
-    ids_map = inventory_ids(load_inventory(_lexicon_paths(cfg)[-1]))
+    ids_map = inventory_ids(load_inventory(cfg.lexicon[-1]))
     ps = load_phoneme_sequence(args.phonemes)
     try:
         ids = [ids_map[symbol] for symbol in ps.ipa]
@@ -453,7 +452,7 @@ def _cmd_forward(args, cfg: dict) -> int:
 
 # ------------------------------------------------------------- manifest
 
-def _cmd_manifest(args, cfg: dict) -> int:
+def _cmd_manifest(args, cfg: PipelineConfig) -> int:
     spec = DatasetSpec.load(args.spec)
     entries = build_manifest(spec, args.roots)
     report = balance_report(entries)  # before any output: an empty scan writes nothing
@@ -559,8 +558,7 @@ def main(argv=None) -> int:
     try:
         _setup_logging()
         args = build_parser().parse_args(argv)
-        cfg = load_pipeline_config(args.config) if args.config else {}
-        return args.func(args, cfg)
+        return args.func(args, load_pipeline_config(args.config))
     except XlingError as exc:
         print(f"ERROR {exc.code}: {exc}", file=sys.stderr)
         return 1

@@ -3,13 +3,20 @@
 File formats (line rules in :mod:`xling.textio`):
 
 * alignment: one phoneme per line, ``LABEL<TAB>frames`` with frames in
-  10 ms units; the frame total must sit within +-2 frames of the audio
-  duration.
+  10 ms units.  :func:`check_duration` is the one rule for an alignment
+  against its audio (the frame total within +-2 frames of the duration's
+  rounded frame count); ``manifest`` applies it while scanning, and
+  ``features`` again before fitting the alignment to its feature grid, so
+  both accept the same alignments.
 * manifest: one utterance per line,
   ``utt_id|audio_path|text|speaker|language|gender|duration_sec|alignment_path``.
+  The ``utt_id`` names output files, so it must be a plain file name: not
+  empty, ``.`` or ``..``, and without ``/``.
 * dataset spec: a ``name<TAB>value`` line, then one member per line as
   ``speaker_id<TAB>language<TAB>gender<TAB>max_hours``; the two are told
-  apart by their field count, so a speaker may be called ``name``.
+  apart by their field count, so a speaker may be called ``name``.  A
+  ``speaker_id`` starts every ``utt_id`` of its speaker, so it must be a
+  plain file name too.
 
 `build_manifest` scans per-speaker directories (``<root>/<speaker_id>/``
 holding ``<utt>.wav`` + ``<utt>.txt`` + ``<utt>.align``) in spec order on
@@ -40,6 +47,12 @@ LANGUAGES = ("CN", "EN")
 GENDERS = ("M", "F")
 
 
+def _is_file_name(name: str) -> bool:
+    """Whether ``name`` names a file inside a directory, not the directory,
+    its parent or a path below it."""
+    return name not in ("", ".", "..") and "/" not in name
+
+
 @dataclass(frozen=True)
 class AlignmentRecord:
     utt_id: str
@@ -67,6 +80,8 @@ class SpeakerSpec:
     max_hours: float
 
     def __post_init__(self):
+        if not _is_file_name(self.speaker_id):
+            raise ParseError(f"speaker id {self.speaker_id!r} is not a plain file name")
         if self.language not in LANGUAGES:
             raise ParseError(f"unknown language {self.language!r}")
         if self.gender not in GENDERS:
@@ -211,6 +226,9 @@ def read_manifest(path) -> list:
     seen = set()
     for line_no, parts in records(path, "|", n_fields=8):
         duration = cast(float, parts[6], path, line_no)
+        if not _is_file_name(parts[0]):
+            raise ParseError(f"utt_id {parts[0]!r} is not a plain file name",
+                             path=path, line=line_no)
         if parts[0] in seen:
             raise ParseError(f"duplicate utt_id {parts[0]!r}", path=path, line=line_no)
         seen.add(parts[0])

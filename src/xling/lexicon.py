@@ -99,9 +99,14 @@ class PhonemeSequence:
 
 
 def _strip_digits(symbol: str) -> tuple[str, int | None]:
-    digits = [c for c in symbol if c.isdigit()]
-    label = "".join(c for c in symbol if not c.isdigit())
-    return label, (int("".join(digits)) if digits else None)
+    """The label less its ASCII digits, and those digits as the stress or tone.
+
+    Any other digit (``¹``, ``³``) stays in the label, which then maps to no
+    IPA entry.
+    """
+    digits = "".join(c for c in symbol if c in string.digits)
+    label = "".join(c for c in symbol if c not in string.digits)
+    return label, (int(digits) if digits else None)
 
 
 def _parse_dict_file(path):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -242,6 +244,31 @@ class TestManifestFields:
         with pytest.raises(ParseError):
             write_manifest([entry], path)
         assert not path.exists()
+
+
+NOT_FILE_NAMES = ["", ".", "..", "../escaped", "a/b"]
+
+
+class TestIdsAreFileNames:
+    @pytest.mark.parametrize("utt_id", NOT_FILE_NAMES)
+    def test_manifest_utt_id_refused_at_its_line(self, tmp_path, utt_id):
+        path = tmp_path / "manifest.txt"
+        path.write_text("u1|a.wav|hi|s|EN|F|1.0|a.align\n"
+                        f"{utt_id}|b.wav|hi|s|EN|F|1.0|b.align\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=rf"^{re.escape(str(path))}:2: utt_id "):
+            read_manifest(path)
+
+    @pytest.mark.parametrize("speaker_id", NOT_FILE_NAMES)
+    def test_speaker_id_refused(self, speaker_id):
+        with pytest.raises(ParseError, match="is not a plain file name"):
+            SpeakerSpec(speaker_id, "CN", "M", 1.0)
+
+    @pytest.mark.parametrize("name", ["u.1", "..u", "a\\b", "名字"])
+    def test_plain_names_read(self, tmp_path, name):
+        path = tmp_path / "manifest.txt"
+        path.write_text(f"{name}|a.wav|hi|{name}|EN|F|1.0|a.align\n", encoding="utf-8")
+        assert read_manifest(path)[0].utt_id == name
+        assert SpeakerSpec(name, "CN", "M", 1.0).speaker_id == name
 
 
 class TestSpeakerSpecChecks:

@@ -298,6 +298,19 @@ class TestLexiconLoading:
                 tmp_path / "inv.txt",
             )
 
+    def test_only_ascii_digits_are_stress_or_tone(self, tmp_path):
+        (tmp_path / "en.dict").write_text("HI\tHH AY1\nHELLO\tHH AH0 L OW\u00b9\n",
+                                          encoding="utf-8")
+        (tmp_path / "cn.dict").write_text("你\tni3\n好\thao\u00b3\n", encoding="utf-8")
+        (tmp_path / "map.dict").write_text("EN:HH\th\n", encoding="utf-8")
+        (tmp_path / "inv.txt").write_text("h\n", encoding="utf-8")
+        lexicon = Lexicon.load(tmp_path / "en.dict", tmp_path / "cn.dict",
+                               tmp_path / "map.dict", tmp_path / "inv.txt")
+        assert lexicon.en_entries["HI"][1] == LDPSymbol("AY", EN, 1)
+        assert lexicon.en_entries["HELLO"][3] == LDPSymbol("OW\u00b9", EN, None)
+        assert lexicon.cn_entries["你"] == (LDPSymbol("ni", CN, 3),)
+        assert lexicon.cn_entries["好"] == (LDPSymbol("hao\u00b3", CN, None),)
+
 
 def fullwidth(text):
     return "".join(chr(ord(c) + 0xFEE0) if "!" <= c <= "~" else c for c in text)
