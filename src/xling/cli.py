@@ -73,7 +73,6 @@ from .errors import (
     BadConfigError,
     LengthMismatchError,
     ParseError,
-    ShapeMismatchError,
     TooLargeError,
     UtteranceError,
     XlingError,
@@ -398,9 +397,6 @@ def _cmd_forward(args, cfg: PipelineConfig) -> int:
     missing = [flag for flag, value in teacher.items() if value is None]
     if missing and args.alignment is not None:
         raise BadConfigError(f"--alignment cannot be used without {', '.join(missing)}")
-    if args.model_config is not None and args.n_speakers is not None:
-        raise BadConfigError("--n-speakers cannot be used with --model-config, "
-                             "which sets n_speakers")
     ids_map = inventory_ids(load_inventory(cfg.lexicon[-1]))
     ps = load_phoneme_sequence(args.phonemes)
     try:
@@ -409,11 +405,8 @@ def _cmd_forward(args, cfg: PipelineConfig) -> int:
         raise ParseError(f"IPA symbol {exc.args[0]!r} not in inventory",
                          path=args.phonemes) from exc
 
-    if args.model_config is not None:
-        model_cfg = ModelConfig.from_file(args.model_config)
-    else:
-        n_speakers = 8 if args.n_speakers is None else args.n_speakers
-        model_cfg = ModelConfig(n_ipa_symbols=len(ids_map), n_speakers=n_speakers)
+    model_cfg = (ModelConfig.from_file(args.model_config) if args.model_config is not None
+                 else ModelConfig(n_ipa_symbols=len(ids_map), n_speakers=8))
 
     if args.alignment is not None:
         record = parse_alignment(args.alignment)
@@ -421,12 +414,8 @@ def _cmd_forward(args, cfg: PipelineConfig) -> int:
             raise LengthMismatchError(
                 "alignment phoneme labels do not match the phoneme sequence"
             )
-        pitch, energy = map(tensorio.read_tensor, (args.pitch_avg, args.energy_avg))
-        for name, track in (("pitch", pitch), ("energy", energy)):
-            if track.ndim != 1:
-                raise ShapeMismatchError(f"teacher-forced {name} has shape {track.shape}, "
-                                         "expected one axis")
-        mode = TeacherForced(record.frame_durations, tuple(pitch), tuple(energy))
+        mode = TeacherForced(record.frame_durations,
+                             *map(tensorio.read_tensor, (args.pitch_avg, args.energy_avg)))
     else:
         mode = Inference()
 
@@ -531,11 +520,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--seed", type=int, default=0, help="PRNG seed (u64)")
     p.add_argument("--phonemes", required=True, help=".phn file from g2p")
-    p.add_argument("--model-config", help="ModelConfig key=value file")
+    p.add_argument("--model-config", help="ModelConfig key=value file (default: the "
+                   "inventory's symbol count, 8 speakers and the paper's sizes)")
     p.add_argument("--speaker", type=int, default=0)
-    p.add_argument("--n-speakers", type=int,
-                   help="speaker table size of the default model (default: 8); "
-                   "refused with --model-config, which sets n_speakers")
     p.add_argument("--alignment", help="teacher-forced durations "
                    "(needs --pitch-avg and --energy-avg)")
     p.add_argument("--pitch-avg", help="teacher-forced per-phoneme pitch (.xlf)")

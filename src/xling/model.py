@@ -208,10 +208,11 @@ def map_ordered(fn, jobs: int, *iterables) -> list:
 
     Its tasks are numpy code that releases the GIL.  The first failure in
     input order is raised after the running tasks finish and the rest are
-    cancelled, so no thread outlives the call.  A lone task runs on the caller.
+    cancelled, so no thread outlives the call.  A lone task, or any tasks at
+    ``jobs == 1``, run on the caller, which starts no thread.
     """
     tasks = list(zip(*iterables))
-    if len(tasks) <= 1:
+    if jobs == 1 or len(tasks) <= 1:
         return [fn(*task) for task in tasks]
     pool = ThreadPoolExecutor(max_workers=jobs)
     try:
@@ -266,7 +267,7 @@ def load_weights(path, cfg: ModelConfig) -> Weights:
 
 @dataclass(frozen=True)
 class TeacherForced:
-    """Ground-truth per-phoneme durations (frames), pitch, and energy.
+    """Ground-truth per-phoneme durations (frames), pitch and energy, on one axis.
 
     :func:`check_inputs` checks all three; :func:`forward` expands by the
     durations and embeds the pitch, but never embeds the energy.
@@ -383,14 +384,16 @@ def check_inputs(cfg: ModelConfig, ipa_ids, phoneme_lengths, speaker: int, mode)
     TooLargeError.  More IPA ids, or a teacher-forced frame total, above
     :data:`MAX_DECODER_FRAMES` is a TooLargeError; an id that is not a
     whole number in ``[0, n_ipa_symbols)``, lengths that do not sum to the
-    id count, or a teacher-forced sequence of the wrong size a
-    ShapeMismatchError; a speaker that is a bool, not an integer, or outside
-    the table an UnknownSpeakerError; a non-finite teacher-forced pitch or
-    energy a ConfigMismatchError.  Returns the ids, the phoneme lengths and
-    the teacher-forced durations (None under Inference) as int64 arrays.
+    id count, a teacher-forced pitch or energy not on one axis, or a
+    teacher-forced sequence of the wrong size a ShapeMismatchError; a
+    speaker that is a bool, not an integer, or outside the table an
+    UnknownSpeakerError; a teacher-forced pitch or energy that is not
+    numbers, or not finite, a ConfigMismatchError.  Returns the ids, the
+    phoneme lengths, the teacher-forced durations (int64) and pitch
+    (float64); the last two are None under Inference.
     """
     lengths = regulator.as_counts(phoneme_lengths, 1, "phoneme lengths")
-    raw_ids = np.asarray(ipa_ids).reshape(-1)
+    raw_ids = _numbers(ipa_ids, ShapeMismatchError("IPA ids must be whole numbers")).reshape(-1)
     if raw_ids.size > MAX_DECODER_FRAMES:
         raise TooLargeError(f"{raw_ids.size} IPA symbols, above the encoder's cap of "
                             f"{MAX_DECODER_FRAMES} rows")
@@ -414,25 +417,37 @@ def check_inputs(cfg: ModelConfig, ipa_ids, phoneme_lengths, speaker: int, mode)
             f"phoneme lengths sum to {lengths.sum()} but there are {ids.size} IPA ids"
         )
     n_phonemes = lengths.size
-    durations = None
+    durations = pitch = None
     if isinstance(mode, TeacherForced):
-        for name, seq in (
-            ("durations", mode.durations),
-            ("pitch", mode.pitch),
-            ("energy", mode.energy),
-        ):
-            if len(seq) != n_phonemes:
-                raise ShapeMismatchError(
-                    f"teacher-forced {name} has {len(seq)} values, expected {n_phonemes}"
-                )
         durations = regulator.as_counts(mode.durations, 0, "teacher-forced durations")
-        for name, seq in (("pitch", mode.pitch), ("energy", mode.energy)):
-            if not np.all(np.isfinite(np.asarray(seq, dtype=np.float64))):
+        pitch, energy = (_numbers(seq, ConfigMismatchError(f"teacher-forced {name} must hold "
+                                                           "numbers")).astype(np.float64)
+                         for name, seq in (("pitch", mode.pitch), ("energy", mode.energy)))
+        for name, seq in (("durations", durations), ("pitch", pitch), ("energy", energy)):
+            if seq.ndim != 1:
+                raise ShapeMismatchError(f"teacher-forced {name} has shape {seq.shape}, "
+                                         "expected one axis")
+            if seq.size != n_phonemes:
+                raise ShapeMismatchError(
+                    f"teacher-forced {name} has {seq.size} values, expected {n_phonemes}"
+                )
+            if not np.all(np.isfinite(seq)):
                 raise ConfigMismatchError(f"teacher-forced {name} has non-finite values")
         _check_frames(int(durations.sum()), "teacher-forced")
     elif not isinstance(mode, Inference):
         raise BadConfigError(f"unknown forward mode {mode!r}")
-    return ids, lengths, durations
+    return ids, lengths, durations, pitch
+
+
+def _numbers(values, error: Exception) -> np.ndarray:
+    """``values`` as a numpy array of bools, integers or floats; else ``error``."""
+    try:
+        arr = np.asarray(values)
+    except ValueError as exc:  # a ragged nesting
+        raise error from exc
+    if arr.dtype.kind not in "biuf":
+        raise error
+    return arr
 
 
 def _check_frames(total: int, kind: str) -> None:
@@ -445,7 +460,7 @@ def forward(weights: Weights, ipa_ids, phoneme_lengths, speaker: int, mode) -> F
     """Run the full dataflow; see the module docstring for the wiring."""
     cfg = weights.config
     p = weights.tensors
-    ids, lengths, durations = check_inputs(cfg, ipa_ids, phoneme_lengths, speaker, mode)
+    ids, lengths, durations, pitch = check_inputs(cfg, ipa_ids, phoneme_lengths, speaker, mode)
 
     trace = []
 
@@ -469,10 +484,8 @@ def forward(weights: Weights, ipa_ids, phoneme_lengths, speaker: int, mode) -> F
         predictions[name] = _predictor(y, p, f"{name}_predictor")
         trace.append((f"{name}_predictor", predictions[name].shape))
 
-    if isinstance(mode, TeacherForced):
-        pitch_values = np.asarray(mode.pitch, dtype=np.float64)
-    else:
-        pitch_values = predictions["pitch"]
+    if isinstance(mode, Inference):
+        pitch = predictions["pitch"]
         log_frames = predictions["duration"]
         if not np.all(np.isfinite(log_frames)):
             raise ShapeMismatchError("duration predictor produced non-finite values")
@@ -480,7 +493,7 @@ def forward(weights: Weights, ipa_ids, phoneme_lengths, speaker: int, mode) -> F
             frames = np.round(np.exp(log_frames))
         durations = np.clip(frames, 0, MAX_FRAMES_PER_PHONEME).astype(np.int64)
         _check_frames(int(durations.sum()), "inferred")
-    y = y + _conv(pitch_values[:, None], p, "pitch_embed")
+    y = y + _conv(pitch[:, None], p, "pitch_embed")
     trace.append(("pitch_embedding", y.shape))
 
     f = regulator.expand(y, durations)

@@ -63,15 +63,19 @@ def _as_matrix(values, name: str) -> np.ndarray:
 
 
 def as_counts(counts, least: int, what: str) -> np.ndarray:
-    """``counts`` as a 1-D int64 array of whole numbers, each >= ``least``.
+    """``counts``, a sequence on one axis, as a 1-D int64 array of whole
+    numbers, each >= ``least``.
 
-    A fraction, NaN or inf is refused, and so is a count below ``least``
-    (LengthMismatchError).  A total of 2**63 or more is a TooLargeError: it
-    would wrap the int64 cumulative bounds.  ``least`` is 0 or more, so a
+    Any other shape, a fraction, NaN or inf is refused, and so is a count
+    below ``least`` (LengthMismatchError).  A total of 2**63 or more is a
+    TooLargeError: it would wrap the int64 cumulative bounds.  ``least`` is 0 or more, so a
     single count that large makes the total that large too.  Every test is
     made on exact Python ints.
     """
-    values = np.asarray(counts, dtype=object).reshape(-1).tolist()
+    arr = np.asarray(counts, dtype=object)
+    if arr.ndim != 1:
+        raise LengthMismatchError(f"{what} must have one axis, got shape {arr.shape}")
+    values = arr.tolist()
     try:
         ints = [int(v) for v in values]
     except (TypeError, ValueError, OverflowError):

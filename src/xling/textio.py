@@ -71,7 +71,8 @@ def read_text(path) -> str:
     :class:`ParseError` at the ``path:line`` that holds it; its offset
     counts the file's bytes, the mark included.
     """
-    data = Path(path).read_bytes()
+    with open(path, "rb") as f:  # as given: ``Path("")`` would read ``.``
+        data = f.read()
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:

@@ -455,6 +455,7 @@ class TestParser:
         ["stats", "--manifest", "m.txt", "--seed", "1"],
         ["features", "--wav", "a.wav", "--seed", "1"],
         ["forward", "--phonemes", "a.phn", "--jobs", "2"],
+        ["forward", "--phonemes", "a.phn", "--n-speakers", "3"],  # --model-config sets it
         ["manifest", "--spec", "d.spec", "--roots", "corpus", "--jobs", "2"],
     ])
     def test_flag_not_read_by_the_command_is_a_parser_error(self, capsys, argv):
@@ -507,6 +508,24 @@ class TestMalformedInput:
                    "--out", tmp_path) == 1
         err = self.one_error_line(capsys, "PARSE")
         assert f"{stats}{where}" in err and detail in err
+
+    @pytest.mark.parametrize("argv", [
+        ["g2p", "--text", "hi", "--config", ""],
+        ["manifest", "--spec", "", "--roots", "corpus"],
+        ["stats", "--manifest", ""],
+        ["features", "--manifest", ""],
+        ["forward", "--phonemes", ""],
+        ["forward", "--phonemes", "text.phn", "--model-config", ""],
+    ], ids=["config", "spec", "stats-manifest", "features-manifest", "phonemes",
+            "model-config"])
+    def test_empty_path_names_the_path_given(self, tmp_path, capsys, monkeypatch, argv):
+        run("g2p", "--text", "你好 world", "--out", tmp_path)
+        monkeypatch.chdir(tmp_path)
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert run(*argv, "--out", out) == 1
+        assert capsys.readouterr().err == "ERROR IO: [Errno 2] No such file or directory: ''\n"
+        assert not out.exists()
 
     def test_bad_meta_in_phoneme_file(self, tmp_path, capsys):
         assert run("g2p", "--text", "你好", "--out", tmp_path) == 0
@@ -678,17 +697,6 @@ class TestForwardChecksBeforeWeights:
         assert capsys.readouterr().err == f"ERROR IO: {detail}: {target!r}\n"
         assert not out.exists()
         assert not any((tmp_path / "adir").iterdir())
-
-    def test_n_speakers_with_a_model_config(self, tmp_path, capsys):
-        run("g2p", "--text", "你好 world", "--out", tmp_path)
-        cfg = tmp_path / "model.cfg"
-        cfg.write_text("n_ipa_symbols=54\nn_speakers=1\nhidden=8\n", encoding="utf-8")
-        out = tmp_path / "out"
-        assert run("forward", "--phonemes", tmp_path / "text.phn", "--model-config", cfg,
-                   "--n-speakers", 3, "--out", out) == 1
-        assert capsys.readouterr().err == ("ERROR BAD_CONFIG: --n-speakers cannot be used "
-                                           "with --model-config, which sets n_speakers\n")
-        assert not out.exists()
 
     def test_weights_above_the_cap(self, tmp_path, capsys):
         run("g2p", "--text", "你好 world", "--out", tmp_path)
@@ -1337,8 +1345,14 @@ class TestBatchOnThreads:
         import os
         import sys
 
+        from xling import model
+
         def no_fork():
             raise AssertionError("a process was started")
+
+        class NoPool:
+            def __init__(self, max_workers):
+                raise AssertionError("a pool was started at --jobs 1")
 
         monkeypatch.setattr(os, "fork", no_fork)
         outs = {jobs: tmp_path / f"jobs{jobs}" for jobs in (1, 2)}
@@ -1346,9 +1360,13 @@ class TestBatchOnThreads:
         sys.setswitchinterval(1e-5)  # switch threads often, so a lost update would show
         try:
             for jobs, out in outs.items():
-                assert run("stats", "--manifest", manifest, "--jobs", jobs, "--out", out) == 0
-                assert run("features", "--manifest", manifest, "--stats",
-                           out / "stats.txt", "--jobs", jobs, "--out", out) == 0
+                with monkeypatch.context() as m:
+                    if jobs == 1:  # one job runs on the calling thread
+                        m.setattr(model, "ThreadPoolExecutor", NoPool)
+                    assert run("stats", "--manifest", manifest, "--jobs", jobs,
+                               "--out", out) == 0
+                    assert run("features", "--manifest", manifest, "--stats",
+                               out / "stats.txt", "--jobs", jobs, "--out", out) == 0
         finally:
             sys.setswitchinterval(interval)
         assert len(snapshot(outs[1])) == 1 + 6 * 23

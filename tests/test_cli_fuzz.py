@@ -15,7 +15,9 @@ does: it replaces one run of digits in the alignment, model config,
 pipeline config, phoneme file, dataset spec, lengths or durations file with
 0 or 10**k for k in [1, 30], under the same rule.  ``regulate``'s row cap
 keeps those draws cheap: at the tensor's two columns, a repeat to 10**8
-rows or more is refused.
+rows or more is refused.  A third feeds ``forward --alignment`` valid
+``.xlf`` pitch and energy tensors of rank 0-2 and any dimensions up to 7,
+under the same rule.
 """
 
 import contextlib
@@ -82,9 +84,8 @@ def flow(tmp_path_factory):
     return {"root": corpus, **files}
 
 
-def command(kind, f, path, out):
-    """The argv of the subcommand that reads ``kind``, with ``path`` for it."""
-    f = {**f, kind: path}
+def command(kind, f, out):
+    """The argv of the subcommand that reads ``kind``, over the files ``f``."""
     forward = ["forward", "--phonemes", f["phn"], "--model-config", f["model_config"],
                "--dump-weights", out / "weights.xlf"]
     single = ["features", "--wav", f["wav"], "--alignment", f["alignment"],
@@ -126,7 +127,7 @@ KINDS = ["spec", "manifest", "stats", "wav", "alignment", "transcript", "phn", "
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_unmutated_flow_exits_zero(flow, kind, tmp_path):
-    assert run(*command(kind, flow, flow[kind], tmp_path)) == (0, "")
+    assert run(*command(kind, flow, tmp_path)) == (0, "")
 
 
 @st.composite
@@ -137,14 +138,16 @@ def scaled_number(draw, data: bytes) -> bytes:
     return data[:digits.start()] + str(value).encode() + data[digits.end():]
 
 
-def exits_zero_or_with_one_error_line(flow, kind, mutated):
-    """Run ``kind``'s command on ``mutated``: it exits 0, or 1 with one error
-    line and no file written (a batch keeps its finished utterances' files)."""
+def exits_zero_or_with_one_error_line(flow, kind, contents):
+    """Run ``kind``'s command with ``contents`` ({kind: bytes}) in place of
+    those flow files: it exits 0, or 1 with one error line and no file
+    written (a batch keeps its finished utterances' files)."""
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / flow[kind].name
-        path.write_bytes(mutated)
+        paths = {name: Path(tmp) / flow[name].name for name in contents}
+        for name, data in contents.items():
+            paths[name].write_bytes(data)
         out = Path(tmp) / "out"
-        code, err = run(*command(kind, flow, path, out))
+        code, err = run(*command(kind, {**flow, **paths}, out))
         written = [p.name for p in out.rglob("*") if p.is_file()]
     assert (code, err) == (0, "") or (code == 1 and ONE_ERROR.fullmatch(err)), (code, err)
     assert code == 0 or kind == "manifest" or not written, (err, written)
@@ -155,7 +158,7 @@ def exits_zero_or_with_one_error_line(flow, kind, mutated):
 def test_mutated_input_exits_zero_or_with_one_error_line(flow, data):
     kind = data.draw(st.sampled_from(KINDS), label="kind")
     mutated = data.draw(mutation(flow[kind].read_bytes()), label="mutated")
-    exits_zero_or_with_one_error_line(flow, kind, mutated)
+    exits_zero_or_with_one_error_line(flow, kind, {kind: mutated})
 
 
 @given(data=st.data())
@@ -165,4 +168,21 @@ def test_scaled_number_exits_zero_or_with_one_error_line(flow, data):
                                       "pipeline_config", "lengths", "durations"]),
                      label="kind")
     mutated = data.draw(scaled_number(flow[kind].read_bytes()), label="mutated")
-    exits_zero_or_with_one_error_line(flow, kind, mutated)
+    exits_zero_or_with_one_error_line(flow, kind, {kind: mutated})
+
+
+def xlf_bytes(values) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.xlf"
+        write_tensor(path, values)
+        return path.read_bytes()
+
+
+@given(data=st.data())
+@settings(max_examples=200, suppress_health_check=[HealthCheck.too_slow])
+def test_teacher_forced_tracks_of_any_shape(flow, data):
+    contents = {}
+    for kind in ("xlf", "energy"):  # the pitch and energy tracks
+        shape = data.draw(st.lists(st.integers(0, 7), max_size=2).map(tuple), label=kind)
+        contents[kind] = xlf_bytes(np.full(shape, 100.0))
+    exits_zero_or_with_one_error_line(flow, "xlf", contents)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import event, given
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from xling import model, prng, regulator
 from xling.errors import (
@@ -18,6 +19,7 @@ from xling.errors import (
     ShapeMismatchError,
     TooLargeError,
     UnknownSpeakerError,
+    XlingError,
 )
 from xling.model import (
     ATTN_HEADS,
@@ -260,7 +262,7 @@ class TestParallelInit:
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
         monkeypatch.setattr(model, "ThreadPoolExecutor", Recording)
         got = init_weights(CROSSES_BLOCKS, seed=13)
-        assert sizes == [cpus or 3]
+        assert sizes == ([] if cpus == 1 else [cpus or 3])  # one CPU: the caller fills
         want = sequential_init(CROSSES_BLOCKS, 13)
         assert list(got.tensors) == list(want)
         for name, tensor in want.items():
@@ -530,6 +532,68 @@ class TestForward:
         mode = TeacherForced((1, 1), (0.0, 0.0), (0.0, 0.0))
         with pytest.raises(ShapeMismatchError):
             forward(small_weights, [0, 1, 2], [1, 1, 1], 0, mode)
+
+
+def teacher_forced(**fields):
+    """A valid teacher-forced mode for two phonemes, with ``fields`` replaced."""
+    return TeacherForced(**{"durations": (1, 1), "pitch": (100.0, 100.0),
+                            "energy": (0.1, 0.1), **fields})
+
+
+# anything a caller may pass: numbers, strings, None, nested lists of them
+# (even or ragged), and arrays of rank 0-2
+ANY_VALUE = st.one_of(
+    st.recursive(st.none() | st.booleans() | st.integers(-3, 12) | st.floats()
+                 | st.text(max_size=2), lambda inner: st.lists(inner, max_size=3),
+                 max_leaves=8),
+    hnp.arrays(st.sampled_from(["f8", "i8", "?", "U2"]),
+               hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=3)),
+)
+
+
+class TestCheckInputsIsTheGate:
+    """check_inputs refuses every bad input with one XlingError, so a caller
+    that checks before it makes weights makes none for a bad call."""
+
+    @pytest.fixture(autouse=True)
+    def no_weights(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("weights made before the inputs were refused")
+
+        monkeypatch.setattr(model, "init_weights", fail)
+
+    @pytest.mark.parametrize("ids, mode, error, message", [
+        ([0, 1, 2], teacher_forced(pitch=np.float64(100.0)), ShapeMismatchError,
+         "teacher-forced pitch has shape (), expected one axis"),
+        ([0, 1, 2], teacher_forced(pitch=np.ones((1, 2))), ShapeMismatchError,
+         "teacher-forced pitch has shape (1, 2), expected one axis"),
+        ([0, 1, 2], teacher_forced(energy=np.ones((2, 1))), ShapeMismatchError,
+         "teacher-forced energy has shape (2, 1), expected one axis"),
+        ([0, 1, 2], teacher_forced(durations=((1, 1), (1, 1))), LengthMismatchError,
+         "teacher-forced durations must have one axis, got shape (2, 2)"),
+        ([0, 1, 2], teacher_forced(pitch=("a", "b")), ConfigMismatchError,
+         "teacher-forced pitch must hold numbers"),
+        (None, Inference(), ShapeMismatchError, "IPA ids must be whole numbers"),
+        (["a", "b", "c"], Inference(), ShapeMismatchError, "IPA ids must be whole numbers"),
+        ([[0, 1], [2]], Inference(), ShapeMismatchError, "IPA ids must be whole numbers"),
+    ], ids=["pitch-0d", "pitch-row", "energy-column", "durations-2d", "pitch-strings",
+            "ids-none", "ids-strings", "ids-ragged"])
+    def test_refused_before_weights(self, ids, mode, error, message):
+        with pytest.raises(error) as info:
+            model.check_inputs(SMALL, ids, [2, 1], 0, mode)
+            forward(model.init_weights(SMALL, 0), ids, [2, 1], 0, mode)
+        assert str(info.value) == message
+
+    @given(arg=st.sampled_from(["ids", "lengths", "speaker", "durations", "pitch", "energy"]),
+           value=ANY_VALUE)
+    def test_any_value_is_read_or_refused(self, arg, value):
+        call = {"ids": [0, 1, 2], "lengths": [2, 1], "speaker": 0, **{arg: value}}
+        mode = teacher_forced(**{key: value for key in ("durations", "pitch", "energy")
+                                 if key == arg})
+        try:
+            model.check_inputs(SMALL, call["ids"], call["lengths"], call["speaker"], mode)
+        except XlingError:
+            pass
 
 
 def einsum_attention(x, p, prefix):

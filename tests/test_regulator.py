@@ -385,6 +385,13 @@ class TestCountRule:
         assert str(info.value) == (f"{what} sum to {sum(WRAPS)}, above the int64 cap of "
                                    f"{2**63 - 1}")
 
+    @pytest.mark.parametrize("reader", COUNT_READERS)
+    def test_more_than_one_axis_refused(self, reader):
+        what, _, call = COUNT_READERS[reader]
+        with pytest.raises(LengthMismatchError) as info:
+            call(((1, 1), (1, 1), (1, 1)))
+        assert str(info.value) == f"{what} must have one axis, got shape (3, 2)"
+
     @pytest.mark.parametrize("reader", [r for r, (_, least, _) in COUNT_READERS.items()
                                         if least == 1])
     def test_zero_length_refused(self, reader):
@@ -394,8 +401,13 @@ class TestCountRule:
         assert str(info.value) == f"{what} must all be >= 1"
 
 
-def reference_counts(values, least):
+def reference_counts(counts, least):
     """The count rule by hand on Python numbers; None where it refuses."""
+    if isinstance(counts, np.ndarray) and counts.ndim != 1:
+        return None
+    values = counts.tolist() if isinstance(counts, np.ndarray) else list(counts)
+    if any(isinstance(v, list) for v in values):  # a nested list: more than one axis
+        return None
     if not all(math.isfinite(v) and v == math.floor(v) for v in values):
         return None
     ints = [int(v) for v in values]
@@ -415,14 +427,16 @@ COUNT_SEQUENCES = st.one_of(
     st.lists(NUMBERS, max_size=6).map(tuple),
     st.lists(st.integers(-2, 2**62), max_size=6).map(lambda v: np.array(v, dtype=np.int64)),
     st.lists(st.floats(), max_size=6).map(lambda v: np.array(v, dtype=np.float64)),
+    st.lists(st.lists(NUMBERS, max_size=3), min_size=1, max_size=3),  # even or ragged rows
+    st.tuples(st.integers(0, 3), st.integers(0, 3)).map(
+        lambda shape: np.ones(shape, dtype=np.int64)),  # whole counts on two axes
 )
 
 
 class TestAsCountsProperty:
     @given(counts=COUNT_SEQUENCES, least=st.sampled_from([0, 1]))
     def test_matches_a_reference_predicate(self, counts, least):
-        values = counts.tolist() if isinstance(counts, np.ndarray) else list(counts)
-        expected = reference_counts(values, least)
+        expected = reference_counts(counts, least)
         try:
             got = as_counts(counts, least, "counts")
         except (LengthMismatchError, TooLargeError):
