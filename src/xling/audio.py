@@ -20,9 +20,10 @@ class AudioBuffer:
     sample_rate: int
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "samples", np.asarray(self.samples, dtype=np.float64).reshape(-1)
-        )
+        object.__setattr__(self, "samples", np.asarray(self.samples, dtype=np.float64))
+        if self.samples.ndim != 1:
+            raise ConfigMismatchError("audio samples must have one axis, "
+                                      f"got shape {self.samples.shape}")
         if self.sample_rate <= 0:
             raise ConfigMismatchError(f"sample rate must be positive, got {self.sample_rate}")
         if self.samples.size and not np.all(np.isfinite(self.samples)):
@@ -79,14 +80,15 @@ def read_wav(path, expected_rate: int | None = None) -> AudioBuffer:
 
 
 def write_wav(path, samples, sample_rate: int) -> None:
-    samples = np.asarray(samples, dtype=np.float64)
-    if samples.size == 0:
+    """Write ``samples`` as 16-bit PCM mono; :class:`AudioBuffer` checks them."""
+    audio = AudioBuffer(samples, sample_rate)
+    if audio.samples.size == 0:
         raise EmptyAudioError("refusing to write an empty WAV file")
-    pcm = np.clip(np.round(samples * 32768.0), -32768, 32767).astype("<i2")
+    pcm = np.clip(np.round(audio.samples * 32768.0), -32768, 32767).astype("<i2")
     with atomic_path(path) as tmp, open(tmp, "wb") as f, wave.open(f, "wb") as w:
         w.setnchannels(1)
         w.setsampwidth(2)
-        w.setframerate(sample_rate)
+        w.setframerate(audio.sample_rate)
         w.writeframes(pcm.tobytes())
 
 

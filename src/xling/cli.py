@@ -104,7 +104,6 @@ from .model import (
     forward as model_forward,
     init_weights,
     map_ordered,
-    save_weights,
     usable_cpus,
 )
 from .textio import read_keys, read_text, write_records, write_text
@@ -432,7 +431,8 @@ def _cmd_forward(args, cfg: PipelineConfig) -> int:
                for part in ("mel_pred", "dur_pred", "pitch_pred", "energy_pred")]
     outputs.append((write_text, out_dir / f"{name}.trace.txt", "\n".join(lines) + "\n"))
     if args.dump_weights is not None:  # first: the largest write fails before any other
-        outputs.insert(0, (save_weights, args.dump_weights, weights))
+        buffer = next(iter(weights.tensors.values())).base  # init_weights' one allocation
+        outputs.insert(0, (tensorio.write_tensor, args.dump_weights, buffer))
     for write, path, value in outputs:
         write(path, value)
     log.info("forward %s: mel %s", name, out.mel_pred.shape)
@@ -528,7 +528,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pitch-avg", help="teacher-forced per-phoneme pitch (.xlf)")
     p.add_argument("--energy-avg", help="teacher-forced per-phoneme energy (.xlf): "
                    "checked (one finite value per phoneme), not embedded")
-    p.add_argument("--dump-weights", help="also write the weight container here")
+    p.add_argument("--dump-weights", help="also write every parameter, in parameter_shapes "
+                   "order, as one rank-1 .xlf")
     p.set_defaults(func=_cmd_forward)
 
     p = sub.add_parser("manifest", help="build a manifest and balance report")

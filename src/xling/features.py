@@ -338,7 +338,9 @@ def average_by_phoneme(values, durations, voiced_only: bool = False) -> np.ndarr
     segment averages its frames above 0.0 only, as FastPitch does.  A
     segment with no frames, or no voiced frames, yields 0.0.
     """
-    v = np.asarray(values, dtype=np.float64).reshape(-1)
+    v = np.asarray(values, dtype=np.float64)
+    if v.ndim != 1:
+        raise LengthMismatchError(f"values must have one axis, got shape {v.shape}")
     d = as_counts(durations, 0, "durations")
     if d.sum() != v.size:
         raise LengthMismatchError(f"durations sum to {d.sum()} but series has {v.size} frames")

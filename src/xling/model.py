@@ -43,7 +43,7 @@ from typing import get_type_hints
 
 import numpy as np
 
-from . import regulator, tensorio
+from . import regulator
 from .errors import (
     BadConfigError,
     ConfigMismatchError,
@@ -248,23 +248,6 @@ def init_weights(cfg: ModelConfig, seed: int) -> Weights:
     return Weights(cfg, tensors)
 
 
-def save_weights(path, weights: Weights) -> None:
-    tensorio.write_sections(path, weights.tensors)
-
-
-def load_weights(path, cfg: ModelConfig) -> Weights:
-    tensors = tensorio.read_sections(path)
-    expected = parameter_shapes(cfg)
-    if set(tensors) != {name for name, _ in expected}:
-        raise ShapeMismatchError(f"{path}: parameter names do not match the config")
-    for name, shape in expected:
-        if tensors[name].shape != shape:
-            raise ShapeMismatchError(
-                f"{path}: {name} has shape {tensors[name].shape}, expected {shape}"
-            )
-    return Weights(cfg, tensors)
-
-
 @dataclass(frozen=True)
 class TeacherForced:
     """Ground-truth per-phoneme durations (frames), pitch and energy, on one axis.
@@ -382,18 +365,20 @@ def check_inputs(cfg: ModelConfig, ipa_ids, phoneme_lengths, speaker: int, mode)
     :func:`regulator.as_counts`: a fraction, a length below 1 or a duration
     below 0 is a LengthMismatchError, and a total of 2**63 or more a
     TooLargeError.  More IPA ids, or a teacher-forced frame total, above
-    :data:`MAX_DECODER_FRAMES` is a TooLargeError; an id that is not a
-    whole number in ``[0, n_ipa_symbols)``, lengths that do not sum to the
-    id count, a teacher-forced pitch or energy not on one axis, or a
-    teacher-forced sequence of the wrong size a ShapeMismatchError; a
-    speaker that is a bool, not an integer, or outside the table an
-    UnknownSpeakerError; a teacher-forced pitch or energy that is not
-    numbers, or not finite, a ConfigMismatchError.  Returns the ids, the
-    phoneme lengths, the teacher-forced durations (int64) and pitch
-    (float64); the last two are None under Inference.
+    :data:`MAX_DECODER_FRAMES` is a TooLargeError; ids not on one axis, an
+    id that is not a whole number in ``[0, n_ipa_symbols)``, lengths that
+    do not sum to the id count, a teacher-forced pitch or energy not on one
+    axis, or a teacher-forced sequence of the wrong size a
+    ShapeMismatchError; a speaker that is a bool, not an integer, or
+    outside the table an UnknownSpeakerError; a teacher-forced pitch or
+    energy that is not numbers, or not finite, a ConfigMismatchError.
+    Returns the ids, the phoneme lengths, the teacher-forced durations
+    (int64) and pitch (float64); the last two are None under Inference.
     """
     lengths = regulator.as_counts(phoneme_lengths, 1, "phoneme lengths")
-    raw_ids = _numbers(ipa_ids, ShapeMismatchError("IPA ids must be whole numbers")).reshape(-1)
+    raw_ids = _numbers(ipa_ids, ShapeMismatchError("IPA ids must be whole numbers"))
+    if raw_ids.ndim != 1:
+        raise ShapeMismatchError(f"IPA ids have shape {raw_ids.shape}, expected one axis")
     if raw_ids.size > MAX_DECODER_FRAMES:
         raise TooLargeError(f"{raw_ids.size} IPA symbols, above the encoder's cap of "
                             f"{MAX_DECODER_FRAMES} rows")

@@ -55,6 +55,17 @@ class TestWavIO:
         with pytest.raises(EmptyAudioError):
             write_wav(tmp_path / "e.wav", np.zeros(0), 16000)
 
+    @pytest.mark.parametrize("samples, rate, detail", [
+        (np.zeros((4, 2)), 16000, "audio samples must have one axis, got shape (4, 2)"),
+        (np.array([0.0, np.nan]), 16000, "audio contains non-finite samples"),
+        (np.zeros(4), 0, "sample rate must be positive, got 0"),
+    ], ids=["stereo", "nan", "rate-0"])
+    def test_write_checks_samples_as_an_audio_buffer(self, tmp_path, samples, rate, detail):
+        path = tmp_path / "a.wav"
+        with pytest.raises(ConfigMismatchError, match=re.escape(detail)):
+            write_wav(path, samples, rate)
+        assert not path.exists()
+
     def test_clipping_is_bounded(self, tmp_path):
         path = tmp_path / "loud.wav"
         write_wav(path, np.array([2.0, -2.0, 0.0]), 16000)
@@ -69,6 +80,12 @@ class TestAudioBuffer:
     def test_nonfinite_rejected(self):
         with pytest.raises(ConfigMismatchError):
             AudioBuffer(np.array([0.0, np.nan]), 16000)
+
+    @pytest.mark.parametrize("samples", [np.zeros((4, 2)), np.float64(0.5)],
+                             ids=["stereo", "0d"])
+    def test_samples_not_on_one_axis_rejected(self, samples):
+        with pytest.raises(ConfigMismatchError, match="audio samples must have one axis"):
+            AudioBuffer(samples, 16000)
 
     def test_bad_rate(self):
         with pytest.raises(ConfigMismatchError):

@@ -348,6 +348,30 @@ class TestForwardSeedRange:
         assert read_tensor(tmp_path / "out" / "text.mel_pred.xlf").shape[1] == 4
 
 
+class TestDumpWeights:
+    MODEL = ("n_ipa_symbols=54\nn_speakers=2\nhidden=4\nenc_layers=1\ndec_layers=1\n"
+             "conv_kernel=3\nff_channels=4\nn_mels=4\n")
+
+    def test_dump_is_the_init_weights_buffer_as_one_rank1_tensor(self, tmp_path):
+        from xling.model import ModelConfig, init_weights, parameter_shapes
+
+        run("g2p", "--text", "你好 world", "--out", tmp_path)
+        cfg = tmp_path / "model.cfg"
+        cfg.write_text(self.MODEL, encoding="utf-8")
+        dumps = [tmp_path / "a.xlf", tmp_path / "b.xlf"]
+        for dump in dumps:
+            assert run("forward", "--phonemes", tmp_path / "text.phn", "--model-config", cfg,
+                       "--seed", 11, "--dump-weights", dump, "--out", tmp_path / "out") == 0
+        model_cfg = ModelConfig.from_file(cfg)
+        tensors = list(init_weights(model_cfg, 11).tensors.values())
+        count = sum(int(np.prod(shape)) for _, shape in parameter_shapes(model_cfg))
+        got = read_tensor(dumps[0])
+        assert got.shape == (count,)
+        assert got.tobytes() == b"".join(t.tobytes() for t in tensors)
+        assert dumps[0].stat().st_size == 12 + 8 * count
+        assert dumps[0].read_bytes() == dumps[1].read_bytes()
+
+
 class TestManifestCommand:
     def test_truncated_wav_is_one_parse_error_and_no_manifest(self, tmp_path, minicorpus,
                                                               capsys):

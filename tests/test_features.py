@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -216,6 +218,12 @@ class TestAverageByPhoneme:
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatchError):
             average_by_phoneme([1.0, 2.0], [3])
+
+    @pytest.mark.parametrize("values", [np.ones((3, 2)), np.float64(1.0)], ids=["2d", "0d"])
+    def test_values_not_on_one_axis(self, values):
+        with pytest.raises(LengthMismatchError, match=re.escape(
+                f"values must have one axis, got shape {values.shape}")):
+            average_by_phoneme(values, [values.size])
 
     @given(st.lists(st.integers(0, 12), max_size=10).flatmap(lambda durations: st.tuples(
         st.just(durations),

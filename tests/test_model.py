@@ -35,10 +35,8 @@ from xling.model import (
     _fft_block,
     forward,
     init_weights,
-    load_weights,
     mse_losses,
     parameter_shapes,
-    save_weights,
 )
 from xling.prng import BLOCK, Xorshift64Star, uniform
 
@@ -576,8 +574,12 @@ class TestCheckInputsIsTheGate:
         (None, Inference(), ShapeMismatchError, "IPA ids must be whole numbers"),
         (["a", "b", "c"], Inference(), ShapeMismatchError, "IPA ids must be whole numbers"),
         ([[0, 1], [2]], Inference(), ShapeMismatchError, "IPA ids must be whole numbers"),
+        (np.int64(3), Inference(), ShapeMismatchError,
+         "IPA ids have shape (), expected one axis"),
+        ([[0, 1], [2, 3]], Inference(), ShapeMismatchError,
+         "IPA ids have shape (2, 2), expected one axis"),
     ], ids=["pitch-0d", "pitch-row", "energy-column", "durations-2d", "pitch-strings",
-            "ids-none", "ids-strings", "ids-ragged"])
+            "ids-none", "ids-strings", "ids-ragged", "ids-0d", "ids-2d"])
     def test_refused_before_weights(self, ids, mode, error, message):
         with pytest.raises(error) as info:
             model.check_inputs(SMALL, ids, [2, 1], 0, mode)
@@ -792,29 +794,3 @@ class TestLosses:
         }
         with pytest.raises(ShapeMismatchError):
             mse_losses(out, targets)
-
-
-class TestSerialization:
-    def test_weights_round_trip(self, small_weights, tmp_path):
-        path = tmp_path / "weights.xlf"
-        save_weights(path, small_weights)
-        loaded = load_weights(path, SMALL)
-        assert set(loaded.tensors) == set(small_weights.tensors)
-        for name in loaded.tensors:
-            assert np.array_equal(loaded.tensors[name], small_weights.tensors[name])
-
-    def test_wrong_config_rejected(self, small_weights, tmp_path):
-        path = tmp_path / "weights.xlf"
-        save_weights(path, small_weights)
-        other = ModelConfig(
-            n_ipa_symbols=11,
-            n_speakers=3,
-            hidden=8,
-            enc_layers=3,
-            dec_layers=2,
-            conv_kernel=3,
-            ff_channels=16,
-            n_mels=5,
-        )
-        with pytest.raises(ShapeMismatchError):
-            load_weights(path, other)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from xling.errors import ParseError
-from xling.tensorio import read_sections, read_tensor, write_sections, write_tensor
+from xling.tensorio import read_tensor, write_tensor
 
 
 class TestSingleTensor:
@@ -56,72 +56,22 @@ class TestSingleTensor:
         with pytest.raises(ParseError):
             read_tensor(path)
 
+    @pytest.mark.parametrize("data, detail", [
+        (b"XLF1", "truncated at byte 4"),
+        (b"XLF1\x01\x00", "truncated at byte 6"),
+        (b"XLF1" + struct.pack("<I", 2) + struct.pack("<I", 3), "2 dims run past the end"),
+        (b"XLF1" + struct.pack("<I", 4) + struct.pack("<4I", *[2**32 - 1] * 4),
+         "tensor data truncated"),
+    ], ids=["magic only", "rank cut", "dims past the end", "huge dims"])
+    def test_cut_header_is_one_parse_error_at_the_path(self, tmp_path, data, detail):
+        path = tmp_path / "t.xlf"
+        path.write_bytes(data)
+        with pytest.raises(ParseError, match=rf"^{re.escape(str(path))}: {detail}"):
+            read_tensor(path)
+
     def test_trailing_bytes(self, tmp_path):
         path = tmp_path / "t.xlf"
         write_tensor(path, np.zeros(2))
         path.write_bytes(path.read_bytes() + b"x")
         with pytest.raises(ParseError):
-            read_tensor(path)
-
-
-class TestSections:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(1)
-        tensors = {
-            "alpha": rng.standard_normal((3, 2)),
-            "beta": rng.standard_normal(5),
-            "gamma.nested": rng.standard_normal((2, 2, 2)),
-        }
-        path = tmp_path / "w.xlf"
-        write_sections(path, tensors)
-        got = read_sections(path)
-        assert set(got) == set(tensors)
-        for name in tensors:
-            assert np.array_equal(got[name], tensors[name])
-
-    def test_byte_identical_regardless_of_dict_order(self, tmp_path):
-        a = {"x": np.ones(2), "y": np.zeros(3)}
-        b = {"y": np.zeros(3), "x": np.ones(2)}
-        pa, pb = tmp_path / "a.xlf", tmp_path / "b.xlf"
-        write_sections(pa, a)
-        write_sections(pb, b)
-        assert pa.read_bytes() == pb.read_bytes()
-
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "w.xlf"
-        path.write_bytes(b"XLF2" + struct.pack("<I", 0))
-        with pytest.raises(ParseError):
-            read_sections(path)
-
-
-class TestTruncatedSections:
-    @pytest.mark.parametrize("data, detail", [
-        (b"XLF1", "truncated at byte 4"),
-        (b"XLF1" + struct.pack("<I", 1), "truncated at byte 8"),
-        (b"XLF1" + struct.pack("<I", 1) + struct.pack("<I", 100) + b"ab",
-         "section name of 100 bytes runs past the end"),
-        (b"XLF1" + struct.pack("<I", 1) + struct.pack("<I", 2) + b"\xff\xfe"
-         + struct.pack("<II", 1, 1) + struct.pack("<d", 0.5), "section name is not UTF-8"),
-        (b"XLF1" + struct.pack("<I", 1) + struct.pack("<I", 1) + b"w", "truncated at byte 13"),
-        (b"XLF1" + struct.pack("<I", 1) + struct.pack("<I", 1) + b"w"
-         + struct.pack("<II", 3, 2), "3 dims run past the end"),
-        (b"XLF1" + struct.pack("<I", 2) + struct.pack("<I", 1) + b"w"
-         + struct.pack("<I", 0) + struct.pack("<d", 1.0), "truncated at byte 25"),
-    ], ids=["magic only", "no name length", "name past the end", "name not UTF-8",
-            "no rank", "dims past the end", "missing section"])
-    def test_is_one_parse_error_at_the_path(self, tmp_path, data, detail):
-        path = tmp_path / "w.xlf"
-        path.write_bytes(data)
-        with pytest.raises(ParseError, match=rf"^{re.escape(str(path))}: {detail}"):
-            read_sections(path)
-
-    @pytest.mark.parametrize("data", [
-        b"XLF1",
-        b"XLF1" + struct.pack("<I", 2) + struct.pack("<I", 3),
-        b"XLF1" + struct.pack("<I", 4) + struct.pack("<4I", *[2**32 - 1] * 4),
-    ], ids=["magic only", "dims past the end", "huge dims"])
-    def test_single_tensor_header_is_one_parse_error(self, tmp_path, data):
-        path = tmp_path / "t.xlf"
-        path.write_bytes(data)
-        with pytest.raises(ParseError, match=rf"^{re.escape(str(path))}: "):
             read_tensor(path)
