@@ -77,6 +77,14 @@ An encoder block's scores have the same shape over the IPA ids, so
 :func:`check_inputs` holds their count to the same cap.  No activation
 row of a valid config is wider than a row of these scores.
 """
+MAX_PITCH_HZ = float(2**31)
+"""Upper bound on the magnitude of a teacher-forced pitch value, in Hz.
+
+The pitch embedding adds a multiple of each value to the hidden rows, and
+the layer norms and attention scores square them: a pitch near 1e155
+overflows float64 there.  A WAV's rate field holds 32 bits, so every f0
+that ``features`` can extract lies below the Nyquist rate of 2**31 Hz.
+"""
 CONV_SCRATCH_BYTES = 12 << 20
 """Upper bound on the window matrix one :func:`_conv` product reads (12 MiB).
 
@@ -371,7 +379,8 @@ def check_inputs(cfg: ModelConfig, ipa_ids, phoneme_lengths, speaker: int, mode)
     axis, or a teacher-forced sequence of the wrong size a
     ShapeMismatchError; a speaker that is a bool, not an integer, or
     outside the table an UnknownSpeakerError; a teacher-forced pitch or
-    energy that is not numbers, or not finite, a ConfigMismatchError.
+    energy that is not numbers, or not finite, or a pitch of magnitude
+    above :data:`MAX_PITCH_HZ`, a ConfigMismatchError.
     Returns the ids, the phoneme lengths, the teacher-forced durations
     (int64) and pitch (float64); the last two are None under Inference.
     """
@@ -418,6 +427,9 @@ def check_inputs(cfg: ModelConfig, ipa_ids, phoneme_lengths, speaker: int, mode)
                 )
             if not np.all(np.isfinite(seq)):
                 raise ConfigMismatchError(f"teacher-forced {name} has non-finite values")
+        if pitch.size and np.abs(pitch).max() > MAX_PITCH_HZ:
+            raise ConfigMismatchError(f"teacher-forced pitch has values above "
+                                      f"{MAX_PITCH_HZ:.0f} Hz in magnitude")
         _check_frames(int(durations.sum()), "teacher-forced")
     elif not isinstance(mode, Inference):
         raise BadConfigError(f"unknown forward mode {mode!r}")

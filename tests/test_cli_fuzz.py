@@ -33,7 +33,7 @@ from hypothesis import strategies as st
 import numpy as np
 
 from xling.cli import main
-from xling.tensorio import write_tensor
+from xling.tensorio import read_tensor, write_tensor
 
 ONE_ERROR = re.compile(r"ERROR [A-Z_]+: [^\n]*\n")
 # n_speakers is last, so any cut that drops a key drops a required one and
@@ -176,6 +176,17 @@ def xlf_bytes(values) -> bytes:
         path = Path(tmp) / "t.xlf"
         write_tensor(path, values)
         return path.read_bytes()
+
+
+def test_huge_teacher_forced_pitch_is_one_error_line(flow, tmp_path):
+    # a flipped exponent bit turns a pitch near 100 Hz into one near 1e155,
+    # which the decoder's squares would overflow
+    huge = tmp_path / "huge.xlf"
+    write_tensor(huge, read_tensor(flow["xlf"]) + 1e155)
+    code, err = run(*command("xlf", {**flow, "xlf": huge}, tmp_path / "out"))
+    assert (code, err) == (1, "ERROR CONFIG_MISMATCH: teacher-forced pitch has values "
+                              "above 2147483648 Hz in magnitude\n")
+    assert not (tmp_path / "out").exists()
 
 
 @given(data=st.data())

@@ -26,6 +26,7 @@ from xling.model import (
     MAX_DECODER_FRAMES,
     MAX_FRAMES_PER_PHONEME,
     MAX_LAYERS,
+    MAX_PITCH_HZ,
     MAX_WEIGHT_BYTES,
     Inference,
     ModelConfig,
@@ -455,6 +456,17 @@ class TestForward:
         with pytest.raises(ConfigMismatchError,
                            match=f"^teacher-forced {name} has non-finite values$"):
             model.check_inputs(SMALL, [0, 1, 2], [2, 1], 0, mode)
+
+    @pytest.mark.parametrize("value", [np.nextafter(MAX_PITCH_HZ, np.inf), -1e155, 1e200])
+    def test_huge_teacher_forced_pitch_before_weights(self, value):
+        mode = TeacherForced((2, 1), (100.0, value), (0.0, 0.0))
+        with pytest.raises(ConfigMismatchError, match="^teacher-forced pitch has values "
+                                                      "above 2147483648 Hz in magnitude$"):
+            model.check_inputs(SMALL, [0, 1, 2], [2, 1], 0, mode)
+
+    def test_pitch_at_the_cap_is_finite_through_the_decoder(self, small_weights):
+        mode = TeacherForced((2, 1), (MAX_PITCH_HZ, -MAX_PITCH_HZ), (0.0, 0.0))
+        assert np.isfinite(forward(small_weights, [0, 1, 2], [2, 1], 0, mode).mel_pred).all()
 
     def test_inferred_frames_capped(self, small_weights):
         n = MAX_DECODER_FRAMES // MAX_FRAMES_PER_PHONEME + 1
