@@ -56,8 +56,8 @@ def _open_wav(path):
                          path=path) from exc
 
 
-def read_wav(path, expected_rate: int | None = None) -> AudioBuffer:
-    """Read a mono 16-bit PCM WAV file; anything else is rejected."""
+def read_wav(path) -> AudioBuffer:
+    """Read a mono 16-bit PCM WAV file at any rate; anything else is rejected."""
     with _open_wav(path) as w:
         channels = w.getnchannels()
         width = w.getsampwidth()
@@ -67,10 +67,6 @@ def read_wav(path, expected_rate: int | None = None) -> AudioBuffer:
             raise ConfigMismatchError(f"{path}: expected mono, got {channels} channels")
         if width != 2:
             raise ConfigMismatchError(f"{path}: expected 16-bit PCM, got {8 * width}-bit")
-        if expected_rate is not None and rate != expected_rate:
-            raise ConfigMismatchError(
-                f"{path}: expected {expected_rate} Hz, got {rate} Hz"
-            )
         raw = w.readframes(n)
     if len(raw) != 2 * n:
         raise ParseError(f"data chunk truncated: {len(raw)} of {2 * n} bytes", path=path)

@@ -1,7 +1,7 @@
 """Command-line pipeline driver.
 
 Subcommands: ``g2p`` (text -> phoneme sequence file), ``regulate``
-(embedding tensor + lengths -> aggregated/expanded tensors), ``features``
+(embeddings + ``.phn`` [+ alignment] -> aggregated/expanded), ``features``
 (WAV [+ alignment] -> mel/energy/pitch and phoneme-averaged/quantized
 tracks), ``stats`` (corpus-wide energy/pitch ranges for the quantizer),
 ``forward`` (phoneme sequence + seed -> deterministic model outputs and a
@@ -201,33 +201,22 @@ def _check_file_target(path, out_dir: Path) -> None:
     raise OSError(code, os.strerror(code), path)
 
 
-def _parse_int_list(value: str | None, file_value: str | None, what: str) -> list:
-    if (value is None) == (file_value is None):
-        raise BadConfigError(f"provide exactly one of --{what} / --{what}-file")
-    if value is not None:
-        fields = value.split(",")
-        if len(fields) > 1 and not all(field.strip() for field in fields):
-            raise BadConfigError(f"empty field in --{what} {value!r}")
-        parts = value.replace(",", " ").split()
-    else:
-        parts = read_text(file_value).split()
-    try:
-        return [int(p) for p in parts]
-    except ValueError as exc:
-        raise BadConfigError(f"bad integer in {what}: {exc}") from exc
+def _file_name(flag: str, value: str | None, default: str) -> str:
+    """The output name ``value`` (a plain file name), or ``default`` if not given."""
+    if value is not None and not corpus.is_file_name(value):
+        raise BadConfigError(f"{flag} {value!r} is not a plain file name")
+    return default if value is None else value
 
 
 # ----------------------------------------------------------------- g2p
 
 def _cmd_g2p(args, cfg: PipelineConfig) -> int:
-    lexicon = Lexicon.load(*cfg.lexicon)
     if (args.text is None) == (args.text_file is None):
         raise BadConfigError("provide exactly one of --text / --text-file")
-    if args.text is not None:
-        text, name = args.text, (args.name or "text")
-    else:
-        text = read_text(args.text_file).strip()
-        name = args.name or Path(args.text_file).stem
+    name = _file_name("--name", args.name,
+                      "text" if args.text is not None else Path(args.text_file).stem)
+    lexicon = Lexicon.load(*cfg.lexicon)
+    text = args.text if args.text is not None else read_text(args.text_file).strip()
     ps = text_to_phoneme_sequence(text, lexicon)
     out = _out_dir(args) / f"{name}.phn"
     dump_phoneme_sequence(ps, out)
@@ -237,12 +226,20 @@ def _cmd_g2p(args, cfg: PipelineConfig) -> int:
 
 # ------------------------------------------------------------- regulate
 
+def _alignment_durations(path, ps) -> tuple:
+    """The frame durations of the alignment at ``path``, labelled as ``ps`` is."""
+    record = parse_alignment(path)
+    if record.ldp_labels != tuple(sym.label for sym in ps.ldp):
+        raise LengthMismatchError("alignment phoneme labels do not match the phoneme sequence")
+    return record.frame_durations
+
+
 def _cmd_regulate(args, cfg: PipelineConfig) -> int:
     X = tensorio.read_tensor(args.embeddings)
-    lengths = _parse_int_list(args.lengths, args.lengths_file, "lengths")
-    outputs = {"aggregated": regulator.aggregate(X, lengths)}
-    if args.durations is not None or args.durations_file is not None:
-        durations = _parse_int_list(args.durations, args.durations_file, "durations")
+    ps = load_phoneme_sequence(args.phonemes)
+    outputs = {"aggregated": regulator.aggregate(X, ps.lengths)}
+    if args.alignment is not None:
+        durations = _alignment_durations(args.alignment, ps)
         outputs["expanded"] = regulator.expand(outputs["aggregated"], durations)
     out_dir = _out_dir(args)
     for name, tensor in outputs.items():
@@ -286,7 +283,7 @@ def _naming_failures(fn):
 @_naming_failures
 def _extract_one(utt_id: str, wav_path: str, alignment_path: str | None, *, out_dir: Path,
                  feature_cfg: FeatureConfig, quantizer_cfg: QuantizerConfig | None) -> str:
-    audio = read_wav(wav_path, expected_rate=feature_cfg.sample_rate)
+    audio = read_wav(wav_path)
     tracks = {"mel": mel_spectrogram(audio, feature_cfg),
               "energy": energy_per_frame(audio, feature_cfg),
               "pitch": pitch_per_frame(audio, feature_cfg)}
@@ -337,6 +334,8 @@ def _cmd_features(args, cfg: PipelineConfig) -> int:
     elif args.stats is not None and args.alignment is None:
         raise BadConfigError("--stats cannot be used without --alignment: "
                              "energy is quantized per phoneme")
+    else:
+        utt_id = _file_name("--utt-id", args.utt_id, Path(args.wav).stem)
     feature_cfg = cfg.features
     frame_ms = 1000 / corpus.FRAMES_PER_SECOND
     if (args.manifest, args.alignment) != (None, None) and feature_cfg.hop_ms != frame_ms:
@@ -347,7 +346,7 @@ def _cmd_features(args, cfg: PipelineConfig) -> int:
         units = [(entry.utt_id, entry.audio_path, entry.alignment_path)
                  for entry in _read_entries(args.manifest)]
     else:
-        units = [(args.utt_id or Path(args.wav).stem, args.wav, args.alignment)]
+        units = [(utt_id, args.wav, args.alignment)]
     extract = functools.partial(_extract_one, out_dir=_out_dir(args),
                                 feature_cfg=feature_cfg, quantizer_cfg=quantizer_cfg)
     for utt_id in map_ordered(extract, args.jobs, *zip(*units)):
@@ -361,7 +360,7 @@ def _cmd_features(args, cfg: PipelineConfig) -> int:
 def _stat_one(utt_id: str, wav_path: str, *, feature_cfg: FeatureConfig) -> tuple:
     """Nonzero-energy min, energy max (the analysis refuses empty audio), voiced
     pitch min and max (inf, -inf if none), frame count and voiced count."""
-    audio = read_wav(wav_path, expected_rate=feature_cfg.sample_rate)
+    audio = read_wav(wav_path)
     energy = energy_per_frame(audio, feature_cfg)
     pitch = pitch_per_frame(audio, feature_cfg)
     voiced = pitch > 0
@@ -408,12 +407,7 @@ def _cmd_forward(args, cfg: PipelineConfig) -> int:
                  else ModelConfig(n_ipa_symbols=len(ids_map), n_speakers=8))
 
     if args.alignment is not None:
-        record = parse_alignment(args.alignment)
-        if record.ldp_labels != tuple(sym.label for sym in ps.ldp):
-            raise LengthMismatchError(
-                "alignment phoneme labels do not match the phoneme sequence"
-            )
-        mode = TeacherForced(record.frame_durations,
+        mode = TeacherForced(_alignment_durations(args.alignment, ps),
                              *map(tensorio.read_tensor, (args.pitch_avg, args.energy_avg)))
     else:
         mode = Inference()
@@ -493,10 +487,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("regulate", help="aggregate / expand an embedding tensor")
     _add_common(p)
     p.add_argument("--embeddings", required=True, help=".xlf tensor, rows = IPA symbols")
-    p.add_argument("--lengths", help="comma/space separated phoneme lengths")
-    p.add_argument("--lengths-file", help="file of whitespace-separated lengths")
-    p.add_argument("--durations", help="comma/space separated frame durations")
-    p.add_argument("--durations-file", help="file of whitespace-separated durations")
+    p.add_argument("--phonemes", required=True, help=".phn file from g2p (phoneme lengths)")
+    p.add_argument("--alignment", help="alignment of those phonemes: its frame durations "
+                   "also write expanded.xlf")
     p.set_defaults(func=_cmd_regulate)
 
     p = sub.add_parser("features", help="extract mel/energy/pitch (+averaged) tracks")

@@ -47,7 +47,7 @@ LANGUAGES = ("CN", "EN")
 GENDERS = ("M", "F")
 
 
-def _is_file_name(name: str) -> bool:
+def is_file_name(name: str) -> bool:
     """Whether ``name`` names a file inside a directory, not the directory,
     its parent or a path below it."""
     return name not in ("", ".", "..") and "/" not in name
@@ -80,7 +80,7 @@ class SpeakerSpec:
     max_hours: float
 
     def __post_init__(self):
-        if not _is_file_name(self.speaker_id):
+        if not is_file_name(self.speaker_id):
             raise ParseError(f"speaker id {self.speaker_id!r} is not a plain file name")
         if self.language not in LANGUAGES:
             raise ParseError(f"unknown language {self.language!r}")
@@ -226,7 +226,7 @@ def read_manifest(path) -> list:
     seen = set()
     for line_no, parts in records(path, "|", n_fields=8):
         duration = cast(float, parts[6], path, line_no)
-        if not _is_file_name(parts[0]):
+        if not is_file_name(parts[0]):
             raise ParseError(f"utt_id {parts[0]!r} is not a plain file name",
                              path=path, line=line_no)
         if parts[0] in seen:

@@ -25,7 +25,12 @@ from xling.features import (
     quantize,
     stft_magnitude,
 )
-from xling.lexicon import Lexicon, inventory_ids, text_to_phoneme_sequence
+from xling.lexicon import (
+    Lexicon,
+    inventory_ids,
+    load_phoneme_sequence,
+    text_to_phoneme_sequence,
+)
 from xling.model import Inference, ModelConfig, TeacherForced, forward, init_weights
 from xling.regulator import (
     GRL,
@@ -280,11 +285,16 @@ def test_criterion_9_cli_determinism_and_pipeline(minicorpus, tmp_path):
             run("g2p", "--text", "我 在 用 mixed speech", "--out", out)
         assert snap(tmp_path / "g_a") == snap(tmp_path / "g_b")
 
+        wav = sorted((minicorpus / "d2_enm").glob("*.wav"))[0]
+        run("g2p", "--text-file", wav.with_suffix(".txt"), "--out", tmp_path / "r_in")
+        phn = tmp_path / "r_in" / f"{wav.stem}.phn"
         rng = np.random.default_rng(1009)
-        write_tensor(tmp_path / "x.xlf", rng.standard_normal((6, 8)))
+        rows = len(load_phoneme_sequence(phn).ipa)
+        write_tensor(tmp_path / "x.xlf", rng.standard_normal((rows, 8)))
         for out in (tmp_path / "r_a", tmp_path / "r_b"):
-            run("regulate", "--embeddings", tmp_path / "x.xlf",
-                "--lengths", "2,1,3", "--durations", "1,2,0", "--out", out)
+            run("regulate", "--embeddings", tmp_path / "x.xlf", "--phonemes", phn,
+                "--alignment", wav.with_suffix(".align"), "--out", out)
+        assert sorted(snap(tmp_path / "r_a")) == ["aggregated.xlf", "expanded.xlf"]
         assert snap(tmp_path / "r_a") == snap(tmp_path / "r_b")
 
         for out in (tmp_path / "m_a", tmp_path / "m_b"):

@@ -19,12 +19,10 @@ class TestWavIO:
         assert audio.samples.size == 4000
         np.testing.assert_allclose(audio.samples, samples, atol=0.5 / 32768)
 
-    def test_expected_rate_enforced(self, tmp_path):
+    def test_any_rate_is_read(self, tmp_path):
         path = tmp_path / "a.wav"
         write_wav(path, np.zeros(100), 22050)
-        read_wav(path, expected_rate=22050)
-        with pytest.raises(ConfigMismatchError):
-            read_wav(path, expected_rate=16000)
+        assert read_wav(path).sample_rate == 22050
 
     def test_stereo_rejected(self, tmp_path):
         path = tmp_path / "stereo.wav"

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from xling.cli import _fit_durations_to_frames, build_parser, main
 from xling.lexicon import load_phoneme_sequence
+from xling.regulator import MAX_REPEAT_BYTES
 from xling.tensorio import read_tensor, write_tensor
 
 
@@ -27,6 +28,19 @@ def write_empty_wav(path):
         w.setnchannels(1)
         w.setsampwidth(2)
         w.setframerate(16000)
+
+
+def regulate_inputs(directory, minicorpus, width=4):
+    """``(embeddings, phonemes, alignment)`` for ``regulate`` over a d2
+    utterance: one random row per IPA symbol, ``width`` columns wide, the
+    g2p ``.phn`` of its transcript and its minicorpus ``.align``."""
+    wav = sorted((minicorpus / "d2_enm").glob("*.wav"))[0]
+    assert run("g2p", "--text-file", wav.with_suffix(".txt"), "--out", directory) == 0
+    phn = directory / f"{wav.stem}.phn"
+    rows = len(load_phoneme_sequence(phn).ipa)
+    embeddings = directory / "x.xlf"
+    write_tensor(embeddings, np.random.default_rng(0).standard_normal((rows, width)))
+    return embeddings, phn, wav.with_suffix(".align")
 
 
 class TestG2p:
@@ -55,29 +69,36 @@ class TestG2p:
 
 
 class TestRegulate:
-    def test_aggregate_and_expand(self, tmp_path):
-        rng = np.random.default_rng(0)
-        X = rng.standard_normal((6, 4))
-        write_tensor(tmp_path / "x.xlf", X)
-        out = tmp_path / "out"
-        assert run(
-            "regulate", "--embeddings", tmp_path / "x.xlf",
-            "--lengths", "2,1,3", "--durations", "2 0 3", "--out", out,
-        ) == 0
+    def test_aggregate_and_expand(self, tmp_path, minicorpus):
+        from xling.corpus import parse_alignment
         from xling.regulator import aggregate, expand
 
-        Y = read_tensor(out / "aggregated.xlf")
-        assert np.array_equal(Y, aggregate(X, [2, 1, 3]))
-        F = read_tensor(out / "expanded.xlf")
-        assert np.array_equal(F, expand(Y, [2, 0, 3]))
+        embeddings, phn, alignment = regulate_inputs(tmp_path / "in", minicorpus)
+        out = tmp_path / "out"
+        assert run("regulate", "--embeddings", embeddings, "--phonemes", phn,
+                   "--alignment", alignment, "--out", out) == 0
+        Y = aggregate(read_tensor(embeddings), load_phoneme_sequence(phn).lengths)
+        F = expand(Y, parse_alignment(alignment).frame_durations)
+        for name, expected in (("aggregated", Y), ("expanded", F)):
+            written = read_tensor(out / f"{name}.xlf")
+            assert (written.shape, written.tobytes()) == (expected.shape, expected.tobytes())
 
-    def test_length_mismatch_error_line(self, tmp_path, capsys):
-        write_tensor(tmp_path / "x.xlf", np.zeros((5, 2)))
-        assert run(
-            "regulate", "--embeddings", tmp_path / "x.xlf",
-            "--lengths", "2,2", "--out", tmp_path,
-        ) == 1
-        assert capsys.readouterr().err.startswith("ERROR LENGTH_MISMATCH: ")
+    def test_without_alignment_only_aggregates(self, tmp_path, minicorpus):
+        embeddings, phn, _ = regulate_inputs(tmp_path / "in", minicorpus)
+        out = tmp_path / "out"
+        assert run("regulate", "--embeddings", embeddings, "--phonemes", phn,
+                   "--out", out) == 0
+        assert sorted(snapshot(out)) == ["aggregated.xlf"]
+
+    def test_length_mismatch_error_line(self, tmp_path, capsys, minicorpus):
+        _, phn, _ = regulate_inputs(tmp_path / "in", minicorpus)
+        rows = len(load_phoneme_sequence(phn).ipa)
+        write_tensor(tmp_path / "x.xlf", np.zeros((rows + 1, 2)))
+        assert run("regulate", "--embeddings", tmp_path / "x.xlf", "--phonemes", phn,
+                   "--out", tmp_path / "out") == 1
+        assert capsys.readouterr().err == (f"ERROR LENGTH_MISMATCH: X has {rows + 1} rows "
+                                           f"but lengths sum to {rows}\n")
+        assert not (tmp_path / "out").exists()
 
 
 class TestFeatures:
@@ -133,6 +154,18 @@ class TestFeatures:
         write_wav(tmp_path / "a.wav", np.zeros(1000), 22050)
         assert run("features", "--wav", tmp_path / "a.wav", "--out", tmp_path) == 1
         assert capsys.readouterr().err.startswith("ERROR CONFIG_MISMATCH: ")
+
+    @pytest.mark.parametrize("command", ["features", "stats"])
+    def test_wrong_rate_names_utterance_and_wav(self, tmp_path, capsys, command):
+        from xling.audio import write_wav
+
+        wav = tmp_path / "a.wav"
+        write_wav(wav, np.zeros(1000), 22050)
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text(f"u|{wav}|a|s|EN|M|0.05|a.align\n", encoding="utf-8")
+        assert run(command, "--manifest", manifest, "--out", tmp_path / "out") == 1
+        assert capsys.readouterr().err == (f"ERROR CONFIG_MISMATCH: utterance u ({wav}): "
+                                           "audio is 22050 Hz but config expects 16000 Hz\n")
 
 
 class TestEmptyManifest:
@@ -475,7 +508,7 @@ class TestParser:
 
     @pytest.mark.parametrize("argv", [
         ["g2p", "--text", "hi", "--jobs", "2"],
-        ["regulate", "--embeddings", "x.xlf", "--jobs", "2"],
+        ["regulate", "--embeddings", "x.xlf", "--phonemes", "a.phn", "--jobs", "2"],
         ["stats", "--manifest", "m.txt", "--seed", "1"],
         ["features", "--wav", "a.wav", "--seed", "1"],
         ["forward", "--phonemes", "a.phn", "--jobs", "2"],
@@ -746,10 +779,8 @@ class TestMalformedRegulateAndManifest:
     """Bad input to ``regulate`` and ``manifest``: one ``ERROR`` line, exit 1."""
 
     @pytest.fixture
-    def embeddings(self, tmp_path):
-        path = tmp_path / "x.xlf"
-        write_tensor(path, np.ones((6, 4)))
-        return path
+    def inputs(self, tmp_path, minicorpus):
+        return regulate_inputs(tmp_path / "in", minicorpus)
 
     def one_error_line(self, capsys, code):
         err = capsys.readouterr().err
@@ -757,75 +788,62 @@ class TestMalformedRegulateAndManifest:
         assert err.startswith(f"ERROR {code}: ")
         return err.strip()
 
-    def test_non_integer_length(self, tmp_path, capsys, embeddings):
-        assert run("regulate", "--embeddings", embeddings, "--lengths", "2,x",
-                   "--out", tmp_path / "out") == 1
-        assert "'x'" in self.one_error_line(capsys, "BAD_CONFIG")
+    @pytest.mark.parametrize("case", ["negative", "fraction", "labels"])
+    @pytest.mark.parametrize("command", ["regulate", "forward"])
+    def test_bad_alignment_writes_nothing(self, tmp_path, capsys, inputs, command, case):
+        embeddings, phn, alignment = inputs
+        lines = alignment.read_text("utf-8").splitlines()
+        label, frames = lines[1].split("\t")
+        lines[1] = {"negative": f"{label}\t-{frames}", "fraction": f"{label}\t{frames}.5",
+                    "labels": f"{label}x\t{frames}"}[case]
+        bad = tmp_path / "bad.align"
+        bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        track = tmp_path / "avg.xlf"
+        write_tensor(track, np.ones(len(lines)))
+        argv = {"regulate": ["--embeddings", embeddings],
+                "forward": ["--pitch-avg", track, "--energy-avg", track]}[command]
+        out = tmp_path / "out"
+        assert run(command, *argv, "--phonemes", phn, "--alignment", bad, "--out", out) == 1
+        code, detail = {
+            "negative": ("PARSE", f"{bad}:2: negative frame count"),
+            "fraction": ("PARSE", f"{bad}:2: expected int, got '{frames}.5'"),
+            "labels": ("LENGTH_MISMATCH",
+                       "alignment phoneme labels do not match the phoneme sequence")}[case]
+        assert self.one_error_line(capsys, code) == f"ERROR {code}: {detail}"
+        assert not out.exists()
 
-    def test_negative_duration(self, tmp_path, capsys, embeddings):
-        assert run("regulate", "--embeddings", embeddings, "--lengths", "2,1,3",
-                   "--durations", "2 -1 3", "--out", tmp_path / "out") == 1
-        self.one_error_line(capsys, "LENGTH_MISMATCH")
-        assert not (tmp_path / "out" / "expanded.xlf").exists()
+    def test_empty_alignment_is_read(self, tmp_path, capsys, inputs):
+        embeddings, phn, _ = inputs
+        empty = tmp_path / "empty.align"
+        empty.write_text("# no phonemes\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert run("regulate", "--embeddings", embeddings, "--phonemes", phn,
+                   "--alignment", empty, "--out", out) == 1
+        assert capsys.readouterr().err == (f"ERROR PARSE: {empty}: alignment file has "
+                                           "no entries\n")
+        assert not out.exists()
 
-    def test_empty_durations_are_read(self, tmp_path, capsys, embeddings):
-        assert run("regulate", "--embeddings", embeddings, "--lengths", "3,3",
-                   "--durations", "", "--out", tmp_path / "out") == 1
-        assert capsys.readouterr().err == ("ERROR LENGTH_MISMATCH: Y has 2 rows but "
-                                           "0 durations\n")
-        assert not (tmp_path / "out" / "expanded.xlf").exists()
-
-    @pytest.mark.parametrize("lengths, durations, width", [
-        ("2", "100000000000000000000000", 3),
-        ("9223372036854775807,9223372036854775807,4", None, 3),
-        ("2", "4000000000", 3),
-        ("2", "9223372036854775807", 3),
-        ("2", "4611686018427387904", 0),
-    ], ids=["duration-above-int64", "lengths-wrap-int64", "expand-above-cap",
-            "expand-at-int64-max", "zero-width"])
-    def test_huge_counts_are_too_large(self, tmp_path, capsys, lengths, durations, width):
-        write_tensor(tmp_path / "x.xlf", np.ones((2, width)))
-        argv = [] if durations is None else ["--durations", durations]
-        assert run("regulate", "--embeddings", tmp_path / "x.xlf", "--lengths", lengths,
-                   *argv, "--out", tmp_path / "out") == 1
+    @pytest.mark.parametrize("frames, width", [
+        (10**24, 3),
+        (MAX_REPEAT_BYTES // (3 * 8) + 1, 3),
+        (2**63 - 1, 3),
+        (2**62, 0),
+    ], ids=["duration-above-int64", "expand-above-cap", "expand-at-int64-max", "zero-width"])
+    def test_huge_counts_are_too_large(self, tmp_path, capsys, minicorpus, frames, width):
+        embeddings, phn, _ = regulate_inputs(tmp_path / "in", minicorpus, width)
+        first, *rest = [sym.label for sym in load_phoneme_sequence(phn).ldp]
+        alignment = tmp_path / "huge.align"
+        lines = [f"{first}\t{frames}"] + [f"{label}\t0" for label in rest]
+        alignment.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert run("regulate", "--embeddings", embeddings, "--phonemes", phn,
+                   "--alignment", alignment, "--out", out) == 1
         self.one_error_line(capsys, "TOO_LARGE")
-        assert not (tmp_path / "out" / "expanded.xlf").exists()
-
-    @pytest.mark.parametrize("durations, code", [("1,x", "BAD_CONFIG"),
-                                                 ("2 -1 3", "LENGTH_MISMATCH")])
-    def test_bad_durations_write_no_aggregate(self, tmp_path, capsys, embeddings,
-                                              durations, code):
-        out = tmp_path / "out"
-        assert run("regulate", "--embeddings", embeddings, "--lengths", "2,1,3",
-                   "--durations", durations, "--out", out) == 1
-        self.one_error_line(capsys, code)
         assert not out.exists()
 
-    @pytest.mark.parametrize("value", ["1,,2", ",1,2", "1,2,"])
-    @pytest.mark.parametrize("flag", ["--lengths", "--durations"])
-    def test_empty_list_field(self, tmp_path, capsys, embeddings, flag, value):
-        lists = {"--lengths": "2,1,3", "--durations": "1,1,1", flag: value}
-        out = tmp_path / "out"
-        assert run("regulate", "--embeddings", embeddings,
-                   *(arg for item in lists.items() for arg in item), "--out", out) == 1
-        assert self.one_error_line(capsys, "BAD_CONFIG").endswith(
-            f"empty field in {flag} {value!r}")
-        assert not out.exists()
-
-    @pytest.mark.parametrize("value", ["2,1,3", "2, 1, 3", "2 1 3"])
-    def test_list_separators(self, tmp_path, embeddings, value):
-        from xling.regulator import aggregate, expand
-
-        out = tmp_path / "out"
-        assert run("regulate", "--embeddings", embeddings, "--lengths", value,
-                   "--durations", value, "--out", out) == 0
-        aggregated = aggregate(read_tensor(embeddings), [2, 1, 3])
-        assert np.array_equal(read_tensor(out / "aggregated.xlf"), aggregated)
-        assert np.array_equal(read_tensor(out / "expanded.xlf"), expand(aggregated, [2, 1, 3]))
-
-    def test_missing_embeddings_file(self, tmp_path, capsys):
+    def test_missing_embeddings_file(self, tmp_path, capsys, inputs):
         missing = tmp_path / "missing.xlf"
-        assert run("regulate", "--embeddings", missing, "--lengths", "2,1,3",
+        assert run("regulate", "--embeddings", missing, "--phonemes", inputs[1],
                    "--out", tmp_path / "out") == 1
         assert str(missing) in self.one_error_line(capsys, "IO")
 
@@ -947,19 +965,6 @@ class TestNotUtf8Input:
         text.write_bytes(b"hello\r\nworld \xe4\xbd\n")
         assert run("g2p", "--text-file", text, "--out", tmp_path) == 1
         self.one_parse_error(capsys, text, 2)
-
-    @pytest.mark.parametrize("flag", ["--lengths-file", "--durations-file"])
-    def test_regulate_int_files(self, tmp_path, capsys, flag):
-        write_tensor(tmp_path / "x.xlf", np.ones((3, 2)))
-        good = tmp_path / "good.txt"
-        good.write_text("1 2\n", encoding="utf-8")
-        bad = tmp_path / "bad.txt"
-        bad.write_bytes(b"1\n\n2 \x80\n")
-        files = {"--lengths-file": good, "--durations-file": good, flag: bad}
-        argv = [arg for pair in files.items() for arg in pair]
-        assert run("regulate", "--embeddings", tmp_path / "x.xlf", *argv,
-                   "--out", tmp_path / "out") == 1
-        self.one_parse_error(capsys, bad, 3)
 
 
 class TestByteOrderMark:
@@ -1542,9 +1547,10 @@ class TestPartialLexiconConfig:
         assert run("g2p", "--text", "hello", "--out", inputs) == 0
         assert run("manifest", "--spec", minicorpus / "d2.spec", "--roots", minicorpus,
                    "--out", inputs) == 0
-        write_tensor(inputs / "x.xlf", np.ones((2, 3)))
+        embeddings, phn, alignment = regulate_inputs(inputs, minicorpus)
         argv = {"g2p": ["--text", "hello"],
-                "regulate": ["--embeddings", inputs / "x.xlf", "--lengths", "1,1"],
+                "regulate": ["--embeddings", embeddings, "--phonemes", phn,
+                             "--alignment", alignment],
                 "features": ["--wav", sorted((minicorpus / "d2_enm").glob("*.wav"))[0]],
                 "stats": ["--manifest", inputs / "manifest.txt"],
                 "forward": ["--phonemes", inputs / "text.phn"],
@@ -1561,8 +1567,20 @@ class TestPartialLexiconConfig:
 
 class TestIdsAreFileNames:
     """A manifest ``utt_id`` or a spec ``speaker_id`` that is not a plain
-    file name is one ``ERROR PARSE`` line at ``path:line``, so no output
-    name leaves ``--out``."""
+    file name is one ``ERROR PARSE`` line at ``path:line``, and a
+    ``--utt-id`` or ``--name`` flag one ``ERROR BAD_CONFIG`` line, so no
+    output name leaves ``--out``."""
+
+    @pytest.mark.parametrize("name", ["../x", "a/b", ""])
+    @pytest.mark.parametrize("flag", ["--utt-id", "--name"])
+    def test_output_name_flag(self, tmp_path, capsys, minicorpus, flag, name):
+        wav = sorted((minicorpus / "d2_enm").glob("*.wav"))[0]
+        argv = {"--utt-id": ["features", "--wav", wav], "--name": ["g2p", "--text", "hello"]}
+        deep = tmp_path / "deep"
+        assert run(*argv[flag], flag, name, "--out", deep / "out") == 1
+        assert capsys.readouterr().err == (f"ERROR BAD_CONFIG: {flag} {name!r} is not a "
+                                           "plain file name\n")
+        assert not deep.exists()
 
     def test_manifest_utt_id(self, tmp_path, capsys, minicorpus):
         assert run("manifest", "--spec", minicorpus / "d2.spec", "--roots", minicorpus,

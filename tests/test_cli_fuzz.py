@@ -2,22 +2,23 @@
 
 Each valid input file of a small d2 minicorpus flow is mutated once (cut
 short, one bit flipped, bytes inserted, or a span repeated) and fed to the
-subcommand that reads it, through ``cli.main``; ``regulate`` reads a
-lengths and a durations file over a small embedding tensor, and ``forward``
-also dumps its weights under ``--out``.  The run must exit 0, or
-exit 1 with exactly one ``ERROR <code>:`` line on stderr and no file under
-its ``--out``; only a ``features --manifest`` batch keeps the files of the
-utterances that finished before the failure.
+subcommand that reads it, through ``cli.main``; the ``regulate_phn`` and
+``regulate_alignment`` kinds mutate the flow's ``.phn`` and alignment under
+``regulate`` over a small embedding tensor, and ``forward`` also dumps its
+weights under ``--out``.  The run must exit 0, or exit 1 with exactly one
+``ERROR <code>:`` line on stderr and no file under its ``--out``; only a
+``features --manifest`` batch keeps the files of the utterances that
+finished before the failure.
 
 Inserted bytes are control or non-ASCII bytes, never digits, so those
 mutations scale no number beyond doubling its digits.  A second strategy
 does: it replaces one run of digits in the alignment, model config,
-pipeline config, phoneme file, dataset spec, lengths or durations file with
-0 or 10**k for k in [1, 30], under the same rule.  ``regulate``'s row cap
-keeps those draws cheap: at the tensor's two columns, a repeat to 10**8
-rows or more is refused.  A third feeds ``forward --alignment`` valid
-``.xlf`` pitch and energy tensors of rank 0-2 and any dimensions up to 7,
-under the same rule.
+pipeline config, phoneme file or dataset spec, or in the phoneme file or
+alignment that ``regulate`` reads, with 0 or 10**k for k in [1, 30], under
+the same rule.  ``regulate``'s row cap keeps those draws cheap: at the
+tensor's two columns, a repeat to 10**8 rows or more is refused.  A third
+feeds ``forward --alignment`` valid ``.xlf`` pitch and energy tensors of
+rank 0-2 and any dimensions up to 7, under the same rule.
 """
 
 import contextlib
@@ -33,6 +34,7 @@ from hypothesis import strategies as st
 import numpy as np
 
 from xling.cli import main
+from xling.lexicon import load_phoneme_sequence
 from xling.tensorio import read_tensor, write_tensor
 
 ONE_ERROR = re.compile(r"ERROR [A-Z_]+: [^\n]*\n")
@@ -70,15 +72,14 @@ def flow(tmp_path_factory):
         "transcript": wav.with_suffix(".txt"), "phn": out / "utt0000.phn",
         "xlf": out / "utt0000.pitch_avg.xlf", "energy": out / "utt0000.energy_avg.xlf",
         "model_config": out / "model.cfg", "pipeline_config": out / "pipeline.cfg",
-        "embeddings": out / "x.xlf", "lengths": out / "lengths.txt",
-        "durations": out / "durations.txt",
+        "embeddings": out / "x.xlf",
     }
+    files.update(regulate_phn=files["phn"], regulate_alignment=files["alignment"])
     files["model_config"].write_text(MODEL_CONFIG, encoding="utf-8")
     files["pipeline_config"].write_text(PIPELINE_CONFIG, encoding="utf-8")
-    write_tensor(files["embeddings"], np.arange(6.0).reshape(3, 2))
-    files["lengths"].write_text("2 1\n", encoding="utf-8")
-    files["durations"].write_text("3 0\n", encoding="utf-8")
     assert run("g2p", "--text-file", files["transcript"], "--out", out) == (0, "")
+    rows = len(load_phoneme_sequence(files["phn"]).ipa)
+    write_tensor(files["embeddings"], np.arange(2.0 * rows).reshape(rows, 2))
     assert run("features", "--wav", wav, "--alignment", files["alignment"],
                "--utt-id", "utt0000", "--out", out) == (0, "")
     return {"root": corpus, **files}
@@ -90,8 +91,8 @@ def command(kind, f, out):
                "--dump-weights", out / "weights.xlf"]
     single = ["features", "--wav", f["wav"], "--alignment", f["alignment"],
               "--stats", f["stats"], "--config", f["pipeline_config"]]
-    regulate = ["regulate", "--embeddings", f["embeddings"], "--lengths-file", f["lengths"],
-                "--durations-file", f["durations"]]
+    regulate = ["regulate", "--embeddings", f["embeddings"], "--phonemes", f["regulate_phn"],
+                "--alignment", f["regulate_alignment"]]
     argv = {
         "spec": ["manifest", "--spec", f["spec"], "--roots", f["root"]],
         "manifest": ["features", "--manifest", f["manifest"], "--stats", f["stats"],
@@ -99,7 +100,7 @@ def command(kind, f, out):
         "stats": single, "wav": single, "alignment": single, "pipeline_config": single,
         "transcript": ["g2p", "--text-file", f["transcript"]],
         "phn": forward, "model_config": forward,
-        "lengths": regulate, "durations": regulate,
+        "regulate_phn": regulate, "regulate_alignment": regulate,
         "xlf": forward + ["--alignment", f["alignment"], "--pitch-avg", f["xlf"],
                           "--energy-avg", f["energy"]],
     }[kind]
@@ -122,7 +123,7 @@ def mutation(draw, data: bytes) -> bytes:
 
 
 KINDS = ["spec", "manifest", "stats", "wav", "alignment", "transcript", "phn", "xlf",
-         "model_config", "pipeline_config", "lengths", "durations"]
+         "model_config", "pipeline_config", "regulate_phn", "regulate_alignment"]
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -165,7 +166,8 @@ def test_mutated_input_exits_zero_or_with_one_error_line(flow, data):
 @settings(max_examples=300, suppress_health_check=[HealthCheck.too_slow])
 def test_scaled_number_exits_zero_or_with_one_error_line(flow, data):
     kind = data.draw(st.sampled_from(["alignment", "model_config", "phn", "spec",
-                                      "pipeline_config", "lengths", "durations"]),
+                                      "pipeline_config", "regulate_phn",
+                                      "regulate_alignment"]),
                      label="kind")
     mutated = data.draw(scaled_number(flow[kind].read_bytes()), label="mutated")
     exits_zero_or_with_one_error_line(flow, kind, {kind: mutated})

@@ -1,4 +1,5 @@
-"""Every name a module of the package imports is used in that module."""
+"""Every name a module of the package imports is used in that module, and
+only free text is read outside :mod:`xling.textio`'s record rules."""
 
 import ast
 from pathlib import Path
@@ -59,3 +60,40 @@ def test_one_module_owns_the_thread_pool():
     owners = [path.name for path in sorted(Path(xling.__file__).parent.glob("*.py"))
               if "ThreadPoolExecutor" in path.read_text(encoding="utf-8")]
     assert owners == ["model.py"]
+
+
+def read_text_users(source: str) -> list:
+    """The functions of ``source`` that name a ``read_text`` (textio's or
+    pathlib's), as dotted paths; ``<module>`` for one outside any."""
+    users = set()
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, child.name if where == "<module>" else f"{where}.{child.name}")
+                continue
+            if (isinstance(child, ast.Name) and child.id == "read_text"
+                    or isinstance(child, ast.Attribute) and child.attr == "read_text"):
+                users.add(where)
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return sorted(users)
+
+
+def test_read_text_users_are_found():
+    source = ("from t import read_text\nx = read_text('a')\n"
+              "class C:\n    def m(self, p):\n        return p.read_text()\n"
+              "def f():\n    return map(read_text, [])\n")
+    assert read_text_users(source) == ["<module>", "C.m", "f"]
+
+
+def test_only_free_text_is_read_outside_textio():
+    """A record format is read through ``textio.records``, whose line rules
+    (comments, blank lines, fields) a bare ``read_text`` skips; only a file
+    of free text, a ``g2p --text-file`` or a corpus transcript, is read whole."""
+    users = [f"{path.stem}.{name}"
+             for path in sorted(Path(xling.__file__).parent.glob("*.py"))
+             if path.name != "textio.py"
+             for name in read_text_users(path.read_text(encoding="utf-8"))]
+    assert users == ["cli._cmd_g2p", "corpus._scan_speaker"]
