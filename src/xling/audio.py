@@ -1,4 +1,9 @@
-"""WAV input/output for 16-bit PCM mono audio."""
+"""WAV input/output for 16-bit PCM mono audio.
+
+:func:`_open_wav` is the one WAV rule, and both readers apply it:
+:func:`read_wav` for ``stats`` and ``features``, :func:`wav_duration_sec`
+for ``manifest``.  It admits any rate; the feature config decides which.
+"""
 
 from __future__ import annotations
 
@@ -34,45 +39,42 @@ class AudioBuffer:
         return self.samples.size / self.sample_rate
 
 
-def _wave_open(path):
-    """``wave.open(path, "rb")``, with a chunk whose declared size runs past
-    the end of the file (a bare RuntimeError from ``wave``) as a ``wave.Error``."""
-    try:
-        return wave.open(str(path), "rb")
-    except RuntimeError as exc:
-        raise wave.Error("a chunk runs past the end of the file") from exc
-
-
 @contextmanager
 def _open_wav(path):
-    """``wave.open(path)``; a header it cannot read is a ParseError at ``path``."""
+    """The one WAV rule: ``wave.open(path)``, at the first frame, of a mono
+    16-bit PCM WAV at a positive rate whose data chunk holds every frame its
+    header promises (the last frame is read to prove it).  Another channel
+    count or width is a ConfigMismatchError, the rest ParseErrors at ``path``.
+    """
     try:
-        with _wave_open(path) as w:
-            if w.getframerate() <= 0:
-                raise ParseError(f"bad frame rate {w.getframerate()}", path=path)
+        with wave.open(str(path), "rb") as w:
+            channels, width, rate, n = w.getparams()[:4]
+            if rate <= 0:
+                raise ParseError(f"bad frame rate {rate}", path=path)
+            if channels != 1:
+                raise ConfigMismatchError(f"{path}: expected mono, got {channels} channels")
+            if width != 2:
+                raise ConfigMismatchError(f"{path}: expected 16-bit PCM, got {8 * width}-bit")
+            if n:
+                w.setpos(n - 1)
+                if len(w.readframes(1)) != 2:
+                    raise ParseError(f"data chunk truncated: fewer than the {n} frames "
+                                     "its header promises", path=path)
+                w.rewind()
             yield w
+    except RuntimeError as exc:  # wave's report of a chunk that runs past the RIFF chunk
+        raise ParseError("not a readable WAV file: a chunk runs past the end of the file",
+                         path=path) from exc
     except (wave.Error, EOFError) as exc:
         raise ParseError(f"not a readable WAV file: {str(exc) or 'truncated header'}",
                          path=path) from exc
 
 
 def read_wav(path) -> AudioBuffer:
-    """Read a mono 16-bit PCM WAV file at any rate; anything else is rejected."""
+    """The samples of a WAV that :func:`_open_wav` admits, at any rate."""
     with _open_wav(path) as w:
-        channels = w.getnchannels()
-        width = w.getsampwidth()
-        rate = w.getframerate()
-        n = w.getnframes()
-        if channels != 1:
-            raise ConfigMismatchError(f"{path}: expected mono, got {channels} channels")
-        if width != 2:
-            raise ConfigMismatchError(f"{path}: expected 16-bit PCM, got {8 * width}-bit")
-        raw = w.readframes(n)
-    if len(raw) != 2 * n:
-        raise ParseError(f"data chunk truncated: {len(raw)} of {2 * n} bytes", path=path)
-    samples = np.frombuffer(raw, dtype="<i2").astype(np.float64)
-    samples /= 32768.0
-    return AudioBuffer(samples, rate)
+        samples = np.frombuffer(w.readframes(w.getnframes()), dtype="<i2") / 32768.0
+        return AudioBuffer(samples, w.getframerate())
 
 
 def write_wav(path, samples, sample_rate: int) -> None:
@@ -89,10 +91,8 @@ def write_wav(path, samples, sample_rate: int) -> None:
 
 
 def wav_duration_sec(path) -> float:
-    """Duration from the WAV header; reads only the last frame, not the samples.
+    """The duration of a WAV that :func:`_open_wav` admits, from its header.
 
-    That frame proves the data chunk holds every frame the header promises,
-    so a cut file is a ParseError here rather than later in ``read_wav``.
     A header of no frames is an EmptyAudioError that names ``path``, since
     no feature can be computed from it.
     """
@@ -100,8 +100,4 @@ def wav_duration_sec(path) -> float:
         n = w.getnframes()
         if not n:
             raise EmptyAudioError(f"{path}: WAV holds no samples")
-        w.setpos(n - 1)
-        if len(w.readframes(1)) != w.getsampwidth() * w.getnchannels():
-            raise ParseError(f"data chunk truncated: fewer than the {n} frames "
-                             "its header promises", path=path)
         return n / w.getframerate()

@@ -24,14 +24,14 @@ threads (:func:`xling.model.map_ordered`), and ``manifest`` scans its
 speakers in spec order on the calling thread; no command starts a process.
 Results keep manifest order, so every output is byte-identical for any
 ``--jobs``.  A command writes its outputs only after all of its inputs
-are read and checked, so a bad input leaves no output file; a ``features``
-batch does so per utterance.  A failure cancels the work that has not
-started, so a failed batch leaves some utterances unwritten, and those that
-finished keep their files.  Every output is
-atomic because every writer of the package is (text through
-:mod:`xling.textio`, tensors through :mod:`xling.tensorio`), so concurrent
-writers never produce partial files.  ``XLING_LOG`` in {error, info,
-debug} controls stderr logging.
+are read and checked, so a bad input leaves no output file, nor the
+``--out`` directory it would have made; a ``features`` batch does so per
+utterance.  A failure cancels the work that has not started, so a failed
+batch leaves some utterances unwritten, and those that finished keep their
+files.  Every output is atomic because every writer of the package is
+(text through :mod:`xling.textio`, tensors through :mod:`xling.tensorio`),
+so concurrent writers never produce partial files.  ``XLING_LOG`` in
+{error, info, debug} controls stderr logging.
 
 :func:`main` owns its process, so once per process, before any work, it
 sets the C allocator's policy through glibc's ``mallopt``: one malloc arena
@@ -295,6 +295,7 @@ def _extract_one(utt_id: str, wav_path: str, alignment_path: str | None, *, out_
         tracks["pitch_avg"] = average_by_phoneme(tracks["pitch"], durations, voiced_only=True)
         if quantizer_cfg is not None:
             tracks["energy_q"] = quantize(tracks["energy_avg"], quantizer_cfg)
+    out_dir.mkdir(parents=True, exist_ok=True)
     for name, track in tracks.items():
         tensorio.write_tensor(out_dir / f"{utt_id}.{name}.xlf", track)
     return utt_id
@@ -347,7 +348,7 @@ def _cmd_features(args, cfg: PipelineConfig) -> int:
                  for entry in _read_entries(args.manifest)]
     else:
         units = [(utt_id, args.wav, args.alignment)]
-    extract = functools.partial(_extract_one, out_dir=_out_dir(args),
+    extract = functools.partial(_extract_one, out_dir=Path(args.out or "."),
                                 feature_cfg=feature_cfg, quantizer_cfg=quantizer_cfg)
     for utt_id in map_ordered(extract, args.jobs, *zip(*units)):
         log.info("extracted %s", utt_id)

@@ -22,7 +22,8 @@ File formats (line rules in :mod:`xling.textio`):
 holding ``<utt>.wav`` + ``<utt>.txt`` + ``<utt>.align``) in spec order on
 the calling thread (the scan parses text, which holds the GIL), validates
 every alignment, and truncates each speaker at its hour cap in
-lexicographic filename order.
+lexicographic filename order.  It admits only WAVs that ``read_wav`` reads
+(:mod:`xling.audio`); their rate is checked later, against the feature config.
 """
 
 from __future__ import annotations

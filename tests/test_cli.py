@@ -423,6 +423,35 @@ class TestManifestCommand:
         assert len(err.splitlines()) == 1
         assert not (out / "manifest.txt").exists()
 
+    @pytest.mark.parametrize("channels, width, detail", [
+        (2, 2, "expected mono, got 2 channels"),
+        (1, 1, "expected 16-bit PCM, got 8-bit"),
+    ], ids=["stereo", "8-bit"])
+    def test_wav_that_stats_refuses_is_refused_at_scan(self, tmp_path, minicorpus, capsys,
+                                                        channels, width, detail):
+        """The same utterance in another layout: ``read_wav`` refuses it, so
+        the scan does, before its seconds count toward any cap."""
+        import shutil
+
+        roots = tmp_path / "roots"
+        shutil.copytree(minicorpus / "d1_cnm", roots / "d1_cnm")
+        wav = sorted((roots / "d1_cnm").glob("*.wav"))[1]
+        with wave.open(str(wav), "rb") as w:
+            pcm = np.frombuffer(w.readframes(w.getnframes()), dtype="<i2")
+        if width == 1:
+            pcm = (pcm // 256 + 128).astype(np.uint8)
+        with wave.open(str(wav), "wb") as w:
+            w.setnchannels(channels)
+            w.setsampwidth(width)
+            w.setframerate(16000)
+            w.writeframes(np.repeat(pcm, channels).tobytes())
+        spec = tmp_path / "one.spec"
+        spec.write_text("name\tone\nd1_cnm\tCN\tM\t1.0\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert run("manifest", "--spec", spec, "--roots", roots, "--out", out) == 1
+        assert capsys.readouterr().err == f"ERROR CONFIG_MISMATCH: {wav}: {detail}\n"
+        assert not out.exists()
+
     def test_wav_without_samples_is_one_empty_audio_error(self, tmp_path, capsys):
         speaker = tmp_path / "roots" / "s1"
         speaker.mkdir(parents=True)
@@ -1302,6 +1331,24 @@ class TestFeaturesWriteAfterChecks:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith(f"ERROR {code}: "), err
         assert not list(out.glob("u.*.xlf"))
+
+    @pytest.mark.parametrize("batch", [False, True], ids=["wav", "manifest"])
+    def test_refused_wav_makes_no_out_dir(self, tmp_path, capsys, utterance, batch):
+        from xling.audio import write_wav
+        from xling.corpus import ManifestEntry, write_manifest
+
+        wav = tmp_path / "a.wav"
+        write_wav(wav, np.full(4000, 0.1), 22050)
+        source = ["--wav", wav]
+        if batch:
+            source = ["--manifest", tmp_path / "manifest.txt", "--jobs", 1]
+            write_manifest([ManifestEntry("u", str(wav), "你好", "s1", "CN", "F",
+                                          4000 / 22050, str(utterance[1]))], source[1])
+        out = tmp_path / "o"
+        assert run("features", *source, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("ERROR CONFIG_MISMATCH: "), err
+        assert not out.exists()
 
     def test_hop_refused_with_an_alignment(self, tmp_path, capsys, utterance, hop_5,
                                            no_wav_read):

@@ -1,5 +1,6 @@
-"""Every name a module of the package imports is used in that module, and
-only free text is read outside :mod:`xling.textio`'s record rules."""
+"""Every name a module of the package imports is used in that module, only
+free text is read outside :mod:`xling.textio`'s record rules, and only
+:mod:`xling.audio` opens WAVs."""
 
 import ast
 from pathlib import Path
@@ -62,23 +63,37 @@ def test_one_module_owns_the_thread_pool():
     assert owners == ["model.py"]
 
 
-def read_text_users(source: str) -> list:
-    """The functions of ``source`` that name a ``read_text`` (textio's or
-    pathlib's), as dotted paths; ``<module>`` for one outside any."""
-    users = set()
+def functions_naming(source: str, is_use) -> list:
+    """The functions of ``source`` that hold a node for which ``is_use``
+    holds, as dotted paths; ``<module>`` for one outside any."""
+    found = set()
 
     def visit(node, where):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, child.name if where == "<module>" else f"{where}.{child.name}")
                 continue
-            if (isinstance(child, ast.Name) and child.id == "read_text"
-                    or isinstance(child, ast.Attribute) and child.attr == "read_text"):
-                users.add(where)
+            if is_use(child):
+                found.add(where)
             visit(child, where)
 
     visit(ast.parse(source), "<module>")
-    return sorted(users)
+    return sorted(found)
+
+
+def read_text_users(source: str) -> list:
+    """The functions of ``source`` that name a ``read_text`` (textio's or
+    pathlib's)."""
+    return functions_naming(source, lambda node: (
+        isinstance(node, ast.Name) and node.id == "read_text"
+        or isinstance(node, ast.Attribute) and node.attr == "read_text"))
+
+
+def wave_open_users(source: str) -> list:
+    """The functions of ``source`` that name ``wave.open``."""
+    return functions_naming(source, lambda node: (
+        isinstance(node, ast.Attribute) and node.attr == "open"
+        and isinstance(node.value, ast.Name) and node.value.id == "wave"))
 
 
 def test_read_text_users_are_found():
@@ -97,3 +112,19 @@ def test_only_free_text_is_read_outside_textio():
              if path.name != "textio.py"
              for name in read_text_users(path.read_text(encoding="utf-8"))]
     assert users == ["cli._cmd_g2p", "corpus._scan_speaker"]
+
+
+def test_wave_open_users_are_found():
+    source = ("import wave\nwave.open('a')\nopen('b')\n"
+              "def f(p):\n    return p.open()\n"
+              "def g(w):\n    with wave.open(w, 'wb'):\n        pass\n")
+    assert wave_open_users(source) == ["<module>", "g"]
+
+
+def test_only_the_wav_rule_opens_wavs():
+    """Every WAV is read through ``audio._open_wav``, whose one rule both
+    readers apply; ``audio.write_wav`` is the one writer."""
+    opened = [f"{path.stem}.{name}"
+              for path in sorted(Path(xling.__file__).parent.glob("*.py"))
+              for name in wave_open_users(path.read_text(encoding="utf-8"))]
+    assert opened == ["audio._open_wav", "audio.write_wav"]
