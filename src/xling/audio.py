@@ -2,7 +2,9 @@
 
 :func:`_open_wav` is the one WAV rule, and both readers apply it:
 :func:`read_wav` for ``stats`` and ``features``, :func:`wav_duration_sec`
-for ``manifest``.  It admits any rate; the feature config decides which.
+for ``manifest``.  It refuses an empty WAV and admits any rate, since the
+feature config decides which.  :class:`AudioBuffer` refuses no samples, so
+neither :func:`write_wav` nor a feature kernel ever sees empty audio.
 """
 
 from __future__ import annotations
@@ -29,9 +31,11 @@ class AudioBuffer:
         if self.samples.ndim != 1:
             raise ConfigMismatchError("audio samples must have one axis, "
                                       f"got shape {self.samples.shape}")
+        if not self.samples.size:
+            raise EmptyAudioError("audio holds no samples")
         if self.sample_rate <= 0:
             raise ConfigMismatchError(f"sample rate must be positive, got {self.sample_rate}")
-        if self.samples.size and not np.all(np.isfinite(self.samples)):
+        if not np.all(np.isfinite(self.samples)):
             raise ConfigMismatchError("audio contains non-finite samples")
 
     @property
@@ -43,8 +47,9 @@ class AudioBuffer:
 def _open_wav(path):
     """The one WAV rule: ``wave.open(path)``, at the first frame, of a mono
     16-bit PCM WAV at a positive rate whose data chunk holds every frame its
-    header promises (the last frame is read to prove it).  Another channel
-    count or width is a ConfigMismatchError, the rest ParseErrors at ``path``.
+    header promises (the last frame is read to prove it), and at least one.
+    Another channel count or width is a ConfigMismatchError, no frames an
+    EmptyAudioError, the rest ParseErrors at ``path``.
     """
     try:
         with wave.open(str(path), "rb") as w:
@@ -55,12 +60,13 @@ def _open_wav(path):
                 raise ConfigMismatchError(f"{path}: expected mono, got {channels} channels")
             if width != 2:
                 raise ConfigMismatchError(f"{path}: expected 16-bit PCM, got {8 * width}-bit")
-            if n:
-                w.setpos(n - 1)
-                if len(w.readframes(1)) != 2:
-                    raise ParseError(f"data chunk truncated: fewer than the {n} frames "
-                                     "its header promises", path=path)
-                w.rewind()
+            if not n:
+                raise EmptyAudioError(f"{path}: WAV holds no samples")
+            w.setpos(n - 1)
+            if len(w.readframes(1)) != 2:
+                raise ParseError(f"data chunk truncated: fewer than the {n} frames "
+                                 "its header promises", path=path)
+            w.rewind()
             yield w
     except RuntimeError as exc:  # wave's report of a chunk that runs past the RIFF chunk
         raise ParseError("not a readable WAV file: a chunk runs past the end of the file",
@@ -80,8 +86,6 @@ def read_wav(path) -> AudioBuffer:
 def write_wav(path, samples, sample_rate: int) -> None:
     """Write ``samples`` as 16-bit PCM mono; :class:`AudioBuffer` checks them."""
     audio = AudioBuffer(samples, sample_rate)
-    if audio.samples.size == 0:
-        raise EmptyAudioError("refusing to write an empty WAV file")
     pcm = np.clip(np.round(audio.samples * 32768.0), -32768, 32767).astype("<i2")
     with atomic_path(path) as tmp, open(tmp, "wb") as f, wave.open(f, "wb") as w:
         w.setnchannels(1)
@@ -91,13 +95,6 @@ def write_wav(path, samples, sample_rate: int) -> None:
 
 
 def wav_duration_sec(path) -> float:
-    """The duration of a WAV that :func:`_open_wav` admits, from its header.
-
-    A header of no frames is an EmptyAudioError that names ``path``, since
-    no feature can be computed from it.
-    """
+    """The duration of a WAV that :func:`_open_wav` admits, from its header."""
     with _open_wav(path) as w:
-        n = w.getnframes()
-        if not n:
-            raise EmptyAudioError(f"{path}: WAV holds no samples")
-        return n / w.getframerate()
+        return w.getnframes() / w.getframerate()

@@ -321,7 +321,10 @@ def _quantizer_from(args, cfg: PipelineConfig) -> QuantizerConfig | None:
     missing = [key for key in _STATS_KEYS[:2] if key not in stats]
     if missing:
         raise ParseError(f"stats file lacks {missing}", path=args.stats)
-    return _quantizer(cfg, stats["energy_min"], stats["energy_max"])
+    try:
+        return _quantizer(cfg, stats["energy_min"], stats["energy_max"])
+    except BadConfigError as exc:
+        raise type(exc)(f"{args.stats}: {exc}") from exc
 
 
 def _cmd_features(args, cfg: PipelineConfig) -> int:

@@ -22,8 +22,9 @@ File formats (line rules in :mod:`xling.textio`):
 holding ``<utt>.wav`` + ``<utt>.txt`` + ``<utt>.align``) in spec order on
 the calling thread (the scan parses text, which holds the GIL), validates
 every alignment, and truncates each speaker at its hour cap in
-lexicographic filename order.  It admits only WAVs that ``read_wav`` reads
-(:mod:`xling.audio`); their rate is checked later, against the feature config.
+lexicographic filename order.  It admits exactly the WAVs that ``stats`` and
+``features`` analyze, those that :mod:`xling.audio`'s one WAV rule admits;
+their rate is checked later, against the feature config.
 """
 
 from __future__ import annotations
@@ -248,10 +249,6 @@ class BalanceReport:
         axes = (("language", LANGUAGES), ("gender", GENDERS))
         return tuple(f"{axis}:{value}" for axis, values in axes for value in values
                      if self.share(axis, value) > IMBALANCE_SHARE)
-
-    @property
-    def flagged(self) -> bool:
-        return bool(self.flags)
 
     def share(self, axis: str, value: str) -> float:
         index = 0 if axis == "language" else 1

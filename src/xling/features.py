@@ -43,7 +43,6 @@ from .audio import AudioBuffer
 from .errors import (
     BadConfigError,
     ConfigMismatchError,
-    EmptyAudioError,
     LengthMismatchError,
     TooLargeError,
 )
@@ -135,8 +134,6 @@ def _check_audio(audio: AudioBuffer, cfg: FeatureConfig) -> np.ndarray:
         raise ConfigMismatchError(
             f"audio is {audio.sample_rate} Hz but config expects {cfg.sample_rate} Hz"
         )
-    if audio.samples.size == 0:
-        raise EmptyAudioError("no samples to analyze")
     return audio.samples
 
 
@@ -249,7 +246,7 @@ def energy_per_frame(audio: AudioBuffer, cfg: FeatureConfig) -> np.ndarray:
 
 
 def pitch_per_frame(audio: AudioBuffer, cfg: FeatureConfig) -> np.ndarray:
-    """Per-frame f0 in Hz; 0.0 marks unvoiced frames.
+    """Per-frame f0 in Hz of any non-empty audio; 0.0 marks unvoiced frames.
 
     Normalized cross-correlation over lags for f0_min..f0_max, rectangular
     frames on the shared hop grid.  The smallest lag whose local peak comes
@@ -263,10 +260,6 @@ def pitch_per_frame(audio: AudioBuffer, cfg: FeatureConfig) -> np.ndarray:
     makes no BLAS call.
     """
     samples = _check_audio(audio, cfg)
-    if samples.size < cfg.win_length:
-        raise EmptyAudioError(
-            f"need at least one window ({cfg.win_length} samples), got {samples.size}"
-        )
     win = cfg.win_length
     lag_min = max(1, int(np.ceil(cfg.sample_rate / cfg.f0_max)))
     lag_max = min(win - 1, int(np.floor(cfg.sample_rate / cfg.f0_min)))

@@ -268,7 +268,7 @@ def test_criterion_8_corpus_tooling(minicorpus):
         for axis, value in (("language", "CN"), ("language", "EN"),
                             ("gender", "M"), ("gender", "F")):
             assert report.share(axis, value) == pytest.approx(0.5, abs=1e-9)
-        assert not report.flagged
+        assert report.flags == ()
 
 
 def test_criterion_9_cli_determinism_and_pipeline(minicorpus, tmp_path):

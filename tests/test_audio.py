@@ -89,6 +89,14 @@ class TestAudioBuffer:
         with pytest.raises(ConfigMismatchError):
             AudioBuffer(np.zeros(10), 0)
 
+    def test_no_samples_rejected(self, tmp_path):
+        with pytest.raises(EmptyAudioError, match="^audio holds no samples$"):
+            AudioBuffer(np.zeros(0), 16000)
+        path = tmp_path / "e.wav"
+        with pytest.raises(EmptyAudioError, match="^audio holds no samples$"):
+            write_wav(path, [], 16000)
+        assert not path.exists()
+
 
 class TestUnreadableWav:
     @pytest.mark.parametrize("cut", [0, 4, 12, 20, 30], ids=lambda c: f"first {c} bytes")
@@ -137,25 +145,27 @@ class TestUnreadableWav:
                            "fewer than the 100 frames its header promises$"):
             read_wav(path)
 
-    @pytest.mark.parametrize("cut", [False, True], ids=["whole", "cut"])
+    @pytest.mark.parametrize("data", ["whole", "cut", "empty"])
     @pytest.mark.parametrize("width", [1, 2, 3], ids=lambda w: f"{8 * w}-bit")
     @pytest.mark.parametrize("channels", [1, 2], ids=["mono", "stereo"])
-    def test_both_readers_apply_one_rule(self, tmp_path, channels, width, cut):
-        """``read_wav`` and ``wav_duration_sec`` admit the same non-empty WAVs,
-        mono 16-bit ones that hold every frame, and refuse the rest alike."""
+    def test_both_readers_apply_one_rule(self, tmp_path, channels, width, data):
+        """``read_wav`` and ``wav_duration_sec`` admit the same WAVs, mono
+        16-bit ones that hold every frame and at least one, and refuse the
+        rest alike."""
         path = tmp_path / "a.wav"
         with wave.open(str(path), "wb") as w:
             w.setnchannels(channels)
             w.setsampwidth(width)
             w.setframerate(16000)
-            w.writeframes(bytes(range(1, 101)) * channels * width)
-        if cut:
+            w.writeframes(b"" if data == "empty" else bytes(range(1, 101)) * channels * width)
+        if data == "cut":
             path.write_bytes(path.read_bytes()[:-1])
-        if (channels, width, cut) == (1, 2, False):
+        if (channels, width, data) == (1, 2, "whole"):
             assert read_wav(path).samples.size == 100
             assert wav_duration_sec(path) == 100 / 16000
             return
-        refusal = ParseError if (channels, width) == (1, 2) else ConfigMismatchError
+        refusal = (ConfigMismatchError if (channels, width) != (1, 2)
+                   else ParseError if data == "cut" else EmptyAudioError)
         for read in (read_wav, wav_duration_sec):
             with pytest.raises(refusal, match=f"^{re.escape(str(path))}: "):
                 read(path)

@@ -521,6 +521,49 @@ class TestManifestCommand:
         assert capsys.readouterr().err.startswith("ERROR MISSING_SPEAKER: ")
 
 
+class TestAdmissionAgreement:
+    """``manifest``, ``stats`` and ``features`` admit the same WAVs: each
+    length either passes all three, or fails all three with one
+    ``ERROR EMPTY_AUDIO`` line."""
+
+    @pytest.mark.parametrize("n", [0, 1, 159, 160, 161, 479, 639, 640, 641])
+    def test_every_command_admits_the_same_wav(self, tmp_path, capsys, n):
+        speaker = tmp_path / "roots" / "s1"
+        speaker.mkdir(parents=True)
+        wav = speaker / "u1.wav"
+        pcm = np.round(0.4 * np.sin(2 * np.pi * 200 * np.arange(n) / 16000 + 1) * 32768)
+        with wave.open(str(wav), "wb") as w:
+            w.setnchannels(1)
+            w.setsampwidth(2)
+            w.setframerate(16000)
+            w.writeframes(pcm.astype("<i2").tobytes())
+        (speaker / "u1.txt").write_text("你好\n", encoding="utf-8")
+        frames = max(1, round(n / 160))  # within check_duration's 2 frames of the audio
+        alignment = speaker / "u1.align"
+        alignment.write_text(f"ni\t{frames}\n", encoding="utf-8")
+        spec = tmp_path / "one.spec"
+        spec.write_text("name\tone\ns1\tCN\tF\t1.0\n", encoding="utf-8")
+        out = tmp_path / "out"
+        codes = [run("manifest", "--spec", spec, "--roots", tmp_path / "roots",
+                     "--out", out)]
+        manifest = out / "manifest.txt"
+        if not manifest.exists():  # hand-written, so the other two read the WAV too
+            out.mkdir(exist_ok=True)
+            manifest.write_text(f"s1_u1|{wav}|你好|s1|CN|F|{n / 16000}|{alignment}\n",
+                                encoding="utf-8")
+        codes.append(run("stats", "--manifest", manifest, "--out", out))
+        codes.append(run("features", "--manifest", manifest, "--out", out))
+        err = capsys.readouterr().err.splitlines()
+        if n == 0:
+            assert codes == [1, 1, 1]
+            assert len(err) == 3 and all(line.startswith("ERROR EMPTY_AUDIO: ") for line in err)
+            return
+        assert codes == [0, 0, 0] and err == []
+        assert f"\nn_frames={n // 160 + 1}\n" in (out / "stats.txt").read_text("utf-8")
+        for track in ("mel", "energy", "pitch"):
+            assert read_tensor(out / f"s1_u1.{track}.xlf").shape[0] == n // 160 + 1
+
+
 class TestParser:
     def test_help_lists_flags_per_subcommand(self, capsys):
         parser = build_parser()
@@ -1070,7 +1113,7 @@ class TestBatchFailureNamesUtterance:
                    "--out", tmp_path / "out") == 1
         err = capsys.readouterr().err
         assert err == (f"ERROR EMPTY_AUDIO: utterance {utt_id} ({wav}): "
-                       "no samples to analyze\n")
+                       f"{wav}: WAV holds no samples\n")
 
     def test_error_survives_pickling_with_its_code(self):
         import pickle
@@ -1219,6 +1262,27 @@ class TestConfigValuesChecked:
                    "--out", out) == 1
         self.one_bad_config_line(capsys)
         assert not (out / "tone.energy_q.xlf").exists()
+
+    @pytest.mark.parametrize("mode", ["wav", "manifest"])
+    @pytest.mark.parametrize("content, detail", [
+        ("energy_min=0.0\nenergy_max=1.0\n", "log scale requires v_min > 0"),
+        ("energy_min=2.0\nenergy_max=1.0\n", "need finite v_min < v_max, got [2.0, 1.0]"),
+        ("energy_min=0.001\nenergy_max=inf\n", "need finite v_min < v_max, got [0.001, inf]"),
+    ], ids=["log-of-zero", "reversed", "infinite"])
+    def test_stats_range_names_the_stats_file(self, tmp_path, capsys, tone, mode, content,
+                                              detail):
+        stats = tmp_path / "stats.txt"
+        stats.write_text(content, encoding="utf-8")
+        alignment = tmp_path / "tone.align"
+        alignment.write_text("a\t50\nb\t51\n", encoding="utf-8")
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text(f"tone|{tone}|a b|s|CN|F|1.0|{alignment}\n", encoding="utf-8")
+        source = (["--wav", tone, "--alignment", alignment] if mode == "wav"
+                  else ["--manifest", manifest])
+        out = tmp_path / "out"
+        assert run("features", *source, "--stats", stats, "--out", out) == 1
+        assert capsys.readouterr().err == f"ERROR BAD_CONFIG: {stats}: {detail}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("line", [
         "fft_size=1073741824", "n_mels=100000000", "quantizer_bins=10000000000000000000",
@@ -1479,7 +1543,7 @@ class TestBatchOnThreads:
         out = tmp_path / "out"
         assert run("features", "--manifest", broken, "--jobs", 2, "--out", out) == 1
         assert capsys.readouterr().err == (f"ERROR EMPTY_AUDIO: utterance {fields[0]} "
-                                           f"({empty}): no samples to analyze\n")
+                                           f"({empty}): {empty}: WAV holds no samples\n")
         # the failed utterance, and at most one more on each of the two workers
         assert started[0] == str(empty) and len(started) <= 3, started
         assert len(list(out.glob("*.mel.xlf"))) == len(started) - 1

@@ -195,7 +195,7 @@ class TestBalanceReport:
         assert report.share("language", "EN") == pytest.approx(0.5, abs=1e-9)
         assert report.share("gender", "M") == pytest.approx(0.5, abs=1e-9)
         assert report.share("gender", "F") == pytest.approx(0.5, abs=1e-9)
-        assert not report.flagged
+        assert report.flags == ()
 
     def test_d1_plus_d2_is_balanced(self, minicorpus):
         entries = []
@@ -207,7 +207,7 @@ class TestBalanceReport:
         assert report.total_hours == pytest.approx(0.12, abs=1e-9)
         for axis, value in (("language", "CN"), ("gender", "M")):
             assert report.share(axis, value) == pytest.approx(0.5, abs=1e-9)
-        assert not report.flagged
+        assert report.flags == ()
 
     def test_single_speaker_flagged(self):
         entries = [

@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -186,9 +187,24 @@ class TestPitch:
         voiced = values[values > 0]
         assert np.all((voiced >= cfg.f0_min) & (voiced <= cfg.f0_max))
 
-    def test_too_short_audio(self, cfg):
-        with pytest.raises(EmptyAudioError):
-            pitch_per_frame(AudioBuffer(np.zeros(100), SR), cfg)
+    @given(config=st.sampled_from([(40, 10), (10, 20)]),
+           kind=st.sampled_from(["sine", "noise", "silence"]),
+           seed=st.integers(0, 2**32 - 1), data=st.data())
+    @settings(max_examples=60)
+    def test_audio_up_to_a_window_long(self, config, kind, seed, data):
+        """Pitch is defined on any non-empty audio, shorter than one window
+        too: one value per frame of the shared grid, each unvoiced or in
+        the f0 range, with no RuntimeWarning on the way."""
+        cfg = FeatureConfig(win_ms=config[0], hop_ms=config[1])
+        n = data.draw(st.integers(1, cfg.win_length + 1), label="n")
+        rng = np.random.default_rng(seed)
+        x = (0.4 * np.sin(2 * np.pi * 180 * np.arange(n) / SR) if kind == "sine"
+             else rng.uniform(-0.9, 0.9, n) if kind == "noise" else np.zeros(n))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            p = pitch_per_frame(AudioBuffer(x, SR), cfg)
+        assert p.shape == (n // cfg.hop_length + 1,)
+        assert np.all((p == 0.0) | ((p >= cfg.f0_min) & (p <= cfg.f0_max)))
 
 
 class TestAverageByPhoneme:
@@ -706,20 +722,17 @@ class TestFrameBlocks:
     def test_blocked_equals_one_unblocked_call(self, monkeypatch, win_ms, hop_ms, n_frames):
         from xling import features
 
-        # a 10 ms window on a 20 ms hop gives pitch a one-frame signal too
+        # one frame is shorter than the window at 40/10 ms and longer at 10/20 ms
         cfg = FeatureConfig(win_ms=win_ms, hop_ms=hop_ms)
         n = n_frames * cfg.hop_length - 1  # n // hop + 1 == n_frames
         rng = np.random.default_rng(n_frames)
         t = np.arange(n) / SR
         audio = AudioBuffer(0.4 * np.sin(2 * np.pi * 180 * t) + 0.1 * rng.standard_normal(n),
                             SR)
-        blocked = [stft_magnitude(audio, cfg)]
-        if n >= cfg.win_length:
-            blocked.append(pitch_per_frame(audio, cfg))
+        blocked = [stft_magnitude(audio, cfg), pitch_per_frame(audio, cfg)]
         monkeypatch.setattr(features, "FRAME_BLOCK", 1 << 30)
-        whole = [stft_magnitude(audio, cfg)]
-        if n >= cfg.win_length:
-            whole.append(pitch_per_frame(audio, cfg))
+        whole = [stft_magnitude(audio, cfg), pitch_per_frame(audio, cfg)]
         assert blocked[0].shape == (n_frames, cfg.fft_size // 2 + 1)
+        assert blocked[1].shape == (n_frames,)
         for got, want in zip(blocked, whole):
             assert got.tobytes() == want.tobytes()

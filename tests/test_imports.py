@@ -1,6 +1,6 @@
 """Every name a module of the package imports is used in that module, only
 free text is read outside :mod:`xling.textio`'s record rules, and only
-:mod:`xling.audio` opens WAVs."""
+:mod:`xling.audio` opens WAVs and refuses empty audio."""
 
 import ast
 from pathlib import Path
@@ -96,6 +96,14 @@ def wave_open_users(source: str) -> list:
         and isinstance(node.value, ast.Name) and node.value.id == "wave"))
 
 
+def empty_audio_makers(source: str) -> list:
+    """The functions of ``source`` that call ``EmptyAudioError``."""
+    return functions_naming(source, lambda node: (
+        isinstance(node, ast.Call) and (
+            isinstance(node.func, ast.Name) and node.func.id == "EmptyAudioError"
+            or isinstance(node.func, ast.Attribute) and node.func.attr == "EmptyAudioError")))
+
+
 def test_read_text_users_are_found():
     source = ("from t import read_text\nx = read_text('a')\n"
               "class C:\n    def m(self, p):\n        return p.read_text()\n"
@@ -128,3 +136,20 @@ def test_only_the_wav_rule_opens_wavs():
               for path in sorted(Path(xling.__file__).parent.glob("*.py"))
               for name in wave_open_users(path.read_text(encoding="utf-8"))]
     assert opened == ["audio._open_wav", "audio.write_wav"]
+
+
+def test_empty_audio_makers_are_found():
+    source = ("from e import EmptyAudioError\nraise EmptyAudioError('a')\n"
+              "class C:\n    def m(self):\n        raise errors.EmptyAudioError('b')\n"
+              "def f():\n    return EmptyAudioError\n"
+              "def g():\n    made = [EmptyAudioError('c')]\n")
+    assert empty_audio_makers(source) == ["<module>", "C.m", "g"]
+
+
+def test_empty_audio_is_refused_where_audio_enters():
+    """Audio enters as a WAV, through ``audio._open_wav``, or as samples,
+    through ``AudioBuffer``; each refuses empty audio, so nothing else has to."""
+    makers = [f"{path.stem}.{name}"
+              for path in sorted(Path(xling.__file__).parent.glob("*.py"))
+              for name in empty_audio_makers(path.read_text(encoding="utf-8"))]
+    assert makers == ["audio.AudioBuffer.__post_init__", "audio._open_wav"]
