@@ -15,9 +15,11 @@ feature parameters, the energy quantizer's ``quantizer_bins`` and
 other file a run reads or writes is named by a flag, and only by a flag.
 :func:`load_pipeline_config` types the config, fills in every default and
 runs every config rule when it loads, for every command alike, so no
-command accepts a config that another refuses.  Failures print a single
-``ERROR <code>: <detail>`` line and exit nonzero; in ``features`` and
-``stats`` the detail names the utterance and its WAV.
+command accepts a config that another refuses.  ``stats`` applies the
+quantizer's range rule to the corpus range before it writes, so
+``features --stats`` accepts every file ``stats`` writes.  Failures print
+a single ``ERROR <code>: <detail>`` line and exit nonzero; in
+``features`` and ``stats`` the detail names the utterance and its WAV.
 
 ``features --manifest`` and ``stats`` analyze their utterances on ``--jobs``
 threads (:func:`xling.model.map_ordered`), and ``manifest`` scans its
@@ -301,14 +303,6 @@ def _extract_one(utt_id: str, wav_path: str, alignment_path: str | None, *, out_
     return utt_id
 
 
-def _read_entries(manifest_path) -> list:
-    """The manifest's entries; an empty manifest is a ParseError at its path."""
-    entries = read_manifest(manifest_path)
-    if not entries:
-        raise ParseError("manifest is empty", path=manifest_path)
-    return entries
-
-
 def _quantizer(cfg: PipelineConfig, v_min: float, v_max: float) -> QuantizerConfig:
     return QuantizerConfig(v_min, v_max, n_bins=cfg.quantizer_bins, scale=cfg.quantizer_scale)
 
@@ -348,7 +342,7 @@ def _cmd_features(args, cfg: PipelineConfig) -> int:
     quantizer_cfg = _quantizer_from(args, cfg)
     if args.manifest is not None:
         units = [(entry.utt_id, entry.audio_path, entry.alignment_path)
-                 for entry in _read_entries(args.manifest)]
+                 for entry in read_manifest(args.manifest)]
     else:
         units = [(utt_id, args.wav, args.alignment)]
     extract = functools.partial(_extract_one, out_dir=Path(args.out or "."),
@@ -362,8 +356,9 @@ def _cmd_features(args, cfg: PipelineConfig) -> int:
 
 @_naming_failures
 def _stat_one(utt_id: str, wav_path: str, *, feature_cfg: FeatureConfig) -> tuple:
-    """Nonzero-energy min, energy max (the analysis refuses empty audio), voiced
-    pitch min and max (inf, -inf if none), frame count and voiced count."""
+    """Nonzero-energy min (inf if no frame has energy), energy max (the
+    analysis refuses empty audio), voiced pitch min and max (inf, -inf if
+    none), frame count and voiced count."""
     audio = read_wav(wav_path)
     energy = energy_per_frame(audio, feature_cfg)
     pitch = pitch_per_frame(audio, feature_cfg)
@@ -375,12 +370,14 @@ def _stat_one(utt_id: str, wav_path: str, *, feature_cfg: FeatureConfig) -> tupl
 
 def _cmd_stats(args, cfg: PipelineConfig) -> int:
     stat = functools.partial(_stat_one, feature_cfg=cfg.features)
-    entries = _read_entries(args.manifest)
+    entries = read_manifest(args.manifest)
     e_min, e_max, p_min, p_max, frames, voiced = zip(*map_ordered(
         stat, args.jobs, [e.utt_id for e in entries], [e.audio_path for e in entries]))
     ranges = (min(e_min), max(e_max), min(p_min), max(p_max))
-    if ranges[0] == np.inf:
-        raise BadConfigError("corpus has no nonzero energy frames")
+    try:
+        _quantizer(cfg, *ranges[:2])
+    except BadConfigError as exc:
+        raise type(exc)(f"corpus energy range: {exc}") from exc
     stats = ([float(x) if np.isfinite(x) else 0.0 for x in ranges]
              + [int(sum(frames)), int(sum(voiced))])
     out = _out_dir(args) / "stats.txt"

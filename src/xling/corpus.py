@@ -235,6 +235,8 @@ def read_manifest(path) -> list:
             raise ParseError(f"duplicate utt_id {parts[0]!r}", path=path, line=line_no)
         seen.add(parts[0])
         entries.append(ManifestEntry(*parts[:6], duration, parts[7]))
+    if not entries:
+        raise ParseError("manifest is empty", path=path)
     return entries
 
 

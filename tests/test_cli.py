@@ -1,9 +1,13 @@
+import contextlib
+import io
 import platform
+import tempfile
 import wave
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from xling.cli import _fit_durations_to_frames, build_parser, main
@@ -28,6 +32,24 @@ def write_empty_wav(path):
         w.setnchannels(1)
         w.setsampwidth(2)
         w.setframerate(16000)
+
+
+def sine(n):
+    """``n`` samples of a 200 Hz sine at 16 kHz."""
+    return 0.4 * np.sin(2 * np.pi * 200 * np.arange(n) / 16000 + 1)
+
+
+def write_utterance(speaker, stem, samples, frames):
+    """``stem``'s 16 kHz WAV of ``samples`` (none allowed, which ``write_wav``
+    refuses), its transcript and a one-phoneme alignment of ``frames``."""
+    speaker.mkdir(parents=True, exist_ok=True)
+    with wave.open(str(speaker / f"{stem}.wav"), "wb") as w:
+        w.setnchannels(1)
+        w.setsampwidth(2)
+        w.setframerate(16000)
+        w.writeframes(np.round(np.asarray(samples) * 32768).astype("<i2").tobytes())
+    (speaker / f"{stem}.txt").write_text("你好\n", encoding="utf-8")
+    (speaker / f"{stem}.align").write_text(f"ni\t{frames}\n", encoding="utf-8")
 
 
 def regulate_inputs(directory, minicorpus, width=4):
@@ -524,23 +546,15 @@ class TestManifestCommand:
 class TestAdmissionAgreement:
     """``manifest``, ``stats`` and ``features`` admit the same WAVs: each
     length either passes all three, or fails all three with one
-    ``ERROR EMPTY_AUDIO`` line."""
+    ``ERROR EMPTY_AUDIO`` line.  A 1 s sine from the same speaker keeps the
+    corpus energy range wide whatever the length."""
 
     @pytest.mark.parametrize("n", [0, 1, 159, 160, 161, 479, 639, 640, 641])
     def test_every_command_admits_the_same_wav(self, tmp_path, capsys, n):
         speaker = tmp_path / "roots" / "s1"
-        speaker.mkdir(parents=True)
-        wav = speaker / "u1.wav"
-        pcm = np.round(0.4 * np.sin(2 * np.pi * 200 * np.arange(n) / 16000 + 1) * 32768)
-        with wave.open(str(wav), "wb") as w:
-            w.setnchannels(1)
-            w.setsampwidth(2)
-            w.setframerate(16000)
-            w.writeframes(pcm.astype("<i2").tobytes())
-        (speaker / "u1.txt").write_text("你好\n", encoding="utf-8")
-        frames = max(1, round(n / 160))  # within check_duration's 2 frames of the audio
-        alignment = speaker / "u1.align"
-        alignment.write_text(f"ni\t{frames}\n", encoding="utf-8")
+        write_utterance(speaker, "u0", sine(16000), 100)
+        # within check_duration's 2 frames of the audio
+        write_utterance(speaker, "u1", sine(n), max(1, round(n / 160)))
         spec = tmp_path / "one.spec"
         spec.write_text("name\tone\ns1\tCN\tF\t1.0\n", encoding="utf-8")
         out = tmp_path / "out"
@@ -549,8 +563,10 @@ class TestAdmissionAgreement:
         manifest = out / "manifest.txt"
         if not manifest.exists():  # hand-written, so the other two read the WAV too
             out.mkdir(exist_ok=True)
-            manifest.write_text(f"s1_u1|{wav}|你好|s1|CN|F|{n / 16000}|{alignment}\n",
-                                encoding="utf-8")
+            manifest.write_text("".join(
+                f"s1_{stem}|{speaker / stem}.wav|你好|s1|CN|F|{samples / 16000}|"
+                f"{speaker / stem}.align\n" for stem, samples in (("u0", 16000), ("u1", n))),
+                encoding="utf-8")
         codes.append(run("stats", "--manifest", manifest, "--out", out))
         codes.append(run("features", "--manifest", manifest, "--out", out))
         err = capsys.readouterr().err.splitlines()
@@ -559,9 +575,51 @@ class TestAdmissionAgreement:
             assert len(err) == 3 and all(line.startswith("ERROR EMPTY_AUDIO: ") for line in err)
             return
         assert codes == [0, 0, 0] and err == []
-        assert f"\nn_frames={n // 160 + 1}\n" in (out / "stats.txt").read_text("utf-8")
+        assert f"\nn_frames={n // 160 + 1 + 101}\n" in (out / "stats.txt").read_text("utf-8")
         for track in ("mel", "energy", "pitch"):
             assert read_tensor(out / f"s1_u1.{track}.xlf").shape[0] == n // 160 + 1
+
+
+SIGNALS = {"sine": sine, "dc": lambda n: np.full(n, 0.1), "silence": np.zeros,
+           "noise": lambda n: np.random.default_rng(n).uniform(-0.3, 0.3, n)}
+
+
+class TestStatsAgreesWithFeatures:
+    """Every file ``stats`` writes is one ``features --stats`` accepts: over a
+    one-speaker corpus of short sines, DC, silence and noise, ``stats`` exits
+    0 exactly when the ``features`` run that reads its file exits 0, and a
+    refused corpus is one energy-range line with no ``--out``."""
+
+    @given(st.lists(st.tuples(st.sampled_from(sorted(SIGNALS)), st.integers(1, 4000),
+                              st.integers(-2, 2)), min_size=1, max_size=3))
+    @example([("dc", 16000, 0)])  # every frame has the same energy
+    @example([("sine", 100, 0)])  # one frame
+    @example([("dc", 16000, 0), ("sine", 16000, 0)])
+    @settings(max_examples=100, deadline=None)
+    def test_features_accepts_what_stats_writes(self, utterances):
+        with tempfile.TemporaryDirectory() as tmp:
+            roots = Path(tmp) / "roots"
+            for i, (kind, n, delta) in enumerate(utterances):
+                # an alignment within check_duration's 2 frames of the audio
+                write_utterance(roots / "s1", f"u{i}", SIGNALS[kind](n),
+                                max(0, round(n / 160) + delta))
+            spec = Path(tmp) / "one.spec"
+            spec.write_text("name\tone\ns1\tCN\tF\t1.0\n", encoding="utf-8")
+            manifest, stats = Path(tmp) / "man", Path(tmp) / "stats"
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                assert run("manifest", "--spec", spec, "--roots", roots, "--out", manifest) == 0
+                stats_code = run("stats", "--manifest", manifest / "manifest.txt",
+                                 "--jobs", 1, "--out", stats)
+                features_code = None if stats_code else run(
+                    "features", "--manifest", manifest / "manifest.txt",
+                    "--stats", stats / "stats.txt", "--jobs", 1, "--out", Path(tmp) / "feat")
+            if stats_code == 0:
+                assert (features_code, err.getvalue()) == (0, "")
+            else:
+                assert stats_code == 1 and not stats.exists()
+                assert err.getvalue().startswith("ERROR BAD_CONFIG: corpus energy range: ")
+                assert err.getvalue().count("\n") == 1
 
 
 class TestParser:
@@ -1158,9 +1216,9 @@ class TestStatsFileKeys:
 
 class TestStatsRanges:
     """``stats`` over silent, unvoiced and mixed utterances: a corpus without
-    a nonzero energy frame is one ``ERROR`` line, a pitch range without a
-    voiced frame is written as 0.0, and the file holds the ranges of the
-    per-utterance tracks taken together."""
+    a nonzero energy frame fails the quantizer's range rule in one ``ERROR``
+    line, a pitch range without a voiced frame is written as 0.0, and the
+    file holds the ranges of the per-utterance tracks taken together."""
 
     @pytest.fixture
     def rows(self, tmp_path, minicorpus):
@@ -1190,8 +1248,8 @@ class TestStatsRanges:
         manifest, _ = rows(2, {0: np.zeros(16000), 1: np.zeros(8000)})
         out = tmp_path / "out"
         assert run("stats", "--manifest", manifest, "--jobs", jobs, "--out", out) == 1
-        assert capsys.readouterr().err == ("ERROR BAD_CONFIG: corpus has no nonzero "
-                                           "energy frames\n")
+        assert capsys.readouterr().err == ("ERROR BAD_CONFIG: corpus energy range: need "
+                                           "finite v_min < v_max, got [inf, 0.0]\n")
         assert not out.exists()
 
     def test_white_noise_has_no_voiced_frame(self, tmp_path, rows):

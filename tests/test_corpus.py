@@ -176,6 +176,13 @@ class TestManifestIO:
         write_manifest(entries, path)
         assert read_manifest(path) == entries
 
+    @pytest.mark.parametrize("text", ["# no entries\n", ""])
+    def test_empty_manifest_is_a_parse_error_at_its_path(self, tmp_path, text):
+        path = tmp_path / "manifest.txt"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError, match=rf"^{re.escape(str(path))}: manifest is empty$"):
+            read_manifest(path)
+
     def test_duplicate_utt_rejected(self, tmp_path):
         entry = ManifestEntry("u", "a.wav", "hi", "s", "EN", "M", 1.0, "a.align")
         with pytest.raises(ParseError):

@@ -96,12 +96,12 @@ def wave_open_users(source: str) -> list:
         and isinstance(node.value, ast.Name) and node.value.id == "wave"))
 
 
-def empty_audio_makers(source: str) -> list:
-    """The functions of ``source`` that call ``EmptyAudioError``."""
+def callers(source: str, name: str) -> list:
+    """The functions of ``source`` that call ``name``, bare or as an attribute."""
     return functions_naming(source, lambda node: (
         isinstance(node, ast.Call) and (
-            isinstance(node.func, ast.Name) and node.func.id == "EmptyAudioError"
-            or isinstance(node.func, ast.Attribute) and node.func.attr == "EmptyAudioError")))
+            isinstance(node.func, ast.Name) and node.func.id == name
+            or isinstance(node.func, ast.Attribute) and node.func.attr == name)))
 
 
 def test_read_text_users_are_found():
@@ -143,7 +143,7 @@ def test_empty_audio_makers_are_found():
               "class C:\n    def m(self):\n        raise errors.EmptyAudioError('b')\n"
               "def f():\n    return EmptyAudioError\n"
               "def g():\n    made = [EmptyAudioError('c')]\n")
-    assert empty_audio_makers(source) == ["<module>", "C.m", "g"]
+    assert callers(source, "EmptyAudioError") == ["<module>", "C.m", "g"]
 
 
 def test_empty_audio_is_refused_where_audio_enters():
@@ -151,5 +151,22 @@ def test_empty_audio_is_refused_where_audio_enters():
     through ``AudioBuffer``; each refuses empty audio, so nothing else has to."""
     makers = [f"{path.stem}.{name}"
               for path in sorted(Path(xling.__file__).parent.glob("*.py"))
-              for name in empty_audio_makers(path.read_text(encoding="utf-8"))]
+              for name in callers(path.read_text(encoding="utf-8"), "EmptyAudioError")]
     assert makers == ["audio.AudioBuffer.__post_init__", "audio._open_wav"]
+
+
+def test_quantizer_makers_are_found():
+    source = ("from f import QuantizerConfig\nq = QuantizerConfig(1.0, 2.0)\n"
+              "class C:\n    def m(self):\n        return features.QuantizerConfig(1.0, 2.0)\n"
+              "def f() -> QuantizerConfig:\n    return QuantizerConfig\n")
+    assert callers(source, "QuantizerConfig") == ["<module>", "C.m"]
+
+
+def test_one_home_for_the_quantizer_rules():
+    """The range, bin and scale rules run through ``cli._quantizer`` at config
+    load, in ``stats`` before it writes and in ``features --stats``, so
+    ``features --stats`` accepts every range ``stats`` writes."""
+    makers = [f"{path.stem}.{name}"
+              for path in sorted(Path(xling.__file__).parent.glob("*.py"))
+              for name in callers(path.read_text(encoding="utf-8"), "QuantizerConfig")]
+    assert makers == ["cli._quantizer"]
