@@ -162,7 +162,8 @@ def load_pipeline_config(path=None) -> PipelineConfig:
     """The typed ``key=value`` config at ``path``; no path gives the defaults.
 
     Every rule runs here, whether or not the subcommand reads the value:
-    the lexicon files it names must exist, and it names all four or none.
+    the hop is the alignments' frame, the lexicon files it names must
+    exist, and it names all four or none.
     """
     values = {} if path is None else read_keys(path, _CONFIG_KINDS)
     lexicon = tuple(values[key] for key in _LEXICON_KEYS if key in values)
@@ -172,6 +173,10 @@ def load_pipeline_config(path=None) -> PipelineConfig:
             lexicon or default_paths(), values.get("quantizer_bins", 256),
             values.get("quantizer_scale", LOG))
         _quantizer(cfg, 1.0, 2.0)  # any valid range: the real one comes from stats
+        frame_ms = 1000 / corpus.FRAMES_PER_SECOND
+        if cfg.features.hop_ms != frame_ms:
+            raise BadConfigError(f"alignments count {frame_ms:g} ms frames, so averaging per "
+                                 f"phoneme needs hop_ms={frame_ms:g}, got {cfg.features.hop_ms}")
         for key in _LEXICON_KEYS:
             if key in values and not Path(values[key]).is_file():
                 raise BadConfigError(f"{key} points to missing file {values[key]!r}")
@@ -334,11 +339,6 @@ def _cmd_features(args, cfg: PipelineConfig) -> int:
                              "energy is quantized per phoneme")
     else:
         utt_id = _file_name("--utt-id", args.utt_id, Path(args.wav).stem)
-    feature_cfg = cfg.features
-    frame_ms = 1000 / corpus.FRAMES_PER_SECOND
-    if (args.manifest, args.alignment) != (None, None) and feature_cfg.hop_ms != frame_ms:
-        raise BadConfigError(f"alignments count {frame_ms:g} ms frames, so averaging per "
-                             f"phoneme needs hop_ms={frame_ms:g}, got {feature_cfg.hop_ms}")
     quantizer_cfg = _quantizer_from(args, cfg)
     if args.manifest is not None:
         units = [(entry.utt_id, entry.audio_path, entry.alignment_path)
@@ -346,7 +346,7 @@ def _cmd_features(args, cfg: PipelineConfig) -> int:
     else:
         units = [(utt_id, args.wav, args.alignment)]
     extract = functools.partial(_extract_one, out_dir=Path(args.out or "."),
-                                feature_cfg=feature_cfg, quantizer_cfg=quantizer_cfg)
+                                feature_cfg=cfg.features, quantizer_cfg=quantizer_cfg)
     for utt_id in map_ordered(extract, args.jobs, *zip(*units)):
         log.info("extracted %s", utt_id)
     return 0

@@ -21,12 +21,13 @@ circular correlation of ``win``-sample rows has no wrap-around below lag
 ``fft_len - win + 1``, and the parabola reads lag ``lag_max + 1`` at most,
 so no longer transform is needed.
 
-The STFT and the pitch correlation run over blocks of :data:`FRAME_BLOCK`
-frames, each written into one preallocated result, so that a block's
-spectrum and correlation stay in the L2 cache instead of streaming
-full-utterance temporaries through memory.  Blocking changes no bit:
+The STFT and pitch run over blocks of :data:`FRAME_BLOCK` frames, each
+written into one preallocated result: a block's magnitudes, or the f0 that
+pitch picks from the block's correlation rows before the next block.  So a
+block's spectrum and correlation stay in the L2 cache, and no
+full-utterance correlation matrix is made.  Blocking changes no bit:
 pocketfft transforms each row on its own, and every other step (window,
-mean, power, cumulative sum, division) works row by row.
+mean, power, cumulative sum, division, peak pick) works row by row.
 """
 
 from __future__ import annotations
@@ -255,8 +256,8 @@ def pitch_per_frame(audio: AudioBuffer, cfg: FeatureConfig) -> np.ndarray:
     than reflected: a reflected edge frame is time-symmetric and grows a
     spurious mirror-lag correlation peak.
 
-    The peak rule runs on the whole frames x lags correlation matrix at
-    once rather than frame by frame (see ``_pick_pitch``); like the mel, it
+    The peak rule runs on each block's frames x lags correlation matrix
+    rather than frame by frame (see ``_pick_pitch``); like the mel, it
     makes no BLAS call.
     """
     samples = _check_audio(audio, cfg)
@@ -269,6 +270,7 @@ def pitch_per_frame(audio: AudioBuffer, cfg: FeatureConfig) -> np.ndarray:
     lo = lag_min - 1
     hi = max(lo, lag_max + 2)
     fft_len = 1 << (win + lag_max).bit_length()
+    lags = np.arange(lo, hi)
 
     def kernel(block, out):
         frames = block - block.mean(axis=1, keepdims=True)
@@ -282,29 +284,23 @@ def pitch_per_frame(audio: AudioBuffer, cfg: FeatureConfig) -> np.ndarray:
         lead = csum[:, win - hi + 1 : win - lo + 1][:, ::-1]
         trail = csum[:, -1:] - csum[:, lo:hi]
         denom = np.sqrt(lead * trail)
-        out[:, -1] = csum[:, -1]
-        out[:, :-1] = 0.0
-        np.divide(autocorr[:, lo:hi], denom, out=out[:, :-1],
+        nccf = np.zeros_like(denom)
+        np.divide(autocorr[:, lo:hi], denom, out=nccf,
                   where=denom > NCCF_FLOOR * csum[:, -1:])
+        out[:, 0] = _pick_pitch(nccf, csum[:, -1], lags, cfg)
 
-    frames = _frame_signal(samples, cfg, mode="constant")
-    # the last column holds each frame's energy, the rest its NCCF row
-    nccf_total = _by_blocks(kernel, frames, hi - lo + 1)
-    nccf, total = nccf_total[:, :-1], nccf_total[:, -1]
-    lags = np.arange(lo, hi)
-
-    return _pick_pitch(nccf, total, lags, cfg)
+    return _by_blocks(kernel, _frame_signal(samples, cfg, mode="constant"), 1)[:, 0]
 
 
 def _pick_pitch(nccf: np.ndarray, total: np.ndarray, lags: np.ndarray,
                 cfg: FeatureConfig) -> np.ndarray:
-    """f0 per row of the frames x lags NCCF matrix; 0.0 where unvoiced.
+    """f0 per row of a frames x lags NCCF matrix; 0.0 where unvoiced.
 
     ``total`` is each frame's energy and ``lags[k]`` the lag of column k.
     Non-peaks are masked before the row maximum, and an argmax over the
     peaks within 15% of it picks the first.  Each voiced row gets the same
     float operations as a loop over frames would give it, so the output is
-    bit-identical to that loop.
+    bit-identical to that loop, and to this call on any split of the rows.
     """
     values = np.zeros(nccf.shape[0])
     interior = nccf[:, 1:-1]

@@ -89,6 +89,15 @@ class TestG2p:
             assert run("g2p", "--text", "我 在 用 mixed", "--out", out) == 0
         assert snapshot(a) == snapshot(b)
 
+    @pytest.mark.parametrize("flags", [["--text", "hi", "--text-file", "missing.txt"], []],
+                             ids=["both", "neither"])
+    def test_text_source_is_exactly_one(self, tmp_path, capsys, flags):
+        out = tmp_path / "out"
+        assert run("g2p", *flags, "--out", out) == 1
+        assert capsys.readouterr().err == ("ERROR BAD_CONFIG: provide exactly one of "
+                                           "--text / --text-file\n")
+        assert not out.exists()
+
 
 class TestRegulate:
     def test_aggregate_and_expand(self, tmp_path, minicorpus):
@@ -111,6 +120,20 @@ class TestRegulate:
         assert run("regulate", "--embeddings", embeddings, "--phonemes", phn,
                    "--out", out) == 0
         assert sorted(snapshot(out)) == ["aggregated.xlf"]
+
+    @pytest.mark.parametrize("values, detail", [
+        (np.zeros((2, 3, 4)), "X must be 2-D, got shape (2, 3, 4)"),
+        (np.array([[0.0, np.nan]]), "X contains non-finite entries"),
+    ], ids=["rank-3", "nan"])
+    def test_embeddings_that_are_no_matrix(self, tmp_path, capsys, minicorpus, values,
+                                           detail):
+        _, phn, _ = regulate_inputs(tmp_path / "in", minicorpus)
+        write_tensor(tmp_path / "x.xlf", values)
+        out = tmp_path / "out"
+        assert run("regulate", "--embeddings", tmp_path / "x.xlf", "--phonemes", phn,
+                   "--out", out) == 1
+        assert capsys.readouterr().err == f"ERROR LENGTH_MISMATCH: {detail}\n"
+        assert not out.exists()
 
     def test_length_mismatch_error_line(self, tmp_path, capsys, minicorpus):
         _, phn, _ = regulate_inputs(tmp_path / "in", minicorpus)
@@ -524,6 +547,21 @@ class TestManifestCommand:
                    "--out", tmp_path / "out") == 1
         assert capsys.readouterr().err.startswith("ERROR MISSING_SPEAKER: speaker 'ghost'")
         assert scanned == ["ghost"] and len(members) == 8
+
+    @pytest.mark.parametrize("suffix, what", [(".txt", "transcript"),
+                                              (".align", "alignment")])
+    def test_wav_without_a_sidecar_writes_nothing(self, tmp_path, capsys, suffix, what):
+        speaker = tmp_path / "roots" / "s1"
+        write_utterance(speaker, "u1", sine(16000), 100)
+        (speaker / f"u1{suffix}").unlink()
+        spec = tmp_path / "one.spec"
+        spec.write_text("name\tone\ns1\tCN\tF\t1.0\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert run("manifest", "--spec", spec, "--roots", tmp_path / "roots",
+                   "--out", out) == 1
+        assert capsys.readouterr().err == (f"ERROR PARSE: {speaker / f'u1{suffix}'}: "
+                                           f"missing {what} for {speaker / 'u1.wav'}\n")
+        assert not out.exists()
 
     def test_speaker_without_wavs_writes_nothing(self, tmp_path, capsys):
         (tmp_path / "roots" / "s1").mkdir(parents=True)
@@ -1368,7 +1406,7 @@ class TestConfigValuesCheckedAtLoad:
     @pytest.mark.parametrize("line", [
         "voicing_threshold=5", "voicing_threshold=1", "voicing_threshold=-0.1",
         "quantizer_scale=bogus", "quantizer_bins=-3", "quantizer_bins=0",
-        "en_dict=missing.dict",
+        "en_dict=missing.dict", "hop_ms=5", "sample_rate=0", "log_floor=0", "f0_min=700",
     ])
     @pytest.mark.parametrize("command", ["features", "g2p"])
     def test_value_rejected(self, tmp_path, capsys, command, line):
@@ -1402,6 +1440,12 @@ class TestFeaturesUnreadFlags:
         assert len(err.splitlines()) == 1, err
         assert err.startswith("ERROR BAD_CONFIG: --manifest cannot be combined with ")
         assert all(flag in err for flag in flags if flag.startswith("--"))
+        assert not out.exists()
+
+    def test_needs_wav_or_manifest(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run("features", "--out", out) == 1
+        assert capsys.readouterr().err == "ERROR BAD_CONFIG: provide --wav or --manifest\n"
         assert not out.exists()
 
     def test_single_wav_stats_needs_an_alignment(self, tmp_path, capsys):
@@ -1478,8 +1522,8 @@ class TestFeaturesWriteAfterChecks:
         out = tmp_path / "out"
         assert run("features", "--config", hop_5, "--wav", wav, "--alignment", alignment,
                    "--out", out) == 1
-        assert capsys.readouterr().err == ("ERROR BAD_CONFIG: alignments count 10 ms "
-                                           "frames, so averaging per phoneme needs "
+        assert capsys.readouterr().err == (f"ERROR BAD_CONFIG: {hop_5}: alignments count "
+                                           "10 ms frames, so averaging per phoneme needs "
                                            "hop_ms=10, got 5\n")
         assert not out.exists()
 
@@ -1490,23 +1534,28 @@ class TestFeaturesWriteAfterChecks:
         assert run("features", "--config", hop_5, "--manifest", tmp_path / "manifest.txt",
                    "--out", out) == 1
         err = capsys.readouterr().err
-        assert err.startswith("ERROR BAD_CONFIG: alignments count 10 ms frames")
+        assert err.startswith(f"ERROR BAD_CONFIG: {hop_5}: alignments count 10 ms frames")
         assert len(err.splitlines()) == 1
         assert not out.exists()
 
-    def test_hop_runs_without_an_alignment(self, tmp_path, utterance, hop_5):
-        wav, _ = utterance
+    @pytest.mark.parametrize("command", ["features", "stats"])
+    def test_hop_refused_without_an_alignment(self, tmp_path, capsys, minicorpus, utterance,
+                                              hop_5, no_wav_read, command):
+        # stats reads no alignment, but its stats.txt feeds features --stats
+        assert run("manifest", "--spec", minicorpus / "d3.spec", "--roots", minicorpus,
+                   "--out", tmp_path) == 0
+        source = (["--wav", utterance[0]] if command == "features"
+                  else ["--manifest", tmp_path / "manifest.txt"])
         out = tmp_path / "out"
-        assert run("features", "--config", hop_5, "--wav", wav, "--utt-id", "u",
-                   "--out", out) == 0
-        ten = tmp_path / "ten"
-        assert run("features", "--wav", wav, "--utt-id", "u", "--out", ten) == 0
-        frames, ten_frames = (read_tensor(d / "u.energy.xlf").size for d in (out, ten))
-        assert 2 * ten_frames - 1 <= frames <= 2 * ten_frames
+        assert run(command, "--config", hop_5, *source, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"ERROR BAD_CONFIG: {hop_5}: alignments count 10 ms frames")
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
 
 
 class TestJobs:
-    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    @pytest.mark.parametrize("jobs", ["0", "-1", "abc", "1.5"])
     @pytest.mark.parametrize("command", ["features", "stats"])
     def test_below_one_is_a_parser_error(self, capsys, command, jobs):
         with pytest.raises(SystemExit) as exc_info:

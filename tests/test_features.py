@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -736,3 +737,14 @@ class TestFrameBlocks:
         assert blocked[1].shape == (n_frames,)
         for got, want in zip(blocked, whole):
             assert got.tobytes() == want.tobytes()
+
+    def test_pitch_peak_memory_is_within_twice_the_samples(self, cfg):
+        # f0 is picked block by block, so no frames x lags matrix spans the audio
+        audio = tone(150.0, seconds=60.0)
+        tracemalloc.start()
+        try:
+            pitch_per_frame(audio, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * audio.samples.nbytes

@@ -298,6 +298,23 @@ class TestLexiconLoading:
                 tmp_path / "inv.txt",
             )
 
+    @pytest.mark.parametrize("name, content, line, detail", [
+        ("cn.dict", "好\thao3\n你好\tni3\n", 2, "key '你好' is not a single hanzi"),
+        ("cn.dict", "好\thao3 hao4\n", 1, "expected exactly one Pinyin syllable"),
+        ("map.dict", "EN:HH\th\nHH\th\n", 2, "key 'HH' lacks a LANG: prefix"),
+        ("map.dict", "FR:HH\th\n", 1, "unknown language 'FR'"),
+    ], ids=["cn-key-not-one-hanzi", "cn-two-syllables", "ipa-key-without-lang",
+            "ipa-unknown-language"])
+    def test_malformed_line_is_a_parse_error_at_its_line(self, tmp_path, name, content,
+                                                         line, detail):
+        files = {"en.dict": "HI\tHH AY1\n", "cn.dict": "好\thao3\n",
+                 "map.dict": "EN:HH\th\n", "inv.txt": "h\n", name: content}
+        for file_name, text in files.items():
+            (tmp_path / file_name).write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError) as exc_info:
+            Lexicon.load(*(tmp_path / file_name for file_name in files))
+        assert str(exc_info.value) == f"{tmp_path / name}:{line}: {detail}"
+
     def test_only_ascii_digits_are_stress_or_tone(self, tmp_path):
         (tmp_path / "en.dict").write_text("HI\tHH AY1\nHELLO\tHH AH0 L OW\u00b9\n",
                                           encoding="utf-8")

@@ -187,6 +187,14 @@ class TestBackward:
         assert np.array_equal(linear_forward(GRL(0.5), X), X)
         assert np.array_equal(linear_forward(StopGrad(), X), X)
 
+    def test_aggregate_and_expand_forward(self):
+        rng = np.random.default_rng(8)
+        X = rng.standard_normal((6, 3))
+        got = linear_forward(Aggregate((2, 1, 3)), X)
+        assert got.shape == (3, 3) and got.tobytes() == aggregate(X, (2, 1, 3)).tobytes()
+        got = linear_forward(Expand((2, 0, 3, 1)), X[:4])
+        assert got.shape == (6, 3) and got.tobytes() == expand(X[:4], (2, 0, 3, 1)).tobytes()
+
     def test_aggregate_backward_broadcasts(self):
         g = np.array([[1.0, 2.0], [3.0, 4.0]])
         out = linear_backward(Aggregate((2, 1)), g)
