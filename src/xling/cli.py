@@ -194,10 +194,15 @@ def _out_dir(args) -> Path:
     return path
 
 
-def _check_file_target(path, out_dir: Path) -> None:
-    """Refuse ``path`` as a file to write, before any work: it may not be a
-    directory, and its directory must exist or be one that ``--out`` makes."""
+def _check_file_target(flag: str, path, out_dir: Path, taken: dict) -> None:
+    """Refuse ``flag``'s ``path`` as a file to write, before any work: it may
+    not be a directory or a file in ``taken`` (each file the command reads or
+    writes, by description; None for one not given), and its directory must
+    exist or be one that ``--out`` makes."""
     target, out = Path(path), out_dir.resolve()
+    for what, other in taken.items():
+        if other is not None and Path(other).resolve() == target.resolve():
+            raise BadConfigError(f"{flag} {path!r} would overwrite {what}")
     parent = target.parent.resolve()
     if target.is_dir():
         code = errno.EISDIR
@@ -414,17 +419,25 @@ def _cmd_forward(args, cfg: PipelineConfig) -> int:
         mode = Inference()
 
     check_inputs(model_cfg, ids, ps.lengths, args.speaker, mode)
+    out_dir, name = Path(args.out or "."), Path(args.phonemes).stem
+    parts = ("mel_pred", "dur_pred", "pitch_pred", "energy_pred")
+    paths = {**{part: out_dir / f"{name}.{part}.xlf" for part in parts},
+             "trace": out_dir / f"{name}.trace.txt"}
     if args.dump_weights is not None:
-        _check_file_target(args.dump_weights, Path(args.out or "."))
+        reads = {"--config": args.config, "--phonemes": args.phonemes,
+                 "--model-config": args.model_config, "--alignment": args.alignment,
+                 "--pitch-avg": args.pitch_avg, "--energy-avg": args.energy_avg}
+        _check_file_target("--dump-weights", args.dump_weights, out_dir, {
+            **{f"the {flag} file": path for flag, path in reads.items()},
+            "the IPA inventory": cfg.lexicon[-1],
+            **{f"the {part} output": path for part, path in paths.items()}})
     weights = init_weights(model_cfg, args.seed)
     out = model_forward(weights, ids, ps.lengths, args.speaker, mode)
-    out_dir = _out_dir(args)
-    name = Path(args.phonemes).stem
+    _out_dir(args)
     lines = [f"{stage}\t{'x'.join(str(d) for d in shape)}" for stage, shape in out.trace]
     lines.append("durations_used\t" + " ".join(str(d) for d in out.durations_used))
-    outputs = [(tensorio.write_tensor, out_dir / f"{name}.{part}.xlf", getattr(out, part))
-               for part in ("mel_pred", "dur_pred", "pitch_pred", "energy_pred")]
-    outputs.append((write_text, out_dir / f"{name}.trace.txt", "\n".join(lines) + "\n"))
+    outputs = [(tensorio.write_tensor, paths[part], getattr(out, part)) for part in parts]
+    outputs.append((write_text, paths["trace"], "\n".join(lines) + "\n"))
     if args.dump_weights is not None:  # first: the largest write fails before any other
         buffer = next(iter(weights.tensors.values())).base  # init_weights' one allocation
         outputs.insert(0, (tensorio.write_tensor, args.dump_weights, buffer))

@@ -286,9 +286,9 @@ class ForwardOutput:
 
 def _ln(x, p, name):
     """Layer norm over the last axis with parameters ``name.gamma``/``.beta``."""
-    mean = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    return (x - mean) / np.sqrt(var + LAYERNORM_EPS) * p[f"{name}.gamma"] + p[f"{name}.beta"]
+    centred = x - x.mean(axis=-1, keepdims=True)
+    var = np.square(centred).mean(axis=-1, keepdims=True)
+    return centred / np.sqrt(var + LAYERNORM_EPS) * p[f"{name}.gamma"] + p[f"{name}.beta"]
 
 
 def _row_blocks(n: int, rows: int) -> list:

@@ -12,9 +12,10 @@ exposed as :func:`linear_backward` -- no autodiff framework involved.  Each
 backward pass is the other operator: a segment sum's transpose is a row
 repeat over the same counts, and a repeat's is that segment sum.
 
-Everything is float64.  Segment sums accumulate rows strictly in index
-order, which makes results reproducible bit for bit and lets tests compare
-against naive reference loops with ``==`` rather than tolerances.
+Everything is float64.  Each segment sum is one axis-0 ``np.add.reduce``
+from +0.0 over a C-ordered matrix, which adds whole rows in index order, so
+tests compare it with a naive loop byte for byte.  numpy would sum a lone
+column pairwise, so one is summed beside a copy of itself.
 
 :func:`as_counts` is the package's one count rule: every phoneme-length and
 frame-duration sequence, here and in :mod:`xling.model`,
@@ -141,13 +142,11 @@ def _segment_sum(X, bounds, name: str, what: str) -> np.ndarray:
     """Sum rows of X per [bounds[i], bounds[i+1]) segment, in index order."""
     if X.shape[0] != bounds[-1]:
         raise LengthMismatchError(f"{name} has {X.shape[0]} rows but {what} sum to {bounds[-1]}")
-    n = bounds.size - 1
-    out = np.zeros((n, X.shape[1]), dtype=np.float64)
-    for i in range(n):
-        acc = out[i]
-        for k in range(bounds[i], bounds[i + 1]):
-            acc += X[k]
-    return out
+    rows = np.ascontiguousarray(np.hstack((X, X)) if X.shape[1] == 1 else X)
+    out = np.empty((bounds.size - 1, rows.shape[1]))
+    for i in range(bounds.size - 1):
+        np.add.reduce(rows[bounds[i]:bounds[i + 1]], axis=0, initial=0.0, out=out[i])
+    return np.ascontiguousarray(out[:, :X.shape[1]])
 
 
 def _repeat(Y, counts, name: str, what: str) -> np.ndarray:

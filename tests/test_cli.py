@@ -923,6 +923,24 @@ class TestForwardChecksBeforeWeights:
         assert not out.exists()
         assert not any((tmp_path / "adir").iterdir())
 
+    @pytest.mark.parametrize("dump, what", [
+        ("o2/u.phn", "the --phonemes file"),
+        ("o2/u.mel_pred.xlf", "the mel_pred output"),
+        ("small.cfg", "the --model-config file"),
+    ], ids=["input", "output", "model_config"])
+    def test_dump_weights_onto_a_file_of_the_command(self, tmp_path, capsys, monkeypatch,
+                                                     dump, what):
+        monkeypatch.chdir(tmp_path)
+        run("g2p", "--text", "你好 world", "--name", "u", "--out", "o2")
+        (tmp_path / "small.cfg").write_text("n_ipa_symbols=54\nn_speakers=2\nhidden=16\n"
+                                            "enc_layers=1\ndec_layers=1\n", encoding="utf-8")
+        before = snapshot(tmp_path), snapshot(tmp_path / "o2")
+        assert run("forward", "--phonemes", "o2/u.phn", "--model-config", "small.cfg",
+                   "--out", "o2", "--dump-weights", dump) == 1
+        assert capsys.readouterr().err == (f"ERROR BAD_CONFIG: --dump-weights {dump!r} "
+                                           f"would overwrite {what}\n")
+        assert (snapshot(tmp_path), snapshot(tmp_path / "o2")) == before
+
     def test_weights_above_the_cap(self, tmp_path, capsys):
         run("g2p", "--text", "你好 world", "--out", tmp_path)
         cfg = tmp_path / "model.cfg"

@@ -1,6 +1,6 @@
 """Golden digests: outputs pinned across changes, not only within a run.
 
-``golden_digests.txt`` holds the sha256 of every output of three flows:
+``golden_digests.txt`` holds the sha256 of every output of four flows:
 
 * prep: ``manifest → stats → features --manifest --stats`` over the session
   ``minicorpus`` (d1+d2+d3, scale 100, seed 0).  ``manifest.txt`` names
@@ -9,7 +9,10 @@
 * unit: the first d2 utterance through ``g2p → features --wav --alignment
   → forward --seed 5`` at the paper config, teacher-forced;
 * inference: ``g2p`` of a mixed text, then ``forward --seed 11`` at the
-  paper config.
+  paper config;
+* regulate: ``regulate --alignment`` of a fixed 8-column embedding tensor
+  over the unit's ``.phn``.  Its first row, a one-symbol phoneme's, is
+  -0.0, so the sign of a zero segment sum is pinned too.
 
 The flows run in a fresh interpreter at ``OPENBLAS_NUM_THREADS=1``,
 because ``forward``'s bits depend on the BLAS thread count.  They also
@@ -46,13 +49,16 @@ def environment() -> str:
 
 
 def flow_digests(minicorpus: Path, work: Path) -> list:
-    """``<sha256>  <flow>/<file>`` for every output of the three flows."""
+    """``<sha256>  <flow>/<file>`` for every output of the four flows."""
     from xling.cli import main
+    from xling.lexicon import load_phoneme_sequence
+    from xling.tensorio import write_tensor
 
     def run(*argv):
         assert main([str(a) for a in argv]) == 0, argv
 
-    prep, unit, inference = work / "prep", work / "unit", work / "inference"
+    prep, unit, inference, regulate = (work / flow for flow in
+                                       ("prep", "unit", "inference", "regulate"))
     run("manifest", "--spec", minicorpus / "d123.spec", "--roots", minicorpus, "--out", prep)
     run("stats", "--manifest", prep / "manifest.txt", "--out", prep, "--jobs", 2)
     run("features", "--manifest", prep / "manifest.txt", "--stats", prep / "stats.txt",
@@ -68,6 +74,15 @@ def flow_digests(minicorpus: Path, work: Path) -> list:
 
     run("g2p", "--text", "我 在 用 mixed speech", "--out", inference)
     run("forward", "--phonemes", inference / "text.phn", "--seed", 11, "--out", inference)
+
+    rows = len(load_phoneme_sequence(unit / f"{wav.stem}.phn").ipa)
+    embeddings = np.arange(rows * 8, dtype=np.float64).reshape(rows, 8) / 3 - 7
+    embeddings[0] = -0.0
+    regulate.mkdir()
+    write_tensor(regulate / "embeddings.xlf", embeddings)
+    run("regulate", "--embeddings", regulate / "embeddings.xlf",
+        "--phonemes", unit / f"{wav.stem}.phn", "--alignment", wav.with_suffix(".align"),
+        "--out", regulate)
 
     lines = []
     for path in sorted(p for p in work.rglob("*") if p.is_file()):

@@ -120,7 +120,7 @@ class TestAggregate:
             D = int(rng.integers(1, 9))
             lengths = random_lengths(rng, total)
             X = rng.standard_normal((total, D))
-            assert np.array_equal(aggregate(X, lengths), brute_force_aggregate(X, lengths))
+            assert aggregate(X, lengths).tobytes() == brute_force_aggregate(X, lengths).tobytes()
 
     def test_linearity(self):
         rng = np.random.default_rng(7)
@@ -141,6 +141,51 @@ class TestAggregate:
     def test_row_count_mismatch(self):
         with pytest.raises(LengthMismatchError):
             aggregate(np.zeros((5, 2)), [2, 2])
+
+
+def overflowing_rows(rows):
+    """Two columns whose in-order sums overflow to +inf and -inf: the first
+    half of the rows is +-1e308, the second half its negation."""
+    half = np.tile([1e308, -1e308], (rows // 2, 1))
+    return np.vstack((half, -half))
+
+
+# name -> (rows, counts with zero entries); aggregate reads the nonzero counts
+SEGMENT_CASES = {
+    "negative-zero": (np.full((7, 3), -0.0), [1, 0, 2, 4, 0]),
+    "overflow": (overflowing_rows(20), [0, 4, 10, 0, 6]),
+    "one-column": (np.random.default_rng(12).standard_normal((40, 1)), [1, 0, 9, 30]),
+    "column-major": (np.asfortranarray(np.random.default_rng(13).standard_normal((40, 3))),
+                     [9, 0, 31]),
+    "reversed": (np.random.default_rng(14).standard_normal((40, 3))[::-1], [0, 9, 31]),
+}
+
+
+class TestSegmentSumBytes:
+    """Segment sums equal the in-order reference byte for byte, the sign of a
+    zero sum and overflow included, whatever the width or memory layout."""
+
+    @pytest.mark.parametrize("case", SEGMENT_CASES)
+    def test_aggregate(self, case):
+        X, counts = SEGMENT_CASES[case]
+        lengths = [n for n in counts if n]
+        with np.errstate(over="ignore", invalid="ignore"):
+            got, expected = aggregate(X, lengths), brute_force_aggregate(X, lengths)
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("case", SEGMENT_CASES)
+    def test_expand_backward_with_zero_durations(self, case):
+        g, durations = SEGMENT_CASES[case]
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = linear_backward(Expand(tuple(durations)), g)
+            expected = brute_force_aggregate(g, durations)
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+    def test_cases_reach_the_edges(self):
+        with np.errstate(over="ignore"):
+            overflow = brute_force_aggregate(*SEGMENT_CASES["overflow"])
+        assert np.isinf(overflow[[1, 2, 4]]).all() and (overflow[[0, 3]] == 0).all()
+        assert not np.signbit(brute_force_aggregate(*SEGMENT_CASES["negative-zero"])).any()
 
 
 class TestExpand:
